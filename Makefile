@@ -40,6 +40,8 @@ chaos:
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/der
 	$(GO) test -run='^$$' -fuzz=FuzzParseCRL -fuzztime=10s ./internal/crl
+	$(GO) test -run='^$$' -fuzz=FuzzParseResponse -fuzztime=10s ./internal/ocsp
+	$(GO) test -run='^$$' -fuzz=FuzzParseCertificate -fuzztime=10s ./internal/x509x
 	$(GO) test -run='^$$' -fuzz=FuzzParseCRLSet -fuzztime=10s ./internal/crlset
 	$(GO) test -run='^$$' -fuzz=FuzzCascadeDecode -fuzztime=10s ./internal/cascade
 	$(GO) test -run='^$$' -fuzz=FuzzRibbonDecode -fuzztime=10s ./internal/ribbon

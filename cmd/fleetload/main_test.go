@@ -132,12 +132,16 @@ func TestEngineFleetMatchesDirectRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// browser.SingleLockCache has no singleflight: two workers that miss
+	// the same URL at once both fetch it, so the cold phase's request count
+	// depends on scheduling and only the warm phase's is compared.
 	for _, tc := range []struct {
-		phase  string
-		direct fleet.Result
+		phase     string
+		direct    fleet.Result
+		netStable bool
 	}{
-		{"legacy-cold", directCold},
-		{"legacy-warm", directWarm},
+		{"legacy-cold", directCold, false},
+		{"legacy-warm", directWarm, true},
 	} {
 		p := rep.phase(tc.phase)
 		if p == nil {
@@ -152,7 +156,7 @@ func TestEngineFleetMatchesDirectRun(t *testing.T) {
 				p.Verdicts, p.Rejects, p.Revocations,
 				tc.direct.Verdicts, tc.direct.Rejects, tc.direct.RevocationsDetected)
 		}
-		if p.NetRequests != tc.direct.NetRequests {
+		if tc.netStable && p.NetRequests != tc.direct.NetRequests {
 			t.Errorf("%s: net requests %d != direct %d", tc.phase, p.NetRequests, tc.direct.NetRequests)
 		}
 		if p.Latency.Count != uint64(p.Verdicts) {

@@ -38,15 +38,17 @@
 // level 1, removals simply leave their bits set (a removed key becomes a
 // level-1 false positive, is captured by the rebuilt level 2, and the
 // verdict flips back to Good — exactness is preserved without bit
-// deletion), and the small deep levels are rebuilt each day. Each epoch
-// ships as a full snapshot plus a binary delta against the previous
-// snapshot, CRC-fenced on both ends so a client can never apply a delta
-// to the wrong base (see delta.go).
+// deletion), and the small deep levels are rebuilt on every day that
+// adds or removes a key. The publisher reads the known population once
+// per chain and keeps each key's level-1 digest, so a rebuild probes
+// instead of re-hashing, and a day without churn republishes the
+// previous levels. Each epoch ships as a full snapshot plus a binary
+// delta against the previous snapshot, CRC-fenced on both ends so a
+// client can never apply a delta to the wrong base (see delta.go).
 package cascade
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -197,29 +199,18 @@ func newLevel(k uint32, mBits uint64) level {
 	return level{k: k, mBits: mBits, bits: make([]byte, (mBits+7)/8)}
 }
 
-// hashPair derives the two double-hashing bases for key at a level,
-// salting with the level index so probe positions decorrelate across
-// levels (Kirsch–Mitzenmacher, like internal/bloom, plus the salt).
-func hashPair(salt byte, key []byte) (uint64, uint64) {
-	var buf [64]byte
-	var b []byte
-	if len(key) < len(buf) {
-		b = buf[:1+len(key)]
-	} else {
-		b = make([]byte, 1+len(key))
-	}
-	b[0] = salt
-	copy(b[1:], key)
-	sum := sha256.Sum256(b)
-	h1 := uint64(sum[0])<<56 | uint64(sum[1])<<48 | uint64(sum[2])<<40 | uint64(sum[3])<<32 |
-		uint64(sum[4])<<24 | uint64(sum[5])<<16 | uint64(sum[6])<<8 | uint64(sum[7])
-	h2 := uint64(sum[8])<<56 | uint64(sum[9])<<48 | uint64(sum[10])<<40 | uint64(sum[11])<<32 |
-		uint64(sum[12])<<24 | uint64(sum[13])<<16 | uint64(sum[14])<<8 | uint64(sum[15])
-	return h1, h2 | 1
+// hashPair derives the two double-hashing bases from a key's level
+// digest (Kirsch–Mitzenmacher, like internal/bloom). The digest is
+// ribbon.Sum(salt, key): salting with the level index decorrelates probe
+// positions across levels, and Bloom and ribbon levels hash the same
+// preimage, so one digest serves whichever kind a level turns out to be.
+func hashPair(d *ribbon.Digest) (uint64, uint64) {
+	return binary.BigEndian.Uint64(d[0:8]), binary.BigEndian.Uint64(d[8:16]) | 1
 }
 
 func (l *level) add(salt byte, key []byte) {
-	h1, h2 := hashPair(salt, key)
+	d := ribbon.Sum(salt, key)
+	h1, h2 := hashPair(&d)
 	for i := uint64(0); i < uint64(l.k); i++ {
 		bit := (h1 + i*h2) % l.mBits
 		l.bits[bit>>3] |= 1 << (bit & 7)
@@ -227,11 +218,17 @@ func (l *level) add(salt byte, key []byte) {
 }
 
 func (l *level) contains(salt byte, key []byte) bool {
+	return l.containsDigest(ribbon.Sum(salt, key))
+}
+
+// containsDigest is contains for a key whose digest at this level's salt
+// the caller already holds. Zero allocations.
+func (l *level) containsDigest(d ribbon.Digest) bool {
 	if l.kind == kindRibbon {
-		match, h64 := l.rib.Probe(salt, key)
+		match, h64 := l.rib.ProbeDigest(d)
 		return match || sideLookup(l.sideSorted, uint32(h64))
 	}
-	h1, h2 := hashPair(salt, key)
+	h1, h2 := hashPair(&d)
 	for i := uint64(0); i < uint64(l.k); i++ {
 		bit := (h1 + i*h2) % l.mBits
 		if l.bits[bit>>3]&(1<<(bit&7)) == 0 {
@@ -484,30 +481,41 @@ func (cfg *BuildConfig) capacity(nRevoked int) int {
 	return 2*nRevoked + 64
 }
 
-// buildDeepLevels constructs levels 2..L given a finished level 1.
-// revoked maps every key of R; visitKnown streams the full known-cert
-// population (revoked certs included — they are skipped by the map).
-// The returned level slice includes lvl1.
+// buildDeepLevels constructs levels 2..L given a finished level 1, in
+// streaming form: revoked maps every key of R; visitKnown streams the
+// full known-cert population (revoked certs included — they are skipped
+// by the map). The returned level slice includes lvl1. A Publisher finds
+// the same candidates from its retained digests instead and calls
+// buildFromCandidates directly.
 func buildDeepLevels(lvl1 level, revoked map[string]bool, visitKnown func(func(key []byte) bool), kind LevelKind) ([]level, error) {
-	levels := []level{lvl1}
-
 	// D2: enrolled non-revoked keys that level 1 wrongly claims. This is
 	// the only pass over the full population; later levels winnow the
 	// two materialized false-positive lists.
-	var fromPop [][]byte // subsets of the population (even levels' D)
+	var fromPop [][]byte
 	visitKnown(func(key []byte) bool {
 		if !revoked[string(key)] && lvl1.contains(0, key) {
 			fromPop = append(fromPop, append([]byte(nil), key...))
 		}
 		return true
 	})
-	fromRev := make([][]byte, 0, len(revoked)) // subsets of R (odd levels' D)
+	fromRev := make([][]byte, 0, len(revoked))
 	for k := range revoked {
 		fromRev = append(fromRev, []byte(k))
 	}
+	return buildFromCandidates(lvl1, fromPop, fromRev, kind)
+}
+
+// buildFromCandidates builds levels 2..L from the two candidate lists:
+// fromPop, the level-2 population (enrolled non-revoked keys that level 1
+// claims), and fromRev, all of R. Neither list is written — winnowing
+// allocates — and the result depends only on the two key sets, not on
+// their order. The returned level slice includes lvl1.
+func buildFromCandidates(lvl1 level, fromPop, fromRev [][]byte, kind LevelKind) ([]level, error) {
+	levels := []level{lvl1}
 
 	// Alternate: level i holds D_i, the members of D_{i-2} that the
-	// just-built level i-1 wrongly claims.
+	// just-built level i-1 wrongly claims. Even levels hold subsets of
+	// the population, odd levels subsets of R.
 	cur := fromPop
 	for len(cur) > 0 {
 		if len(levels) >= maxLevels {
@@ -574,11 +582,11 @@ func Build(revoked [][]byte, visitKnown func(func(key []byte) bool), parents []P
 	if err != nil {
 		return nil, err
 	}
-	return assemble(levels, revSet, parents, cfg)
+	return assemble(levels, len(revSet), parents, cfg)
 }
 
 // assemble packs built levels plus metadata into a Filter.
-func assemble(levels []level, revoked map[string]bool, parents []Parent, cfg BuildConfig) (*Filter, error) {
+func assemble(levels []level, nRevoked int, parents []Parent, cfg BuildConfig) (*Filter, error) {
 	sorted := make([]Parent, len(parents))
 	copy(sorted, parents)
 	sort.Slice(sorted, func(i, j int) bool {
@@ -600,7 +608,7 @@ func assemble(levels []level, revoked map[string]bool, parents []Parent, cfg Bui
 		builtAt:  cfg.BuiltAt.Unix(),
 		cutoff:   cutoff.Unix(),
 		maxAge:   uint32(cfg.MaxAge / time.Second),
-		nRevoked: uint32(len(revoked)),
+		nRevoked: uint32(nRevoked),
 		parents:  flat,
 		levels:   levels,
 	}, nil

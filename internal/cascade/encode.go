@@ -53,9 +53,9 @@ import (
 // zero-padded to a quantized capacity. All three choices are
 // deliberately delta-friendly: between freezes the list only grows at
 // its tail (no re-sorted prefix to re-ship), it sits before the deep
-// levels that are rebuilt every epoch (a deep-level size change never
-// shifts it), and the padding keeps the file positions of everything
-// after it fixed until the capacity steps up a quantum — so the
+// levels that are rebuilt whenever R changes (a deep-level size change
+// never shifts it), and the padding keeps the file positions of
+// everything after it fixed until the capacity steps up a quantum — so the
 // day-to-day binary delta (delta.go) ships the few appended entries
 // plus whatever deep-level bytes genuinely changed, never a shifted
 // tail of unchanged bytes.
@@ -99,8 +99,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // everything after level 1's growing side list keeps its file position
 // until the capacity steps, instead of shifting 4 bytes per appended
 // stash entry. Only level 1 pads: the deep levels after it are rebuilt
-// every epoch anyway, so padding their sides would spend snapshot bytes
-// for no delta win. The quantum grows geometrically with the count
+// whenever R changes anyway, so padding their sides would spend snapshot
+// bytes for no delta win. The quantum grows geometrically with the count
 // (count/8 rounded to a power of two, floor 16), bounding the padding
 // overhead at ~25% while keeping capacity steps — each one a one-time
 // re-ship of the deep tail — rare.

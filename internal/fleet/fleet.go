@@ -581,10 +581,3 @@ func (w *World) Stampede(clients int) (StampedeResult, error) {
 		Latency:     lat.Snapshot().Summary(),
 	}, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -458,6 +458,12 @@ func (s *Store) findID(st *urlState, serial []byte) (uint32, bool) {
 	return 0, false
 }
 
+// reasonOf widens a stored reason back to a crl.Reason. The memtable
+// column and the segment record hold the code's low byte and the WAL its
+// two's complement, so crl.ReasonAbsent (-1) is 255 in all three and is
+// sign-extended on every read; no real code reaches 128.
+func reasonOf(b uint8) crl.Reason { return crl.Reason(int8(b)) }
+
 // addEntry registers a previously unseen revocation.
 func (s *Store) addEntry(st *urlState, e *crl.Entry, day int64) uint32 {
 	id := s.nextID
@@ -616,7 +622,7 @@ func (s *Store) applyRecord(rec walRecord) error {
 			return errors.New("segdb: addEntry first-seen undecodable")
 		}
 		st := s.urls[urlID]
-		e := crl.Entry{Serial: serial, RevokedAt: time.Unix(0, revokedAt).UTC(), Reason: crl.Reason(reason)}
+		e := crl.Entry{Serial: serial, RevokedAt: time.Unix(0, revokedAt).UTC(), Reason: reasonOf(uint8(reason))}
 		s.addEntryReplay(st, &e, firstSeen)
 	case recPresent:
 		urlID, pos, ok := uvarint(b, 0)
@@ -707,7 +713,7 @@ func (s *Store) LookupMeta(crlURL string, serial []byte) (revdb.Meta, bool) {
 		i := id - s.mt.baseID
 		return revdb.Meta{
 			RevokedAt: time.Unix(0, s.mt.revokedAt[i]).UTC(),
-			Reason:    crl.Reason(s.mt.reason[i]),
+			Reason:    reasonOf(s.mt.reason[i]),
 			FirstSeen: time.Unix(0, s.mt.firstSeen[i]).UTC(),
 			LastSeen:  time.Unix(0, s.effectiveLastSeen(st, id)).UTC(),
 		}, true
@@ -717,7 +723,7 @@ func (s *Store) LookupMeta(crlURL string, serial []byte) (revdb.Meta, bool) {
 			i := id - s.frozen.baseID
 			return revdb.Meta{
 				RevokedAt: time.Unix(0, s.frozen.revokedAt[i]).UTC(),
-				Reason:    crl.Reason(s.frozen.reason[i]),
+				Reason:    reasonOf(s.frozen.reason[i]),
 				FirstSeen: time.Unix(0, s.frozen.firstSeen[i]).UTC(),
 				LastSeen:  time.Unix(0, s.effectiveLastSeen(st, id)).UTC(),
 			}, true
@@ -727,7 +733,7 @@ func (s *Store) LookupMeta(crlURL string, serial []byte) (revdb.Meta, bool) {
 		if rec, ok := s.snap.find(st.id, serial); ok {
 			return revdb.Meta{
 				RevokedAt: time.Unix(0, rec.revokedAt).UTC(),
-				Reason:    crl.Reason(rec.reason),
+				Reason:    reasonOf(uint8(rec.reason)),
 				FirstSeen: time.Unix(0, rec.firstSeen).UTC(),
 				LastSeen:  time.Unix(0, s.effectiveLastSeen(st, rec.id)).UTC(),
 			}, true
@@ -774,7 +780,7 @@ func (s *Store) visitLocked(fn func(e *revdb.Entry, id uint32) bool) {
 		e.CRLURL = st.name
 		e.Serial.SetBytes(serial)
 		e.RevokedAt = time.Unix(0, revokedAt).UTC()
-		e.Reason = crl.Reason(reason)
+		e.Reason = reasonOf(uint8(reason))
 		e.FirstSeen = time.Unix(0, firstSeen).UTC()
 		e.LastSeen = time.Unix(0, s.effectiveLastSeen(st, id)).UTC()
 	}

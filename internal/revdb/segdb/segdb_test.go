@@ -57,7 +57,7 @@ func (g *worldGen) day(d time.Time) *crawler.Snapshot {
 			entries = append(entries, crl.Entry{
 				Serial:    big.NewInt(g.next*7919 + 13).Bytes(),
 				RevokedAt: d.Add(-time.Duration(g.rng.Intn(72)) * time.Hour),
-				Reason:    crl.Reason(g.rng.Intn(5)),
+				Reason:    crl.Reason(g.rng.Intn(6) - 1), // ReasonAbsent included
 			})
 		}
 		c := &crl.CRL{Entries: entries}
@@ -202,6 +202,47 @@ func TestReopenPreservesDigest(t *testing.T) {
 		ingestBoth(t, s, db, days[17:])
 		requireSameDigest(t, s, db)
 		s.Close()
+	}
+}
+
+// TestReasonAbsentRoundTrips: crl.ReasonAbsent is -1 and the store keeps
+// a reason in one unsigned byte, so every read site has to sign-extend.
+// The same crawl goes into the in-memory store and a disk store that
+// folds, the disk store is reopened (segment records for the folded
+// entries, WAL replay into the memtable for the rest), and both must
+// agree on the digest (VisitEntries) and on every entry's Reason, from
+// Entries, which shares VisitEntries' decode, and from LookupMeta.
+func TestReasonAbsentRoundTrips(t *testing.T) {
+	days := genDays(4, 6, 12)
+	dir := t.TempDir()
+	opts := &Options{MemtableFlushEntries: 64, SynchronousCompact: true}
+	s := openTest(t, dir, opts)
+	db := revdb.New()
+	ingestBoth(t, s, db, days)
+	requireSameDigest(t, s, db)
+	if s.Stats().Folds == 0 {
+		t.Fatal("no fold: every entry is still in the memtable")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	s = openTest(t, dir, opts)
+	defer s.Close()
+	requireSameDigest(t, s, db)
+
+	absent := 0
+	for _, e := range s.Entries() {
+		want, ok := db.LookupMeta(e.CRLURL, e.Serial.Bytes())
+		got, _ := s.LookupMeta(e.CRLURL, e.Serial.Bytes())
+		if !ok || e.Reason != want.Reason || got.Reason != want.Reason {
+			t.Fatalf("%s %x: disk visit %v, disk lookup %v, mem %v", e.CRLURL, e.Serial.Bytes(), e.Reason, got.Reason, want.Reason)
+		}
+		if e.Reason == crl.ReasonAbsent {
+			absent++
+		}
+	}
+	if absent == 0 {
+		t.Fatal("the crawl has no reason-less entry")
 	}
 }
 

@@ -113,50 +113,48 @@ type row struct {
 	h64    uint64
 }
 
-// params derives a key's row from sha256(salt||key). The digest's bytes
-// are partitioned so bucket/start, coefficients, fingerprint and the
-// side-list hash are independent: [0:8) start+bucket, [8:16) coefficients,
-// [16] fingerprint, [17:25) side-list hash.
-func (f *Filter) params(salt byte, key []byte) row {
-	return deriveRow(salt, key, f.rBits, f.slots, f.nBuckets)
+// Digest is sha256(salt‖key): the one preimage every filter level hashes,
+// ribbon and Bloom alike. A caller that probes the same key at the same
+// salt more than once (a publisher re-scanning a fixed population) keeps
+// the digest and skips the hash.
+type Digest [sha256.Size]byte
+
+// Sum hashes a key under a level salt. Zero allocations for keys shorter
+// than 64 bytes.
+func Sum(salt byte, key []byte) Digest {
+	var buf [64]byte
+	if len(key) >= len(buf) {
+		return sha256.Sum256(append([]byte{salt}, key...))
+	}
+	buf[0] = salt
+	copy(buf[1:], key)
+	return sha256.Sum256(buf[:1+len(key)])
 }
 
-func deriveRow(salt byte, key []byte, rBits uint8, slots, nBuckets uint32) row {
-	var buf [64]byte
-	var b []byte
-	if len(key) < len(buf) {
-		b = buf[:1+len(key)]
-	} else {
-		b = make([]byte, 1+len(key))
-	}
-	b[0] = salt
-	copy(b[1:], key)
-	sum := sha256.Sum256(b)
-	h1 := binary.LittleEndian.Uint64(sum[0:8])
-	coeff := binary.LittleEndian.Uint64(sum[8:16]) | 1
+// Hash64 returns the side-list hash carried in the digest: the exact
+// 64-bit identity that bumped (and publisher-stashed) keys are stored
+// under.
+func (d *Digest) Hash64() uint64 { return binary.LittleEndian.Uint64(d[17:25]) }
+
+// Hash64 is Sum(salt, key).Hash64().
+func Hash64(salt byte, key []byte) uint64 {
+	d := Sum(salt, key)
+	return d.Hash64()
+}
+
+// deriveRow derives a key's row from its digest. The digest's bytes are
+// partitioned so bucket/start, coefficients, fingerprint and the
+// side-list hash are independent: [0:8) start+bucket, [8:16) coefficients,
+// [16] fingerprint, [17:25) side-list hash.
+func deriveRow(d *Digest, rBits uint8, slots, nBuckets uint32) row {
+	h1 := binary.LittleEndian.Uint64(d[0:8])
 	return row{
 		bucket: uint32((uint64(uint32(h1>>32)) * uint64(nBuckets)) >> 32),
 		start:  uint32((uint64(uint32(h1)) * uint64(slots-window+1)) >> 32),
-		coeff:  coeff,
-		fp:     sum[16] & byte(1<<rBits-1),
-		h64:    binary.LittleEndian.Uint64(sum[17:25]),
+		coeff:  binary.LittleEndian.Uint64(d[8:16]) | 1,
+		fp:     d[16] & byte(1<<rBits-1),
+		h64:    d.Hash64(),
 	}
-}
-
-// Hash64 returns the side-list hash of a key: the exact 64-bit identity
-// that bumped (and publisher-stashed) keys are stored under.
-func Hash64(salt byte, key []byte) uint64 {
-	var buf [64]byte
-	var b []byte
-	if len(key) < len(buf) {
-		b = buf[:1+len(key)]
-	} else {
-		b = make([]byte, 1+len(key))
-	}
-	b[0] = salt
-	copy(b[1:], key)
-	sum := sha256.Sum256(b)
-	return binary.LittleEndian.Uint64(sum[17:25])
 }
 
 // Build solves a ribbon filter holding an rBits-wide fingerprint for
@@ -180,7 +178,8 @@ func Build(salt byte, keys [][]byte, rBits int) (*Filter, []uint64, error) {
 
 	rows := make([]row, len(keys))
 	for i, k := range keys {
-		rows[i] = deriveRow(salt, k, f.rBits, slots, nBuckets)
+		d := Sum(salt, k)
+		rows[i] = deriveRow(&d, f.rBits, slots, nBuckets)
 	}
 	// Bucket-major, then ascending start: the natural order for banded
 	// elimination, and a fixed order makes the solved bytes a pure
@@ -311,7 +310,13 @@ func load64(plane []byte, off uint32) uint64 {
 // always match; non-members match with probability 2^-rBits.
 // Zero allocations.
 func (f *Filter) Probe(salt byte, key []byte) (match bool, h64 uint64) {
-	r := f.params(salt, key)
+	return f.ProbeDigest(Sum(salt, key))
+}
+
+// ProbeDigest is Probe for a key whose digest the caller already holds:
+// Probe(salt, key) ≡ ProbeDigest(Sum(salt, key)). Zero allocations.
+func (f *Filter) ProbeDigest(d Digest) (match bool, h64 uint64) {
+	r := deriveRow(&d, f.rBits, f.slots, f.nBuckets)
 	base := int(r.bucket) * int(f.rBits) * f.planeBytes
 	got := uint8(0)
 	for j := 0; j < int(f.rBits); j++ {

@@ -2,6 +2,7 @@ package ribbon
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -178,7 +179,7 @@ func TestRibbonDecodeRejects(t *testing.T) {
 		"pad nonzero":    corrupt(func(b []byte) { b[1] = 1 }),
 		"slots unaliged": corrupt(func(b []byte) { binary.LittleEndian.PutUint32(b[2:], 77) }),
 		"slots tiny":     corrupt(func(b []byte) { binary.LittleEndian.PutUint32(b[2:], 64) }),
-		"slots huge":     corrupt(func(b []byte) { binary.LittleEndian.PutUint32(b[2:], 1 << 21) }),
+		"slots huge":     corrupt(func(b []byte) { binary.LittleEndian.PutUint32(b[2:], 1<<21) }),
 		"buckets zero":   corrupt(func(b []byte) { binary.LittleEndian.PutUint32(b[6:], 0) }),
 		// A bucket count that would overflow a 32-bit int byte total must
 		// be rejected by the int64 bound, not wrapped.
@@ -208,6 +209,22 @@ func TestRibbonProbeZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Probe allocates %.2f per run", allocs)
+	}
+}
+
+// Sum is the one place sha256(salt‖key) is computed; pin it against the
+// plain construction on both sides of its 64-byte stack buffer. (Probe ≡
+// ProbeDigest(Sum) is pinned next to its user, in internal/cascade.)
+func TestSumIsSaltedSHA256(t *testing.T) {
+	for _, n := range []int{0, 1, 33, 62, 63, 64, 200} {
+		key := synthKeys(int64(n), 1, n)[0]
+		d := Sum(5, key)
+		if want := sha256.Sum256(append([]byte{5}, key...)); d != Digest(want) {
+			t.Fatalf("len %d: Sum is not sha256(salt‖key)", n)
+		}
+		if Hash64(5, key) != d.Hash64() {
+			t.Fatalf("len %d: Hash64 and Digest.Hash64 disagree", n)
+		}
 	}
 }
 

@@ -28,7 +28,10 @@ type CascadeFeed struct {
 	// Days[i] — expired certificates pruned per DropExpiredFromCRL.
 	Removes [][][]byte
 	// VisitKnown streams every observed certificate as a cascade key,
-	// straight off the corpus.
+	// straight off the corpus. It always streams the finished world's
+	// whole corpus, whichever day is being published, which is what
+	// lets a cascade.Publisher read it once and keep the result for the
+	// chain's life (cascade.PublishConfig.VisitKnown).
 	VisitKnown func(fn func(key []byte) bool)
 	// Revocations is the total key count across Adds.
 	Revocations int

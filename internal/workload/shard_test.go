@@ -135,7 +135,16 @@ func TestShardedCascadeOracle(t *testing.T) {
 
 	// Partial trust: one issuer's shard installs alone, audits exactly
 	// over its own certificates, and costs strictly fewer bytes.
-	trustedParent := sharded.Parents[0]
+	// The issuer is picked by profile, not by position: CA keys are random,
+	// so Parents[0] is a different issuer in every process, and Apple-WWDR's
+	// certificates are in no scan, so its shard audits zero certificates.
+	var trustedParent cascade.Parent
+	for _, a := range w.Authorities {
+		if a.Profile.WebCA() {
+			trustedParent = cascade.Parent(a.Parent)
+			break
+		}
+	}
 	trust := func(p cascade.Parent) bool { return p == trustedParent }
 	one, err := sharded.Install(trust)
 	if err != nil {
