@@ -24,10 +24,11 @@ race:
 
 # race-hot gives fast feedback on the packages where the serving-layer
 # and client-layer concurrency lives (pre-signed OCSP cache, batched
-# crawler pool, fault injector, sharded browser cache, fleet driver,
-# revocation store backends).
+# crawler pool and the hinted CRL decode it calls, fault injector, sharded
+# browser cache, fleet driver, revocation store backends, the browser
+# suite's parallel profile runs, lazily seeded hosts).
 race-hot:
-	$(GO) test -race ./internal/ocsp ./internal/crawler ./internal/faultnet/... ./internal/browser ./internal/fleet ./internal/revdb ./internal/revdb/segdb ./internal/corpus ./internal/workload ./internal/cascade ./internal/ribbon ./internal/hist ./internal/scenario
+	$(GO) test -race ./internal/ocsp ./internal/crawler ./internal/faultnet/... ./internal/browser ./internal/fleet ./internal/revdb ./internal/revdb/segdb ./internal/corpus ./internal/workload ./internal/cascade ./internal/ribbon ./internal/hist ./internal/scenario ./internal/crl ./internal/testsuite ./internal/host
 
 # chaos runs the seeded fault-injection differential harness: fixed seeds,
 # each played twice faulted and once clean, asserting determinism,
@@ -39,7 +40,8 @@ chaos:
 # exercise the corpus plus some fresh mutations on every merge.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/der
-	$(GO) test -run='^$$' -fuzz=FuzzParseCRL -fuzztime=10s ./internal/crl
+	$(GO) test -run='^$$' -fuzz='^FuzzParseCRL$$' -fuzztime=10s ./internal/crl
+	$(GO) test -run='^$$' -fuzz='^FuzzParseCRLFrom$$' -fuzztime=10s ./internal/crl
 	$(GO) test -run='^$$' -fuzz=FuzzParseResponse -fuzztime=10s ./internal/ocsp
 	$(GO) test -run='^$$' -fuzz=FuzzParseCertificate -fuzztime=10s ./internal/x509x
 	$(GO) test -run='^$$' -fuzz=FuzzParseCRLSet -fuzztime=10s ./internal/crlset

@@ -14,6 +14,7 @@
 package crawler
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -22,8 +23,10 @@ import (
 	"io"
 	"math/big"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/crl"
@@ -109,6 +112,13 @@ type FetchStats struct {
 	ReadErrors      int64
 	ParseErrors     int64
 	VerifyErrors    int64
+
+	// Per-entry decode accounting over the CRL bodies that missed the
+	// parse cache and parsed: EntriesReused were byte-identical to an
+	// entry of the URL's last good CRL and taken from it,
+	// EntriesDecoded went through the entry decoder.
+	EntriesReused  int64
+	EntriesDecoded int64
 
 	// OCSP-only check accounting. Transport failures ("the responder is
 	// unreachable") are attributed separately from well-formed OCSP
@@ -269,9 +279,28 @@ func (c *Crawler) backOff(url string, n int) {
 	}
 }
 
+// crawlChunk is how many URLs a worker claims from the crawl cursor at a
+// time: enough that workers do not meet on the cursor for every fetch,
+// few enough that the largest lists, which lead the order, are spread
+// over the workers.
+const crawlChunk = 4
+
+// fetched is one URL's outcome within a crawl.
+type fetched struct {
+	crl   *crl.CRL
+	bytes int64
+	err   error
+}
+
 // CrawlCRLs downloads and parses every URL, returning one snapshot.
-// Downloads run with the configured parallelism; the snapshot is
-// assembled under a lock, so results are complete regardless of order.
+//
+// With Parallelism above one the workers take the URLs longest first, by
+// the size of each URL's last good body, so the one list that takes as
+// long as hundreds of others starts at once and not behind them. Every
+// outcome lands in the slot of its URL's index and the snapshot is
+// assembled from the slots in input order once all workers are done, so
+// neither the order of the fetches nor their division among workers can
+// show in it.
 func (c *Crawler) CrawlCRLs(urls []string) *Snapshot {
 	snap := &Snapshot{
 		Day:      c.now(),
@@ -279,14 +308,39 @@ func (c *Crawler) CrawlCRLs(urls []string) *Snapshot {
 		Stale:    make(map[string]bool),
 		Failures: make(map[string]error),
 	}
-	var mu sync.Mutex
-	record := func(u string, parsed *crl.CRL, n int64, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		snap.Bytes += n
-		if err == nil {
-			snap.CRLs[u] = parsed
-			return
+	results := make([]fetched, len(urls))
+	if workers := c.Parallelism; workers <= 1 {
+		for i, u := range urls {
+			results[i] = c.fetchOne(u)
+		}
+	} else {
+		order := c.longestFirst(urls)
+		var cursor atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					end := int(cursor.Add(crawlChunk))
+					start := end - crawlChunk
+					if start >= len(order) {
+						return
+					}
+					for _, i := range order[start:min(end, len(order))] {
+						results[i] = c.fetchOne(urls[i])
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	for i, u := range urls {
+		r := results[i]
+		snap.Bytes += r.bytes
+		if r.err == nil {
+			snap.CRLs[u] = r.crl
+			continue
 		}
 		if c.ServeStale {
 			c.cacheMu.Lock()
@@ -296,43 +350,36 @@ func (c *Crawler) CrawlCRLs(urls []string) *Snapshot {
 				snap.CRLs[u] = stale
 				snap.Stale[u] = true
 				c.bump(func(s *FetchStats) { s.StaleServed++ })
-				return
+				continue
 			}
 		}
-		snap.Failures[u] = err
+		snap.Failures[u] = r.err
 	}
-	workers := c.Parallelism
-	if workers <= 1 {
-		for _, u := range urls {
-			parsed, n, err := c.fetchOne(u)
-			record(u, parsed, n, err)
-		}
-		return snap
-	}
-	var wg sync.WaitGroup
-	work := make(chan string)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for u := range work {
-				parsed, n, err := c.fetchOne(u)
-				record(u, parsed, n, err)
-			}
-		}()
-	}
-	for _, u := range urls {
-		work <- u
-	}
-	close(work)
-	wg.Wait()
 	return snap
+}
+
+// longestFirst returns the indices of urls ordered by the size of each
+// URL's last good body, largest first, ties (and URLs never fetched) in
+// input order.
+func (c *Crawler) longestFirst(urls []string) []int {
+	order := make([]int, len(urls))
+	size := make([]int, len(urls))
+	c.cacheMu.Lock()
+	for i, u := range urls {
+		order[i] = i
+		if good := c.lastGood[u]; good != nil {
+			size[i] = len(good.Raw)
+		}
+	}
+	c.cacheMu.Unlock()
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(size[b], size[a]) })
+	return order
 }
 
 // fetchOne downloads url with the retry/backoff policy, returning the
 // parsed CRL (success updates the stale-serving copy) or the final
 // classified error once the retry budget is spent.
-func (c *Crawler) fetchOne(u string) (*crl.CRL, int64, error) {
+func (c *Crawler) fetchOne(u string) fetched {
 	attempts := c.Retries + 1
 	if attempts < 1 {
 		attempts = 1
@@ -354,7 +401,7 @@ func (c *Crawler) fetchOne(u string) (*crl.CRL, int64, error) {
 			}
 			c.lastGood[u] = parsed
 			c.cacheMu.Unlock()
-			return parsed, total, nil
+			return fetched{crl: parsed, bytes: total}
 		}
 		last = ferr
 		c.bump(func(s *FetchStats) {
@@ -376,7 +423,7 @@ func (c *Crawler) fetchOne(u string) (*crl.CRL, int64, error) {
 		}
 	}
 	c.bump(func(s *FetchStats) { s.GaveUp++ })
-	return nil, total, last
+	return fetched{bytes: total, err: last}
 }
 
 // retryableClass reports whether another attempt could plausibly
@@ -429,11 +476,18 @@ func (c *Crawler) fetchAttempt(u string) (*crl.CRL, int64, *FetchError) {
 		c.cacheMu.Unlock()
 		return hit.crl, int64(len(body)), nil
 	}
+	prev := c.lastGood[u]
 	c.cacheMu.Unlock()
-	parsed, err := crl.Parse(body)
+	// A changed body is mostly yesterday's entries: decode what is new
+	// and take the rest from the last good copy.
+	parsed, reused, err := crl.ParseFrom(body, prev)
 	if err != nil {
 		return nil, int64(len(body)), &FetchError{URL: u, Class: ClassParse, Err: err}
 	}
+	c.bump(func(s *FetchStats) {
+		s.EntriesReused += int64(reused)
+		s.EntriesDecoded += int64(parsed.NumEntries() - reused)
+	})
 	if issuer != nil {
 		if err := parsed.VerifySignature(issuer); err != nil {
 			return nil, int64(len(body)), &FetchError{URL: u, Class: ClassVerify, Err: err}

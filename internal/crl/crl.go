@@ -7,8 +7,9 @@
 // post-Heartbleed CRL was ~41 MB, §5.2): Parse materializes entries with
 // compact byte-slice serials that alias the raw buffer — no per-entry heap
 // allocation — while Visit and Iter stream entries without materializing
-// a slice at all, and EncodeCache lets a CA's daily re-sign DER-encode
-// only the entries added since the previous signing.
+// a slice at all, EncodeCache lets a CA's daily re-sign DER-encode only
+// the entries added since the previous signing, and ParseFrom lets a
+// daily re-fetch decode only the entries the previous fetch did not hold.
 package crl
 
 import (
@@ -118,6 +119,11 @@ type CRL struct {
 
 	Signature          []byte
 	SignatureAlgorithm der.OID
+
+	// entriesDER is the content of revokedCertificates, the entry
+	// encodings back to back in Entries order, aliasing Raw; nil when the
+	// field is absent. ParseFrom walks it when this CRL is the hint.
+	entriesDER []byte
 
 	// indexOnce guards the lazy bySerial build: parsed CRLs are shared
 	// across snapshots (the crawler's parse cache) and goroutines.
@@ -416,31 +422,116 @@ var rawReasonOID = der.EncodeOID(x509x.OIDExtCRLReason)
 // unless critical. Entry serials alias raw; parsing allocates O(1) per
 // entry (a single slice for the whole list).
 func Parse(raw []byte) (*CRL, error) {
+	c, _, err := decode(raw, nil)
+	return c, err
+}
+
+// ParseFrom is Parse given prev, an earlier CRL from the same
+// distribution point (nil for none), and also returns how many entries it
+// took from prev instead of decoding them. The result is what Parse(raw)
+// returns, field for field, whatever prev is: the whole of raw outside
+// the entry list is validated as Parse validates it, and an entry is taken
+// from prev only when its encoding in raw is byte-identical to the
+// encoding prev decoded, its serial re-pointed into raw so nothing
+// aliases prev.Raw.
+//
+// Entries are matched in order: every entry of raw that prev also holds
+// is reused as long as the common entries keep their relative order,
+// which covers what a CA does to a list between signings (append new
+// revocations, drop expired ones anywhere). From the first entry of raw
+// not found among the entries of prev still ahead, the rest of the list
+// is decoded. The walk compares each entry of prev at most once, so it is
+// linear in the two lists for any input. prev is only read.
+func ParseFrom(raw []byte, prev *CRL) (c *CRL, reused int, err error) {
+	c, st, err := decode(raw, prev)
+	return c, st.reused, err
+}
+
+// decodeStats counts what one decode took from its hint and what the
+// matching cost.
+type decodeStats struct {
+	reused   int // entries copied from the hint
+	compares int // entry encodings compared against the hint's
+}
+
+// decode is the one CRL decoder; prev is the optional hint (see
+// ParseFrom).
+func decode(raw []byte, prev *CRL) (*CRL, decodeStats, error) {
+	var st decodeStats
 	c := &CRL{}
 	revoked, has, err := parseShell(raw, c)
 	if err != nil {
-		return nil, err
+		return nil, st, err
 	}
-	if has {
-		n, err := revoked.NumChildren()
+	if !has {
+		return c, st, nil
+	}
+	n, err := revoked.NumChildren()
+	if err != nil {
+		return nil, st, err
+	}
+	c.Entries = make([]Entry, 0, n)
+	c.entriesDER = revoked.Content
+	var hint hintWalk
+	if prev != nil {
+		hint = hintWalk{entries: prev.Entries, der: prev.entriesDER}
+	}
+	cur, _ := revoked.SequenceCursor()
+	for cur.More() {
+		ev, err := cur.Next()
 		if err != nil {
-			return nil, err
+			return nil, st, err
 		}
-		c.Entries = make([]Entry, 0, n)
-		cur, _ := revoked.SequenceCursor()
-		for cur.More() {
-			ev, err := cur.Next()
-			if err != nil {
-				return nil, err
+		e, ok := hint.take(ev, &st)
+		if !ok {
+			if e, err = parseEntry(ev); err != nil {
+				return nil, st, err
 			}
-			e, err := parseEntry(ev)
-			if err != nil {
-				return nil, err
-			}
-			c.Entries = append(c.Entries, e)
 		}
+		c.Entries = append(c.Entries, e)
 	}
-	return c, nil
+	return c, st, nil
+}
+
+// hintWalk is the part of a hint not yet compared against the list being
+// decoded: the decoded entries and their encodings back to back, in step.
+type hintWalk struct {
+	entries []Entry
+	der     []byte
+}
+
+// take looks for an entry encoded exactly as ev among the hint's
+// remaining entries and returns its decoded form with the serial
+// re-pointed into ev: parseEntry is a function of the entry's bytes alone,
+// so equal bytes have equal decodings. Entries passed over are the ones
+// the new list dropped; none is compared twice, which bounds the walk by
+// the hint's length however the two lists differ.
+func (h *hintWalk) take(ev der.Value, st *decodeStats) (Entry, bool) {
+	for len(h.entries) > 0 {
+		e := h.entries[0]
+		h.entries = h.entries[1:]
+		st.compares++
+		// A TLV's header fixes its length, so encodings that start with
+		// ev's bytes start with ev.
+		if !bytes.HasPrefix(h.der, ev.Full) {
+			_, rest, err := der.Parse(h.der)
+			if err != nil {
+				break // not a list this package decoded
+			}
+			h.der = rest
+			continue
+		}
+		h.der = h.der[len(ev.Full):]
+		_, mag, err := entrySerial(ev)
+		if err != nil {
+			return Entry{}, false
+		}
+		e.Serial = mag
+		st.reused++
+		return e, true
+	}
+	h.entries = nil
+	return Entry{}, false
 }
 
 // Visit streams the revoked entries of a DER CRL to fn in CRL order
@@ -621,32 +712,42 @@ func parseAlgID(v der.Value) (der.OID, error) {
 	return fields[0].OID()
 }
 
-// parseEntry decodes one revoked-certificate SEQUENCE via the cursor —
-// zero allocations for well-formed entries.
-func parseEntry(v der.Value) (Entry, error) {
+// entrySerial opens one revoked-certificate SEQUENCE and reads its first
+// field: the serial's magnitude, aliasing v unless the serial is negative.
+// The returned cursor stands after the serial.
+func entrySerial(v der.Value) (der.Cursor, []byte, error) {
 	cur, err := v.SequenceCursor()
 	if err != nil {
-		return Entry{}, fmt.Errorf("crl: revoked entry: %v", err)
+		return der.Cursor{}, nil, fmt.Errorf("crl: revoked entry: %v", err)
 	}
-	e := Entry{Reason: ReasonAbsent}
 	serialV, err := cur.Next()
 	if err != nil {
-		return Entry{}, fmt.Errorf("crl: revoked entry: %v", err)
+		return der.Cursor{}, nil, fmt.Errorf("crl: revoked entry: %v", err)
 	}
 	mag, neg, err := serialV.IntegerBytes()
 	if err != nil {
-		return Entry{}, err
+		return der.Cursor{}, nil, err
 	}
 	if neg {
 		// RFC-violating negative serial: fall back through big.Int for
 		// the magnitude every consumer keys on.
 		i, err := serialV.Integer()
 		if err != nil {
-			return Entry{}, err
+			return der.Cursor{}, nil, err
 		}
 		mag = i.Bytes()
 	}
-	e.Serial = mag
+	return cur, mag, nil
+}
+
+// parseEntry decodes one revoked-certificate SEQUENCE via the cursor —
+// zero allocations for well-formed entries.
+func parseEntry(v der.Value) (Entry, error) {
+	cur, mag, err := entrySerial(v)
+	if err != nil {
+		return Entry{}, err
+	}
+	e := Entry{Serial: mag, Reason: ReasonAbsent}
 	if !cur.More() {
 		return Entry{}, errors.New("crl: revoked entry: missing revocation time")
 	}

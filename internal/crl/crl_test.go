@@ -22,7 +22,7 @@ var (
 	nextUpdate = time.Date(2014, 10, 3, 0, 0, 0, 0, time.UTC)
 )
 
-func newCA(t *testing.T) (*x509x.Certificate, *ecdsa.PrivateKey) {
+func newCA(t testing.TB) (*x509x.Certificate, *ecdsa.PrivateKey) {
 	t.Helper()
 	key, err := x509x.GenerateKey()
 	if err != nil {

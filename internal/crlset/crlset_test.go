@@ -3,6 +3,7 @@ package crlset
 import (
 	"crypto/sha256"
 	"math/big"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -293,18 +294,19 @@ func TestTimelineDynamics(t *testing.T) {
 	if counts[0] != 1 || counts[1] != 2 || counts[2] != 1 {
 		t.Errorf("entry counts = %v", counts)
 	}
-	first, ok := tl.FirstAppearance(p, big.NewInt(2))
-	if !ok || !first.Equal(d.AddDate(0, 0, 1)) {
-		t.Errorf("first appearance = %v, %v", first, ok)
+	lifetimes := tl.Lifetimes()
+	two, ok := lifetimes.Lookup(p, big.NewInt(2))
+	if !ok || !two.First.Equal(d.AddDate(0, 0, 1)) {
+		t.Errorf("first appearance = %v, %v", two.First, ok)
 	}
-	if _, ok := tl.FirstAppearance(p, big.NewInt(99)); ok {
+	if _, ok := lifetimes.Lookup(p, big.NewInt(99)); ok {
 		t.Error("phantom first appearance")
 	}
-	removed, ok := tl.RemovalTime(p, big.NewInt(1))
-	if !ok || !removed.Equal(d.AddDate(0, 0, 2)) {
-		t.Errorf("removal = %v, %v", removed, ok)
+	one, ok := lifetimes.Lookup(p, big.NewInt(1))
+	if !ok || !one.Removed.Equal(d.AddDate(0, 0, 2)) {
+		t.Errorf("removal = %v, %v", one.Removed, ok)
 	}
-	if _, ok := tl.RemovalTime(p, big.NewInt(2)); ok {
+	if !two.Removed.IsZero() {
 		t.Error("still-present entry reported removed")
 	}
 	adds := tl.Additions()
@@ -317,6 +319,101 @@ func TestTimelineDynamics(t *testing.T) {
 	}
 	if len(tl.Days()) != 3 {
 		t.Error("Days")
+	}
+}
+
+// scanFirstAppearance and scanRemovalTime are the per-serial scans over
+// all the days that Lifetimes replaced, kept as its oracle.
+func scanFirstAppearance(tl *Timeline, p Parent, serial *big.Int) (time.Time, bool) {
+	for i, s := range tl.sets {
+		if s.Covers(p, serial) {
+			return tl.days[i], true
+		}
+	}
+	return time.Time{}, false
+}
+
+// scanRemovalTime returns the first day on which (parent, serial) was
+// absent after having been present; ok is false if it never appeared or
+// was still present on the final day.
+func scanRemovalTime(tl *Timeline, p Parent, serial *big.Int) (time.Time, bool) {
+	appeared := false
+	for i, s := range tl.sets {
+		covered := s.Covers(p, serial)
+		if covered {
+			appeared = true
+			continue
+		}
+		if appeared {
+			return tl.days[i], true
+		}
+	}
+	return time.Time{}, false
+}
+
+// TestLifetimesMatchScans: the one-pass index answers what the per-serial
+// scans answer, on a timeline with gaps between days, an outage (the same
+// set standing for several days), entries that leave and come back,
+// entries present from the first day or to the last, a parent that
+// disappears whole, and an empty snapshot.
+func TestLifetimesMatchScans(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	tl := NewTimeline()
+	day := simtime.Date(2014, time.October, 1)
+	const serials = 40
+	parents := []Parent{parent(1), parent(2), parent(3)}
+	var prev *Set
+	for i := 0; i < 60; i++ {
+		day = day.AddDate(0, 0, 1+rng.Intn(3)) // gaps
+		if prev != nil && i >= 20 && i < 26 {
+			tl.Add(day, prev) // generator outage: the last set stays current
+			continue
+		}
+		s := NewSet(i)
+		for pi, p := range parents {
+			if pi == 2 && i >= 30 && i < 45 {
+				continue // the parent is dropped whole, then returns
+			}
+			for v := int64(1); v <= serials; v++ {
+				// Each serial is covered in a window of its own, some of
+				// them twice; serial 1 always, serial 2 never.
+				from, to := int(v), int(v)+10+pi
+				again := v%5 == 0 && i >= to+8
+				if v == 1 || (v != 2 && ((i >= from && i < to) || again)) {
+					s.Add(p, big.NewInt(v*1000+int64(pi)))
+				}
+			}
+		}
+		if i == 50 {
+			s = NewSet(i) // an empty snapshot
+		}
+		tl.Add(day, s)
+		prev = s
+	}
+	lifetimes := tl.Lifetimes()
+	covered, removed := 0, 0
+	for pi, p := range append(parents, parent(9)) {
+		for v := int64(0); v <= serials+1; v++ {
+			serial := big.NewInt(v*1000 + int64(pi))
+			first, appeared := scanFirstAppearance(tl, p, serial)
+			gone, wasRemoved := scanRemovalTime(tl, p, serial)
+			life, ok := lifetimes.Lookup(p, serial)
+			if ok != appeared || !life.First.Equal(first) {
+				t.Fatalf("parent %d serial %v: first appearance %v/%t, scan says %v/%t", pi, serial, life.First, ok, first, appeared)
+			}
+			if life.Removed.IsZero() == wasRemoved || !life.Removed.Equal(gone) {
+				t.Fatalf("parent %d serial %v: removal %v, scan says %v/%t", pi, serial, life.Removed, gone, wasRemoved)
+			}
+			if appeared {
+				covered++
+			}
+			if wasRemoved {
+				removed++
+			}
+		}
+	}
+	if covered < 100 || removed < 90 || removed == covered {
+		t.Errorf("fixture covers %d entries and removes %d: too few to mean anything", covered, removed)
 	}
 }
 

@@ -137,33 +137,73 @@ func (tl *Timeline) EntryCounts() []int {
 	return out
 }
 
-// FirstAppearance returns the first day on which (parent, serial) was
-// covered.
-func (tl *Timeline) FirstAppearance(p Parent, serial *big.Int) (time.Time, bool) {
-	for i, s := range tl.sets {
-		if s.Covers(p, serial) {
-			return tl.days[i], true
-		}
-	}
-	return time.Time{}, false
+// Lifetime is when a timeline's snapshots covered one (parent, serial).
+type Lifetime struct {
+	// First is the first day it was covered.
+	First time.Time
+	// Removed is the first day it was absent after having been covered;
+	// zero when it was still covered on the timeline's last day. A later
+	// re-appearance does not move it.
+	Removed time.Time
 }
 
-// RemovalTime returns the first day on which (parent, serial) was absent
-// after having been present. ok is false if it never appeared or was
-// still present on the final day.
-func (tl *Timeline) RemovalTime(p Parent, serial *big.Int) (time.Time, bool) {
-	appeared := false
+// Lifetimes holds the Lifetime of every (parent, serial) a timeline ever
+// covered.
+type Lifetimes struct {
+	days  []time.Time
+	spans map[Parent]map[string]*span
+}
+
+// span is a Lifetime in day indices. removed is 0 while the entry has
+// been covered on every day since first: day 0 can be nobody's removal.
+type span struct {
+	first, last, removed int
+}
+
+// Lifetimes makes one pass over the snapshots, day by day, and returns
+// the first appearance and first removal of everything they cover: the
+// cost is the snapshots' total size, where asking the snapshots about one
+// serial at a time costs a scan of all the days for each.
+func (tl *Timeline) Lifetimes() *Lifetimes {
+	lt := &Lifetimes{days: tl.days, spans: make(map[Parent]map[string]*span)}
 	for i, s := range tl.sets {
-		covered := s.Covers(p, serial)
-		if covered {
-			appeared = true
-			continue
-		}
-		if appeared {
-			return tl.days[i], true
+		for p, serials := range s.parents {
+			spans := lt.spans[p]
+			if spans == nil {
+				spans = make(map[string]*span, len(serials))
+				lt.spans[p] = spans
+			}
+			for _, serial := range serials {
+				sp := spans[serial]
+				if sp == nil {
+					spans[serial] = &span{first: i, last: i}
+					continue
+				}
+				if sp.removed == 0 && sp.last < i-1 {
+					sp.removed = sp.last + 1
+				}
+				sp.last = i
+			}
 		}
 	}
-	return time.Time{}, false
+	return lt
+}
+
+// Lookup returns the lifetime of (parent, serial); ok is false when no
+// snapshot ever covered it.
+func (lt *Lifetimes) Lookup(p Parent, serial *big.Int) (Lifetime, bool) {
+	sp := lt.spans[p][string(serial.Bytes())]
+	if sp == nil {
+		return Lifetime{}, false
+	}
+	life := Lifetime{First: lt.days[sp.first]}
+	switch {
+	case sp.removed != 0:
+		life.Removed = lt.days[sp.removed]
+	case sp.last < len(lt.days)-1:
+		life.Removed = lt.days[sp.last+1]
+	}
+	return life, true
 }
 
 // Additions returns, per day index >= 1, how many entries are new relative

@@ -1,7 +1,6 @@
 package der
 
 import (
-	"bytes"
 	"errors"
 	"time"
 )
@@ -164,10 +163,11 @@ func (v Value) Time() (time.Time, error) {
 }
 
 // fastTime decodes a fixed-width YYMMDDHHMMSSZ / YYYYMMDDHHMMSSZ
-// timestamp. It verifies its result by re-formatting into a scratch buffer
-// and comparing bytes: any input that is not the canonical encoding of a
-// valid instant (wrong digits, out-of-range fields, Feb 30, ...) fails the
-// round-trip and is left to the slow path's exact validation.
+// timestamp whose fields are all in range for a real instant: month 1-12,
+// day within that month of that year, hour below 24, minute and second
+// below 60. That is exactly the set of encodings time.Date reproduces
+// unchanged; anything else (wrong digits, Feb 30, a leap second, ...) is
+// left to the slow path's validation.
 func fastTime(c []byte, utc bool) (time.Time, bool) {
 	want := 15
 	if utc {
@@ -176,46 +176,46 @@ func fastTime(c []byte, utc bool) (time.Time, bool) {
 	if len(c) != want || c[want-1] != 'Z' {
 		return time.Time{}, false
 	}
+	// The pairs before the 'Z': century (GeneralizedTime only), year,
+	// month, day, hour, minute, second. A non-digit reads as -1.
+	var f [7]int
 	n := 0
-	var f [7]int // year(2 or 4), month, day, hour, min, sec
-	i := 0
-	if !utc {
-		f[n] = digits2(c, 0)
-		n++
-		i = 2
-	}
-	for ; i < want-1; i += 2 {
-		f[n] = digits2(c, i)
-		n++
-	}
-	for _, d := range f[:n] {
-		if d < 0 {
+	for i := 0; i < want-1; i += 2 {
+		if f[n] = digits2(c, i); f[n] < 0 {
 			return time.Time{}, false
 		}
+		n++
 	}
 	var year int
 	if utc {
 		// RFC 5280: YY in [50, 99] means 19YY; [00, 49] means 20YY.
-		year = 2000 + f[0]
-		if year >= 2050 {
+		if year = 2000 + f[0]; year >= 2050 {
 			year -= 100
 		}
 	} else {
 		year = f[0]*100 + f[1]
 	}
-	k := n - 5
-	t := time.Date(year, time.Month(f[k]), f[k+1], f[k+2], f[k+3], f[k+4], 0, time.UTC)
-	var scratch [15]byte
-	var out []byte
-	if utc {
-		out = t.AppendFormat(scratch[:0], utcTimeFormat)
-	} else {
-		out = t.AppendFormat(scratch[:0], generalizedTimeFormat)
-	}
-	if !bytes.Equal(out, c) {
+	month, day, hour, min, sec := f[n-5], f[n-4], f[n-3], f[n-2], f[n-1]
+	if month < 1 || month > 12 || day < 1 || day > daysIn(month, year) ||
+		hour > 23 || min > 59 || sec > 59 {
 		return time.Time{}, false
 	}
-	return t, true
+	return time.Date(year, time.Month(month), day, hour, min, sec, 0, time.UTC), true
+}
+
+// daysIn returns the length of a month (1-12) in the proleptic Gregorian
+// calendar the time package uses.
+func daysIn(month, year int) int {
+	switch month {
+	case 2:
+		if year%4 == 0 && (year%100 != 0 || year%400 == 0) {
+			return 29
+		}
+		return 28
+	case 4, 6, 9, 11:
+		return 30
+	}
+	return 31
 }
 
 // digits2 decodes two ASCII digits at c[i:], returning -1 on non-digits.

@@ -2,6 +2,7 @@ package der
 
 import (
 	"bytes"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -207,6 +208,32 @@ func TestTimeFastPathParity(t *testing.T) {
 		for _, tag := range []int{TagUTCTime, TagGeneralizedTime} {
 			raw := append([]byte{byte(tag), byte(len(c))}, c...)
 			check(raw)
+		}
+	}
+	// Every month and day number, in range or not, over common, leap and
+	// century years, and the edges of the clock fields. On all-digit
+	// fixed-width input the fast path must also be the one that answers:
+	// it accepts exactly what the slow path accepts.
+	for _, year := range []int{1900, 1999, 2000, 2012, 2014, 2049, 2100, 2400} {
+		for month := 0; month <= 13; month++ {
+			for day := 0; day <= 32; day++ {
+				for _, clock := range []string{"000000", "235959", "240000", "236000", "235960"} {
+					c := fmt.Sprintf("%04d%02d%02d%sZ", year, month, day, clock)
+					for _, tag := range []int{TagUTCTime, TagGeneralizedTime} {
+						content := c
+						if tag == TagUTCTime {
+							content = c[2:]
+						}
+						raw := append([]byte{byte(tag), byte(len(content))}, content...)
+						check(raw)
+						top, _, _ := Parse(raw)
+						_, serr := top.timeSlow()
+						if _, ok := fastTime(top.Content, tag == TagUTCTime); ok != (serr == nil) {
+							t.Fatalf("%q (tag %d): fast path accepts=%t, slow path err=%v", content, tag, ok, serr)
+						}
+					}
+				}
+			}
 		}
 	}
 	// Random mutations of valid encodings.

@@ -204,12 +204,13 @@ func AblationFailurePolicy() (*Result, error) {
 		browser.Firefox40(), browser.ChromeOSX(), browser.Safari6to8(),
 		browser.IE11(), browser.Hardened(),
 	}
+	reports, err := suite.RunAll(profiles)
+	if err != nil {
+		return nil, err
+	}
 	rates := map[string]float64{}
-	for _, p := range profiles {
-		rep, err := suite.Run(p)
-		if err != nil {
-			return nil, err
-		}
+	for i, p := range profiles {
+		rep := reports[i]
 		total, accepted := 0, 0
 		for _, c := range suite.Cases {
 			if c.Condition != testsuite.CondUnavailable {

@@ -54,7 +54,12 @@ type SimHost struct {
 	record     *ca.Record
 	freshUntil time.Time
 	clock      func() time.Time
-	rng        *rand.Rand
+	// rng is seeded from seed on the first draw: only a stale stapling
+	// host ever draws, and a math/rand source costs 607 words to seed and
+	// 4.9 KB to keep, which the other hosts of a twenty-thousand-host
+	// world would pay for nothing.
+	seed int64
+	rng  *rand.Rand
 }
 
 // Config configures a SimHost.
@@ -92,7 +97,7 @@ func New(cfg Config) *SimHost {
 		BackgroundWarmProb: cfg.BackgroundWarmProb,
 		StapleValidity:     cfg.StapleValidity,
 		clock:              cfg.Clock,
-		rng:                rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.Addr))),
+		seed:               cfg.Seed ^ int64(cfg.Addr),
 	}
 	if cfg.InitialFresh && cfg.SupportsStapling {
 		h.freshUntil = cfg.Clock().Add(cfg.StapleValidity)
@@ -116,6 +121,24 @@ func (h *SimHost) Record() *ca.Record {
 	return h.record
 }
 
+// StapleFreshUntil returns the instant the cached staple goes stale; the
+// zero time when none was ever cached.
+func (h *SimHost) StapleFreshUntil() time.Time {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.freshUntil
+}
+
+// SetStapleFreshUntil puts the staple cache back to a state
+// StapleFreshUntil returned, undoing the refreshes that the handshakes in
+// between triggered: a measurement that connects to a host repeatedly
+// warms its cache, and must not leave it warm for the next measurement.
+func (h *SimHost) SetStapleFreshUntil(t time.Time) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.freshUntil = t
+}
+
 // Handshake performs one simulated TLS handshake.
 func (h *SimHost) Handshake() HandshakeResult {
 	h.mu.Lock()
@@ -131,6 +154,9 @@ func (h *SimHost) Handshake() HandshakeResult {
 	}
 	// The cache looks stale from the scanner's vantage, but organic
 	// traffic may have warmed it since the previous episode.
+	if h.rng == nil {
+		h.rng = rand.New(rand.NewSource(h.seed))
+	}
 	if h.BackgroundWarmProb > 0 && h.rng.Float64() < h.BackgroundWarmProb {
 		h.freshUntil = now.Add(h.StapleValidity)
 		res.StaplePresented = true

@@ -3,6 +3,8 @@ package host
 import (
 	"crypto/tls"
 	"math/big"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -64,6 +66,94 @@ func TestStapleRefreshEventuallySucceeds(t *testing.T) {
 	}
 	if !sawStaple {
 		t.Error("staple never observed over 50 handshakes at RefreshProb 0.5")
+	}
+}
+
+// The generator is seeded on the first draw, not in New, and draws the
+// stream New's eager seeding drew: every handshake outcome equals a model
+// driven by rand.NewSource(Seed ^ Addr). Hosts that never find their
+// cache stale never seed one.
+func TestRNGSeededOnFirstDrawSameStream(t *testing.T) {
+	const seed, addr, p = 20150501, 0x0a000007, 0.4
+	validity := 24 * time.Hour
+	clock := simtime.NewClock(simtime.Date(2015, time.March, 28))
+	h := New(Config{Addr: addr, SupportsStapling: true, RefreshProb: p, BackgroundWarmProb: 0.2,
+		StapleValidity: validity, Clock: clock.Now, Seed: seed})
+	h.SetRecord(newRecord())
+	if h.rng != nil {
+		t.Fatal("generator seeded before the first draw")
+	}
+	ref := rand.New(rand.NewSource(seed ^ int64(addr)))
+	var fresh time.Time
+	model := func() bool {
+		now := clock.Now()
+		if now.Before(fresh) {
+			return true
+		}
+		if ref.Float64() < 0.2 {
+			fresh = now.Add(validity)
+			return true
+		}
+		if ref.Float64() < p {
+			fresh = now.Add(validity)
+		}
+		return false
+	}
+	for i := 0; i < 500; i++ {
+		if got, want := h.Handshake().StaplePresented, model(); got != want {
+			t.Fatalf("handshake %d: staple presented = %t, eager-seeded model says %t", i, got, want)
+		}
+		clock.Advance(7 * time.Hour)
+	}
+
+	for _, quiet := range []*SimHost{
+		New(Config{Addr: 8, Clock: clock.Now, Seed: seed}),                                             // no stapling
+		New(Config{Addr: 9, SupportsStapling: true, InitialFresh: true, Clock: clock.Now, Seed: seed}), // never stale
+	} {
+		quiet.SetRecord(newRecord())
+		for i := 0; i < 10; i++ {
+			quiet.Handshake()
+		}
+		if quiet.rng != nil {
+			t.Errorf("host %d seeded a generator it never draws from", quiet.Addr)
+		}
+	}
+}
+
+// Concurrent handshakes on a host that has not drawn yet seed it once,
+// under the host's lock (run with -race).
+func TestFirstDrawIsSynchronized(t *testing.T) {
+	clock := simtime.NewClock(simtime.Date(2015, time.March, 28))
+	h := New(Config{Addr: 4, SupportsStapling: true, RefreshProb: 0.01, Clock: clock.Now, Seed: 5})
+	h.SetRecord(newRecord())
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				h.Handshake()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// A measurement can put a host's staple cache back as it found it.
+func TestStapleCacheRestore(t *testing.T) {
+	clock := simtime.NewClock(simtime.Date(2015, time.March, 28))
+	h := New(Config{Addr: 5, SupportsStapling: true, RefreshProb: 1, Clock: clock.Now, Seed: 5})
+	h.SetRecord(newRecord())
+	before := h.StapleFreshUntil()
+	if h.Handshake().StaplePresented {
+		t.Fatal("cold cache stapled")
+	}
+	if !h.Handshake().StaplePresented {
+		t.Fatal("refresh at probability 1 did not warm the cache")
+	}
+	h.SetStapleFreshUntil(before)
+	if h.Handshake().StaplePresented {
+		t.Error("restored cold cache stapled")
 	}
 }
 

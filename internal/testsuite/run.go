@@ -2,8 +2,11 @@ package testsuite
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/browser"
@@ -50,6 +53,38 @@ func (s *Suite) Run(p *browser.Profile) (*Report, error) {
 // exactly what plain Run produces.
 func (s *Suite) RunCascade(p *browser.Profile, f *cascade.Filter) (*Report, error) {
 	return s.run(&browser.Client{Profile: p, HTTP: s.Client(), Now: s.Clock.Now, Timeout: 5 * time.Second, Cascade: f})
+}
+
+// RunAll evaluates every profile, as Run does, on up to GOMAXPROCS
+// goroutines: a profile's run reads the suite and keeps its state in its
+// own client, so the runs are independent. Reports come back in the
+// order of profiles, and of several failures the one with the lowest
+// index is returned, which makes the result the serial loop's.
+func (s *Suite) RunAll(profiles []*browser.Profile) ([]*Report, error) {
+	reports := make([]*Report, len(profiles))
+	errs := make([]error, len(profiles))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(profiles)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(profiles) {
+					return
+				}
+				reports[i], errs[i] = s.Run(profiles[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return reports, nil
 }
 
 func (s *Suite) run(client *browser.Client) (*Report, error) {
@@ -175,13 +210,9 @@ type Matrix struct {
 // Matrix runs every profile and assembles the Table 2 matrix.
 func (s *Suite) Matrix(profiles []*browser.Profile) (*Matrix, error) {
 	m := &Matrix{Profiles: profiles, Rows: Rows()}
-	reports := make([]*Report, len(profiles))
-	for i, p := range profiles {
-		rep, err := s.Run(p)
-		if err != nil {
-			return nil, err
-		}
-		reports[i] = rep
+	reports, err := s.RunAll(profiles)
+	if err != nil {
+		return nil, err
 	}
 	for _, row := range m.Rows {
 		cells := make([]Cell, len(profiles))

@@ -1,6 +1,8 @@
 package testsuite
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -213,5 +215,66 @@ func TestSortedCaseIDsDeterministic(t *testing.T) {
 		if i > 0 && a[i] < a[i-1] {
 			t.Fatal("not sorted")
 		}
+	}
+}
+
+// RunAll is the serial loop over Run: same reports, same order, at any
+// GOMAXPROCS (run with -race: the profile runs share the suite's fabric,
+// fault injector and CAs).
+func TestRunAllEqualsSerialLoop(t *testing.T) {
+	s := sharedSuite(t)
+	profiles := append(browser.All(), browser.Hardened())
+	want := make([]*Report, len(profiles))
+	for i, p := range profiles {
+		rep, err := s.Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = rep
+	}
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		got, err := s.RunAll(profiles)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("GOMAXPROCS %d: %d reports for %d profiles", procs, len(got), len(profiles))
+		}
+		for i := range want {
+			if got[i].Profile != profiles[i] {
+				t.Fatalf("GOMAXPROCS %d: report %d is for %s, want %s", procs, i, got[i].Profile.Name, profiles[i].Name)
+			}
+			if !reflect.DeepEqual(got[i].Outcomes, want[i].Outcomes) {
+				t.Errorf("GOMAXPROCS %d: %s: outcomes differ from the serial run", procs, profiles[i].Name)
+			}
+		}
+	}
+	if got, err := s.RunAll(nil); err != nil || len(got) != 0 {
+		t.Errorf("RunAll(nil) = %v, %v", got, err)
+	}
+}
+
+// A profile run that fails fails RunAll, with the error the serial loop
+// stops at and no reports.
+func TestRunAllReturnsRunError(t *testing.T) {
+	s := sharedSuite(t)
+	broken := *s
+	broken.Envs = make(map[string]*Env, len(s.Envs))
+	for id, env := range s.Envs {
+		broken.Envs[id] = env
+	}
+	bad := *s.Envs[s.Cases[0].ID]
+	bad.Chain = nil // Evaluate rejects an empty chain
+	broken.Envs[s.Cases[0].ID] = &bad
+	profiles := []*browser.Profile{browser.Firefox40(), browser.IE11(), browser.Hardened()}
+	_, serialErr := broken.Run(profiles[0])
+	if serialErr == nil {
+		t.Fatal("fixture: empty chain did not fail the run")
+	}
+	reports, err := broken.RunAll(profiles)
+	if err == nil || err.Error() != serialErr.Error() || reports != nil {
+		t.Fatalf("RunAll = %v, %v; the serial loop stops at %v", reports, err, serialErr)
 	}
 }

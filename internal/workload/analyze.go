@@ -335,7 +335,10 @@ func (w *World) StaplingDeployment() StaplingStats {
 // StaplingObservation reproduces Figure 3: sample hosts, connect
 // `requests` times to each, and report — for each request count — the
 // fraction of eventual staplers already observed. The first element is
-// what a single-scan measurement would see.
+// what a single-scan measurement would see. The repeated connections warm
+// the sampled hosts' staple caches; each cache is put back as it was when
+// the observation ends, so a second observation of the same world starts
+// from the same hosts and not from ones that all staple at once.
 func (w *World) StaplingObservation(sample, requests int) []float64 {
 	var hosts []int
 	for i, h := range w.Hosts {
@@ -349,6 +352,10 @@ func (w *World) StaplingObservation(sample, requests int) []float64 {
 	}
 	if len(hosts) == 0 {
 		return nil
+	}
+	cacheBefore := make([]time.Time, len(hosts))
+	for i, hi := range hosts {
+		cacheBefore[i] = w.Hosts[hi].StapleFreshUntil()
 	}
 	observed := make([]bool, len(hosts))
 	counts := make([]int, requests)
@@ -364,6 +371,9 @@ func (w *World) StaplingObservation(sample, requests int) []float64 {
 			}
 		}
 		counts[r] = seen
+	}
+	for i, hi := range hosts {
+		w.Hosts[hi].SetStapleFreshUntil(cacheBefore[i])
 	}
 	out := make([]float64, requests)
 	for r := range counts {
@@ -382,26 +392,26 @@ type VulnWindows struct {
 	RemovalToExpiry []float64
 }
 
-// VulnerabilityWindows scans the CRLSet timeline for every revoked
-// certificate.
+// VulnerabilityWindows looks every revoked certificate up in the CRLSet
+// timeline's lifetimes.
 func (w *World) VulnerabilityWindows() VulnWindows {
 	var out VulnWindows
+	lifetimes := w.Timeline.Lifetimes()
 	for _, cs := range w.Certs {
 		if !cs.Revoked {
 			continue
 		}
-		parent := cs.Authority.Parent
-		first, ok := w.Timeline.FirstAppearance(parent, cs.Rec.Serial)
+		life, ok := lifetimes.Lookup(cs.Authority.Parent, cs.Rec.Serial)
 		if !ok {
 			continue
 		}
-		days := first.Sub(cs.RevokedAt).Hours() / 24
+		days := life.First.Sub(cs.RevokedAt).Hours() / 24
 		if days < 0 {
 			days = 0
 		}
 		out.DaysToAppear = append(out.DaysToAppear, days)
-		if removed, ok := w.Timeline.RemovalTime(parent, cs.Rec.Serial); ok {
-			if gap := cs.Rec.NotAfter.Sub(removed).Hours() / 24; gap > 0 {
+		if !life.Removed.IsZero() {
+			if gap := cs.Rec.NotAfter.Sub(life.Removed).Hours() / 24; gap > 0 {
 				out.RemovalToExpiry = append(out.RemovalToExpiry, gap)
 			}
 		}

@@ -50,6 +50,7 @@ func (w *World) Run() error {
 			w.generateCRLSet(day)
 		}
 	}
+	w.CrawlStats = cr.Stats()
 	return nil
 }
 

@@ -55,6 +55,21 @@ func TestWorldPopulationShape(t *testing.T) {
 	}
 }
 
+// The daily crawl decodes what changed: of the entries on CRLs whose body
+// differs from the day before, nine in ten and more are taken from the
+// previous day's decode (the first day's cold decode of everything
+// included in the count).
+func TestCrawlReusesUnchangedEntries(t *testing.T) {
+	st := testWorld(t).CrawlStats
+	if st.Successes == 0 || st.GaveUp != 0 {
+		t.Fatalf("crawl stats: %+v", st)
+	}
+	if total := st.EntriesReused + st.EntriesDecoded; st.EntriesReused*10 < total*9 {
+		t.Errorf("reused %d of %d entries of changed CRLs (%.1f%%), want at least 90%%",
+			st.EntriesReused, total, 100*float64(st.EntriesReused)/float64(total))
+	}
+}
+
 func TestFigure2Shape(t *testing.T) {
 	w := testWorld(t)
 	rf := w.RevokedFractionSeries()
