@@ -10,8 +10,10 @@ GO ?= go
 # world-build benchmark.
 check: vet build race-hot race chaos fuzz-short bench-smoke bench-crl-check bench-fleet-check bench-revdb-check bench-world-check bench-cascade-check bench-scenario-check
 
+# vet also fails on any file gofmt would rewrite, and names it.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -23,12 +25,13 @@ race:
 	$(GO) test -race ./...
 
 # race-hot gives fast feedback on the packages where the serving-layer
-# and client-layer concurrency lives (pre-signed OCSP cache, batched
-# crawler pool and the hinted CRL decode it calls, fault injector, sharded
-# browser cache, fleet driver, revocation store backends, the browser
-# suite's parallel profile runs, lazily seeded hosts).
+# and client-layer concurrency lives (pre-signed OCSP cache, the fabric's
+# lock-free routes and by-reference CDN hits, the CA's shared handler,
+# batched crawler pool and the hinted CRL decode it calls, fault injector,
+# sharded browser cache, fleet driver, revocation store backends, the
+# browser suite's parallel profile runs, lazily seeded hosts).
 race-hot:
-	$(GO) test -race ./internal/ocsp ./internal/crawler ./internal/faultnet/... ./internal/browser ./internal/fleet ./internal/revdb ./internal/revdb/segdb ./internal/corpus ./internal/workload ./internal/cascade ./internal/ribbon ./internal/hist ./internal/scenario ./internal/crl ./internal/testsuite ./internal/host
+	$(GO) test -race ./internal/simnet ./internal/ca ./internal/ocsp ./internal/crawler ./internal/faultnet/... ./internal/browser ./internal/fleet ./internal/revdb ./internal/revdb/segdb ./internal/corpus ./internal/workload ./internal/cascade ./internal/ribbon ./internal/hist ./internal/scenario ./internal/crl ./internal/testsuite ./internal/host
 
 # chaos runs the seeded fault-injection differential harness: fixed seeds,
 # each played twice faulted and once clean, asserting determinism,

@@ -355,10 +355,10 @@ func main() { os.Exit(realMain()) }
 
 func realMain() int {
 	var (
-		out       = flag.String("o", "", "run the full benchmark (incl. the 10M RSS phase) and write the JSON record here")
-		checkPath = flag.String("check", "", "re-run the quick gates and fail if they or the recorded numbers regress")
-		quick     = flag.Bool("quick", false, "small fixtures; skips the RSS phase (gates stay comparable)")
-		verbose   = flag.Bool("v", false, "print the resulting JSON to stdout")
+		out        = flag.String("o", "", "run the full benchmark (incl. the 10M RSS phase) and write the JSON record here")
+		checkPath  = flag.String("check", "", "re-run the quick gates and fail if they or the recorded numbers regress")
+		quick      = flag.Bool("quick", false, "small fixtures; skips the RSS phase (gates stay comparable)")
+		verbose    = flag.Bool("v", false, "print the resulting JSON to stdout")
 		rssw       = flag.String("rssworker", "", "internal: run as the RSS child process for this backend")
 		rssdir     = flag.String("rssdir", "", "internal: disk directory for the RSS child")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")

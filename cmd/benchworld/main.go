@@ -87,13 +87,13 @@ type BuildReport struct {
 }
 
 type RSSReport struct {
-	Certs              int   `json:"certs"`
-	Sightings          int64 `json:"sightings"`
-	BudgetBytes        int64 `json:"budget_bytes"`
-	LegacyPeakBytes    int64 `json:"legacy_peak_bytes"`
-	StreamPeakBytes    int64 `json:"stream_peak_bytes"`
-	StreamWithinBudget bool  `json:"stream_within_budget"`
-	LegacyExceedsBudget bool `json:"legacy_exceeds_budget"`
+	Certs               int   `json:"certs"`
+	Sightings           int64 `json:"sightings"`
+	BudgetBytes         int64 `json:"budget_bytes"`
+	LegacyPeakBytes     int64 `json:"legacy_peak_bytes"`
+	StreamPeakBytes     int64 `json:"stream_peak_bytes"`
+	StreamWithinBudget  bool  `json:"stream_within_budget"`
+	LegacyExceedsBudget bool  `json:"legacy_exceeds_budget"`
 }
 
 type Gates struct {

@@ -20,6 +20,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -219,6 +220,10 @@ type CA struct {
 	// compares it against the epoch a cached shard was built at when
 	// PublishRevocationsImmediately is set.
 	revEpoch atomic.Int64
+
+	// handler is what Handler returns, built on its first call.
+	handlerOnce sync.Once
+	handler     http.Handler
 }
 
 func serialKey(serial *big.Int) string { return string(serial.Bytes()) }

@@ -1,7 +1,6 @@
 package ca
 
 import (
-	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -17,9 +16,18 @@ import (
 // CRLs are regenerated when the cached copy expires relative to the CA's
 // clock, mimicking a CA that re-signs its CRLs on each validity period
 // even when nothing changed (§2.2).
+//
+// The handler is built on the first call and every call returns it, so a
+// CA registered under a CRL host and an OCSP host has one CRL cache, one
+// pre-signed OCSP cache and one revocation hook, not one per host.
 func (ca *CA) Handler() http.Handler {
+	ca.handlerOnce.Do(func() { ca.handler = ca.newHandler() })
+	return ca.handler
+}
+
+func (ca *CA) newHandler() http.Handler {
 	mux := http.NewServeMux()
-	cache := &crlCache{ca: ca}
+	cache := &crlCache{ca: ca, entries: make(map[int]*crlCacheEntry)}
 	mux.HandleFunc("/crl/", func(w http.ResponseWriter, r *http.Request) {
 		name := strings.TrimPrefix(r.URL.Path, "/crl/")
 		shardStr, ok := strings.CutSuffix(name, ".crl")
@@ -32,22 +40,17 @@ func (ca *CA) Handler() http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		body, expires, err := cache.get(shard)
+		e, cacheControl, err := cache.get(shard)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 		h := w.Header()
-		h.Set("Content-Type", "application/pkix-crl")
-		h.Set("Content-Length", fmt.Sprint(len(body)))
-		now := ca.now()
-		maxAge := int64(expires.Sub(now) / time.Second)
-		if maxAge < 0 {
-			maxAge = 0
-		}
-		h.Set("Cache-Control", "max-age="+strconv.FormatInt(maxAge, 10)+",public")
-		h.Set("Expires", expires.UTC().Format(http.TimeFormat))
-		w.Write(body)
+		h["Content-Type"] = crlContentType
+		h["Content-Length"] = e.contentLength
+		h["Cache-Control"] = cacheControl
+		h["Expires"] = e.expiresHeader
+		w.Write(e.body)
 	})
 	responder := ca.CachingResponder()
 	mux.Handle("/ocsp/", http.StripPrefix("/ocsp", responder))
@@ -55,15 +58,21 @@ func (ca *CA) Handler() http.Handler {
 	return mux
 }
 
+var crlContentType = []string{"application/pkix-crl"}
+
 // crlCache caches generated CRLs until their validity window lapses.
 type crlCache struct {
 	ca *CA
 	mu sync.Mutex
 	// entries[shard] holds the cached bytes and their regeneration
 	// deadline.
-	entries map[int]crlCacheEntry
+	entries map[int]*crlCacheEntry
 }
 
+// crlCacheEntry is one generated CRL with the header values that were
+// fixed when it was generated, each as the one-element slice an
+// http.Header holds. Every response served from the entry shares them
+// and the body; none is written after the entry is stored.
 type crlCacheEntry struct {
 	body    []byte
 	expires time.Time
@@ -71,26 +80,46 @@ type crlCacheEntry struct {
 	// PublishRevocationsImmediately set, a later revocation anywhere in
 	// the CA invalidates the entry even inside its validity window.
 	epoch int64
+
+	contentLength, expiresHeader []string
+	// cacheControl is the max-age header for maxAge seconds of remaining
+	// validity, reformatted (under crlCache.mu) when that number changes.
+	maxAge       int64
+	cacheControl []string
 }
 
-func (c *crlCache) get(shard int) ([]byte, time.Time, error) {
+// get returns shard's current entry, regenerating it if it has lapsed,
+// and the Cache-Control value for the validity it has left now (returned
+// apart because the entry's copy changes under mu with the clock).
+func (c *crlCache) get(shard int) (*crlCacheEntry, []string, error) {
 	now := c.ca.now()
 	epoch := c.ca.revEpoch.Load()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.entries == nil {
-		c.entries = make(map[int]crlCacheEntry)
-	}
-	if e, ok := c.entries[shard]; ok && now.Before(e.expires) {
-		if !c.ca.cfg.PublishRevocationsImmediately || e.epoch == epoch {
-			return e.body, e.expires, nil
+	e := c.entries[shard]
+	if e == nil || !now.Before(e.expires) || (c.ca.cfg.PublishRevocationsImmediately && e.epoch != epoch) {
+		body, err := c.ca.CRLBytes(shard)
+		if err != nil {
+			return nil, nil, err
 		}
+		expires := now.Add(c.ca.cfg.CRLValidity)
+		e = &crlCacheEntry{
+			body:          body,
+			expires:       expires,
+			epoch:         epoch,
+			contentLength: []string{strconv.Itoa(len(body))},
+			expiresHeader: []string{expires.UTC().Format(http.TimeFormat)},
+			maxAge:        -1,
+		}
+		c.entries[shard] = e
 	}
-	body, err := c.ca.CRLBytes(shard)
-	if err != nil {
-		return nil, time.Time{}, err
+	maxAge := int64(e.expires.Sub(now) / time.Second)
+	if maxAge < 0 {
+		maxAge = 0
 	}
-	expires := now.Add(c.ca.cfg.CRLValidity)
-	c.entries[shard] = crlCacheEntry{body: body, expires: expires, epoch: epoch}
-	return body, expires, nil
+	if e.maxAge != maxAge {
+		e.maxAge = maxAge
+		e.cacheControl = []string{"max-age=" + strconv.FormatInt(maxAge, 10) + ",public"}
+	}
+	return e, e.cacheControl, nil
 }

@@ -68,7 +68,7 @@ func newColumns() *columns { return &columns{serialOff: []uint32{0}} }
 func (c *columns) n() int { return len(c.flags) }
 
 func (c *columns) serial(id uint32) []byte {
-	return c.serialArena[c.serialOff[id]:c.serialOff[id+1] : c.serialOff[id+1]]
+	return c.serialArena[c.serialOff[id]:c.serialOff[id+1]:c.serialOff[id+1]]
 }
 
 // add appends one certificate's record columns and returns its ID.

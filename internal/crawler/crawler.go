@@ -200,6 +200,10 @@ type Crawler struct {
 	// lastGood maps URL to its most recent successfully fetched CRL,
 	// preserving parse-cache pointer identity for stale serving.
 	lastGood map[string]*crl.CRL
+	// requests maps URL to the GET request built for it once; every
+	// attempt sends a shallow copy carrying that attempt's context, so
+	// the same few hundred URL strings are not parsed again each day.
+	requests map[string]*http.Request
 	// ParseCacheHits counts fetches served from the parse cache. It is
 	// updated under the crawler's internal lock; read it only between
 	// crawls.
@@ -437,15 +441,33 @@ func retryableClass(e *FetchError) bool {
 	return e.Code >= 500
 }
 
+// request returns the GET request for u, built on first use.
+func (c *Crawler) request(u string) (*http.Request, error) {
+	c.cacheMu.Lock()
+	defer c.cacheMu.Unlock()
+	if req := c.requests[u]; req != nil {
+		return req, nil
+	}
+	req, err := http.NewRequest(http.MethodGet, u, nil)
+	if err != nil {
+		return nil, err
+	}
+	if c.requests == nil {
+		c.requests = make(map[string]*http.Request)
+	}
+	c.requests[u] = req
+	return req, nil
+}
+
 // fetchAttempt performs one download attempt and classifies its failure.
 func (c *Crawler) fetchAttempt(u string) (*crl.CRL, int64, *FetchError) {
-	ctx, cancel := c.attemptCtx()
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	req, err := c.request(u)
 	if err != nil {
 		return nil, 0, &FetchError{URL: u, Class: ClassTransport, Err: err}
 	}
-	resp, err := c.client().Do(req)
+	ctx, cancel := c.attemptCtx()
+	defer cancel()
+	resp, err := c.client().Do(req.WithContext(ctx))
 	if err != nil {
 		return nil, 0, &FetchError{URL: u, Class: ClassTransport, Err: err}
 	}

@@ -68,14 +68,29 @@ type cacheEntry struct {
 	err   error
 
 	der        []byte
-	etag       string
 	thisUpdate time.Time
 	nextUpdate time.Time
+	// The header values fixed at signing time, each as the one-element
+	// slice an http.Header holds, so a hit assigns them without formatting
+	// or allocating. Like der they are never written after ready closes,
+	// and every response served from this entry shares them.
+	etag, lastModified, expires, contentLength []string
+	// aged memoises the two values that follow the clock.
+	aged atomic.Pointer[agedHeaders]
 	// dropped is set when the entry leaves the authoritative cache
 	// (eviction, expiry replacement, or a failed signature), telling
 	// transport-cache hits to fall through to the slow path.
 	dropped atomic.Bool
 }
+
+// agedHeaders are an entry's Date and Cache-Control as served at one
+// instant; unix and maxAge together determine both strings.
+type agedHeaders struct {
+	unix, maxAge       int64
+	date, cacheControl []string
+}
+
+var ocspContentType = []string{"application/ocsp-response"}
 
 // NewCachingResponder wraps r with an empty cache.
 func NewCachingResponder(r *Responder) *CachingResponder {
@@ -304,30 +319,45 @@ func (cr *CachingResponder) fill(sh *cacheShard, key string, e *cacheEntry, id C
 	cr.signs.Add(1)
 	sum := sha256.Sum256(respDER)
 	e.der = respDER
-	e.etag = `"` + hex.EncodeToString(sum[:16]) + `"`
 	e.thisUpdate = tmpl.Responses[0].ThisUpdate
 	e.nextUpdate = tmpl.Responses[0].NextUpdate
+	e.etag = []string{`"` + hex.EncodeToString(sum[:16]) + `"`}
+	e.lastModified = []string{e.thisUpdate.UTC().Format(http.TimeFormat)}
+	e.expires = []string{e.nextUpdate.UTC().Format(http.TimeFormat)}
+	e.contentLength = []string{strconv.Itoa(len(respDER))}
 }
 
 // serveEntry writes the pre-signed response with the RFC 5019 §6.2
 // cacheability headers — max-age/Expires derived from nextUpdate, ETag,
-// Last-Modified — that let a fronting HTTP cache replay it.
+// Last-Modified — that let a fronting HTTP cache replay it. Only Date and
+// max-age depend on now, and they are formatted once per entry per second
+// served; everything else was formatted when the entry was signed.
 func (cr *CachingResponder) serveEntry(w http.ResponseWriter, httpReq *http.Request, e *cacheEntry, now time.Time) {
 	maxAge := int64(e.nextUpdate.Sub(now) / time.Second)
 	if maxAge < 0 {
 		maxAge = 0
 	}
+	aged := e.aged.Load()
+	if unix := now.Unix(); aged == nil || aged.unix != unix || aged.maxAge != maxAge {
+		aged = &agedHeaders{
+			unix:         unix,
+			maxAge:       maxAge,
+			date:         []string{now.UTC().Format(http.TimeFormat)},
+			cacheControl: []string{"max-age=" + strconv.FormatInt(maxAge, 10) + ",public,no-transform,must-revalidate"},
+		}
+		e.aged.Store(aged)
+	}
 	h := w.Header()
-	h.Set("Content-Type", "application/ocsp-response")
-	h.Set("ETag", e.etag)
-	h.Set("Last-Modified", e.thisUpdate.UTC().Format(http.TimeFormat))
-	h.Set("Expires", e.nextUpdate.UTC().Format(http.TimeFormat))
-	h.Set("Date", now.UTC().Format(http.TimeFormat))
-	h.Set("Cache-Control", "max-age="+strconv.FormatInt(maxAge, 10)+",public,no-transform,must-revalidate")
-	if im := httpReq.Header.Get("If-None-Match"); im != "" && im == e.etag {
+	h["Content-Type"] = ocspContentType
+	h["Etag"] = e.etag
+	h["Last-Modified"] = e.lastModified
+	h["Expires"] = e.expires
+	h["Date"] = aged.date
+	h["Cache-Control"] = aged.cacheControl
+	if im := httpReq.Header.Get("If-None-Match"); im != "" && im == e.etag[0] {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	h.Set("Content-Length", strconv.Itoa(len(e.der)))
+	h["Content-Length"] = e.contentLength
 	w.Write(e.der)
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -252,15 +253,47 @@ func TestHeartbleedShape(t *testing.T) {
 }
 
 func TestExposeTCP(t *testing.T) {
-	eng, net, _ := testEngine()
+	eng, net, clock := testEngine()
 	net.Register("crl.tcp.test", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("der-bytes"))
 	}))
-	tcp, err := eng.ExposeTCP("crl.tcp.test")
+	signed := bytes.Repeat([]byte("pre-signed "), 200)
+	net.Register("ocsp.tcp.test", simnet.NewCDN(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Cache-Control", "max-age=3600,public")
+		w.Header().Set("ETag", `"v1"`)
+		w.Write(signed)
+	}), clock.Now))
+	tcp, err := eng.ExposeTCP("crl.tcp.test", "ocsp.tcp.test")
 	if err != nil {
 		t.Skipf("cannot listen on localhost: %v", err)
 	}
 	defer eng.Close()
+
+	// A CDN hit answered to a real server's writer takes the CDN's copying
+	// path: same X-Cache, Age and body as a hit on the fabric.
+	for i, want := range []struct{ xcache, age string }{{"MISS", ""}, {"HIT", "90"}, {"HIT", "90"}} {
+		resp, err := eng.Client().Get("http://ocsp.tcp.test/ocsp/abc%2Fdef")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || !bytes.Equal(body, signed) {
+			t.Errorf("request %d over TCP: %d body bytes of %d, err %v", i, len(body), len(signed), err)
+		}
+		if got := resp.Header.Get("X-Cache"); got != want.xcache {
+			t.Errorf("request %d over TCP: X-Cache = %q, want %q", i, got, want.xcache)
+		}
+		if got := resp.Header.Get("Age"); got != want.age {
+			t.Errorf("request %d over TCP: Age = %q, want %q", i, got, want.age)
+		}
+		if resp.Header.Get("ETag") != `"v1"` {
+			t.Errorf("request %d over TCP: headers %v", i, resp.Header)
+		}
+		if i == 0 {
+			clock.Advance(90 * time.Second)
+		}
+	}
 
 	res, err := eng.Phase("over-tcp", func(p *Phase) error {
 		for i := 0; i < 3; i++ {

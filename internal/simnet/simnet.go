@@ -10,10 +10,7 @@
 package simnet
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"strconv"
@@ -111,15 +108,27 @@ type hostRecord struct {
 	lat   hist.Recorder
 }
 
+// route is what the fabric knows about one host name: who answers for it
+// (nil when the name does not resolve) and how it is currently failing.
+type route struct {
+	handler http.Handler
+	mode    FailureMode
+}
+
 // Network is the in-process HTTP fabric. It implements http.RoundTripper.
 type Network struct {
 	Cost CostModel
 
-	mu       sync.Mutex
-	handlers map[string]http.Handler
-	failures map[string]FailureMode
-	total    Stats
-	perHost  map[string]*hostRecord
+	// routes maps a host name to its route. RoundTrip reads it without a
+	// lock; Register and SetFailure replace a host's route whole, under
+	// mu, so a request sees a host's old route or its new one, never a
+	// mix. (A sync.Map and not a copied table behind a pointer: the
+	// browser test suite registers 1,464 hosts on one fabric.)
+	routes sync.Map // string → route
+
+	mu      sync.Mutex
+	total   Stats
+	perHost map[string]*hostRecord
 	// lat is the all-hosts service-time histogram; latHit/latMiss split
 	// the requests a CDN tier answered (X-Cache: HIT) from those it
 	// forwarded to the origin (X-Cache: MISS).
@@ -136,48 +145,54 @@ type Network struct {
 
 // New returns an empty network with the default cost model.
 func New() *Network {
-	return &Network{
-		Cost:     DefaultCostModel,
-		handlers: make(map[string]http.Handler),
-		failures: make(map[string]FailureMode),
-		perHost:  make(map[string]*hostRecord),
-	}
+	return &Network{Cost: DefaultCostModel, perHost: make(map[string]*hostRecord)}
+}
+
+// route returns what is known about host; the zero route when nothing is.
+func (n *Network) route(host string) route {
+	v, _ := n.routes.Load(host)
+	r, _ := v.(route)
+	return r
+}
+
+// editRoute replaces host's route with an edited copy.
+func (n *Network) editRoute(host string, edit func(*route)) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	r := n.route(host)
+	edit(&r)
+	n.routes.Store(host, r)
 }
 
 // Register attaches a handler to a virtual host name ("crl.godaddy.test").
 // Registering a host again replaces its handler.
 func (n *Network) Register(host string, h http.Handler) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.handlers[host] = h
+	n.editRoute(host, func(r *route) { r.handler = h })
 }
 
 // Handler returns the handler registered for host, or nil. The scenario
 // engine uses it to expose a virtual host over a real localhost listener
 // without re-plumbing the serving stack.
 func (n *Network) Handler(host string) http.Handler {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.handlers[host]
+	return n.route(host).handler
 }
 
 // Hosts returns every registered virtual host name, in no particular
 // order.
 func (n *Network) Hosts() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	hosts := make([]string, 0, len(n.handlers))
-	for h := range n.handlers {
-		hosts = append(hosts, h)
-	}
+	var hosts []string
+	n.routes.Range(func(host, r any) bool {
+		if r.(route).handler != nil {
+			hosts = append(hosts, host.(string))
+		}
+		return true
+	})
 	return hosts
 }
 
 // SetFailure injects (or clears, with FailNone) a failure mode for host.
 func (n *Network) SetFailure(host string, mode FailureMode) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.failures[host] = mode
+	n.editRoute(host, func(r *route) { r.mode = mode })
 }
 
 // Client returns an *http.Client routed through the fabric.
@@ -188,55 +203,59 @@ func (n *Network) Client() *http.Client {
 // RoundTrip implements http.RoundTripper by dispatching to the registered
 // handler for the request's host. A request whose context is already
 // done fails with the context's error, mirroring net/http's transport.
+//
+// The response's Header and Body are read-only views: a CDN hit hands over
+// the header map and the body bytes the cache holds, shared with every
+// other client of that entry, so a caller may read them (Body through
+// Read or WriteTo, like any response body) but must not write to
+// resp.Header or to a slice obtained from it. A caller that needs to
+// change either copies first, as faultnet does with io.ReadAll.
 func (n *Network) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err := req.Context().Err(); err != nil {
 		return nil, err
 	}
 	host := req.URL.Hostname()
-	n.mu.Lock()
-	mode := n.failures[host]
-	handler, known := n.handlers[host]
-	n.mu.Unlock()
-
-	if mode != FailNone {
-		return nil, &HostError{Host: host, Mode: mode}
+	rt := n.route(host)
+	if rt.mode != FailNone {
+		return nil, &HostError{Host: host, Mode: rt.mode}
 	}
-	if !known {
+	if rt.handler == nil {
 		return nil, &HostError{Host: host, Mode: FailNXDomain}
 	}
 
-	rec := &recorder{}
-	handler.ServeHTTP(rec, req)
+	x := &exchange{}
+	rec := &x.rec
+	rt.handler.ServeHTTP(rec, req)
 	if rec.code == 0 {
 		rec.code = http.StatusOK
 	}
-	header := rec.header
-	if header == nil {
-		header = http.Header{}
+	if rec.header == nil {
+		rec.header = http.Header{}
 	}
-	resp := &http.Response{
-		Status:        strconv.Itoa(rec.code) + " " + http.StatusText(rec.code),
+	size := len(rec.body)
+	x.resp = http.Response{
+		Status:        statusLine(rec.code),
 		StatusCode:    rec.code,
 		Proto:         "HTTP/1.1",
 		ProtoMajor:    1,
 		ProtoMinor:    1,
-		Header:        header,
-		Body:          io.NopCloser(bytes.NewReader(rec.body)),
-		ContentLength: int64(len(rec.body)),
+		Header:        rec.header,
+		Body:          x,
+		ContentLength: int64(size),
 		Request:       req,
 	}
 
-	size := len(rec.body)
-	cdn := header.Get("X-Cache") // set by the CDN tier, absent otherwise
+	cdn := headerValue(rec.header, "X-Cache") // set by the CDN tier, absent otherwise
 	cost := n.Cost.Cost(size)
 	if cdn == "MISS" {
 		cost += n.Cost.OriginRTT
 	}
+	sum := requestHash(req.Method, host, rec.code, cdn)
 	n.mu.Lock()
 	n.total.Requests++
 	n.total.BytesReceived += int64(size)
 	n.total.ModelledTime += cost
-	n.streamSum += requestHash(req.Method, host, rec.code, cdn)
+	n.streamSum += sum
 	n.lat.Record(cost)
 	switch cdn {
 	case "HIT":
@@ -254,21 +273,43 @@ func (n *Network) RoundTrip(req *http.Request) (*http.Response, error) {
 	hs.stats.ModelledTime += cost
 	hs.lat.Record(cost)
 	n.mu.Unlock()
-	return resp, nil
+	return &x.resp, nil
 }
 
-// requestHash fingerprints one request's deterministic identity.
+// statusLine is http.Response.Status for code, without building the
+// string for the codes the serving stack answers with.
+func statusLine(code int) string {
+	switch code {
+	case http.StatusOK:
+		return "200 OK"
+	case http.StatusNotModified:
+		return "304 Not Modified"
+	case http.StatusNotFound:
+		return "404 Not Found"
+	}
+	return strconv.Itoa(code) + " " + http.StatusText(code)
+}
+
+// requestHash fingerprints one request's deterministic identity: FNV-1a
+// over method, 0, host, 0, the status as eight little-endian bytes, and
+// the CDN disposition.
 func requestHash(method, host string, status int, cdn string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(method))
-	h.Write([]byte{0})
-	h.Write([]byte(host))
-	h.Write([]byte{0})
-	var w [8]byte
-	binary.LittleEndian.PutUint64(w[:], uint64(status))
-	h.Write(w[:])
-	h.Write([]byte(cdn))
-	return h.Sum64()
+	h := fnv1a(14695981039346656037, method)
+	h = fnv1a(h*fnvPrime, host) // a 0 byte changes nothing under xor: multiply only
+	h *= fnvPrime
+	for shift := 0; shift < 64; shift += 8 {
+		h = (h ^ (uint64(status) >> shift & 0xff)) * fnvPrime
+	}
+	return fnv1a(h, cdn)
+}
+
+const fnvPrime = 1099511628211
+
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
 }
 
 // StreamDigest returns the cumulative request-stream fingerprint: an
@@ -372,6 +413,43 @@ func (r *recorder) Write(p []byte) (int, error) {
 	r.body = append(r.body, p...)
 	return len(p), nil
 }
+
+// untouched reports whether the handler chain has written nothing yet, so
+// a stored response can be handed over whole.
+func (r *recorder) untouched() bool {
+	return r.code == 0 && len(r.header) == 0 && r.body == nil
+}
+
+// exchange is one round trip in one allocation: the writer the handler
+// fills, the response the client gets, and that response's Body, which
+// reads rec.body from off.
+type exchange struct {
+	rec  recorder
+	resp http.Response
+	off  int
+}
+
+func (x *exchange) Read(p []byte) (int, error) {
+	if x.off >= len(x.rec.body) {
+		return 0, io.EOF
+	}
+	n := copy(p, x.rec.body[x.off:])
+	x.off += n
+	return n, nil
+}
+
+// WriteTo lets io.Copy drain the body without an intermediate buffer.
+func (x *exchange) WriteTo(w io.Writer) (int64, error) {
+	b := x.rec.body[x.off:]
+	x.off = len(x.rec.body)
+	n, err := w.Write(b)
+	if err == nil && n != len(b) {
+		err = io.ErrShortWrite
+	}
+	return int64(n), err
+}
+
+func (x *exchange) Close() error { return nil }
 
 // ResetStats zeroes all accounting, histograms included.
 func (n *Network) ResetStats() {
