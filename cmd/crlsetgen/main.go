@@ -71,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fatal(err)
 	}
 	issuer := issuers[0]
-	parent := crlset.Parent(x509x.SPKIHash(issuer.RawSPKI))
+	parent := crlset.Parent(issuer.SPKIHash())
 
 	paths, err := filepath.Glob(filepath.Join(*crlDir, "*.crl"))
 	if err != nil {

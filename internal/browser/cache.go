@@ -1,7 +1,7 @@
 package browser
 
 import (
-	"math/big"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,9 +19,10 @@ import (
 //
 // OCSP entries are keyed by (issuer, certificate) rather than a
 // pre-computed ocsp.CertID so each implementation can pick its own key
-// derivation: the sharded Cache builds an allocation-free key from the
-// issuer's raw name/SPKI bytes, while SingleLockCache reproduces the
-// seed's CertID.Key() string path for baseline measurement.
+// derivation: the sharded Cache lays the CertID's three parts out from
+// the certificates' memoised identity without allocating, while
+// SingleLockCache reproduces the seed's CertID.Key() string path for
+// baseline measurement.
 type Store interface {
 	CRL(url string, now time.Time) (*crl.CRL, bool)
 	PutCRL(url string, parsed *crl.CRL)
@@ -45,10 +46,10 @@ const (
 
 // crlSingleflighter is implemented by stores that can collapse concurrent
 // same-URL CRL fetches into one download+parse. Client type-asserts for
-// it so the seed-faithful SingleLockCache keeps the seed's fetch
-// behaviour.
+// it, after its own lookup missed, so the seed-faithful SingleLockCache
+// keeps the seed's fetch behaviour.
 type crlSingleflighter interface {
-	DoCRL(url string, now time.Time, fetch func() (*crl.CRL, error)) (*crl.CRL, CRLSource, error)
+	fetchCRLOnce(url string, now time.Time, fetch func() (*crl.CRL, error)) (*crl.CRL, CRLSource, error)
 }
 
 // CacheConfig sizes a Cache.
@@ -70,9 +71,12 @@ const DefaultCacheShards = 64
 
 // Cache is the sharded Store used by a fleet of clients sharing one
 // revocation cache, the way all tabs (and, via the OS verifier, all
-// processes) of one machine share a single CRL/OCSP cache. Reads take a
-// per-shard RLock and never write — an expired entry is reported as a
-// miss and left for the sweeper instead of being deleted under an
+// processes) of one machine share a single CRL/OCSP cache. A lookup
+// writes to one shard and to nothing else of the Cache: it takes that
+// shard's RLock, reads its map and adds to that shard's own hit/miss
+// counters, so clients checking different certificates mostly write
+// different cache lines. Reads never delete — an expired entry is reported as a
+// miss and left for the sweeper instead of being removed under an
 // exclusive lock on the read path. Construct with NewCache or
 // NewCacheWithConfig; one Cache is safe for concurrent use by many
 // clients. The zero value and nil are both usable as a disabled cache.
@@ -82,11 +86,7 @@ type Cache struct {
 	// perShardCap is MaxEntries spread over the shards (0 = unbounded).
 	perShardCap int
 
-	crlHits     atomic.Int64
-	crlMisses   atomic.Int64
-	ocspHits    atomic.Int64
-	ocspMisses  atomic.Int64
-	expired     atomic.Int64
+	// Counted once per download or eviction, never on a hit.
 	evictions   atomic.Int64
 	crlFetches  atomic.Int64
 	dedupeJoins atomic.Int64
@@ -97,6 +97,13 @@ type cacheShard struct {
 	crls    map[string]*crl.CRL
 	ocsps   map[string]ocsp.SingleResponse
 	flights map[string]*crlFlight
+
+	// Lookup counters of this shard's keys; Stats sums them over shards.
+	crlHits    atomic.Int64
+	crlMisses  atomic.Int64
+	ocspHits   atomic.Int64
+	ocspMisses atomic.Int64
+	expired    atomic.Int64
 }
 
 // crlFlight is one in-progress download+parse of a CRL URL. ready is
@@ -179,66 +186,63 @@ func (c *Cache) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}
-	return CacheStats{
-		CRLHits:     c.crlHits.Load(),
-		CRLMisses:   c.crlMisses.Load(),
-		OCSPHits:    c.ocspHits.Load(),
-		OCSPMisses:  c.ocspMisses.Load(),
-		Expired:     c.expired.Load(),
+	st := CacheStats{
 		Evictions:   c.evictions.Load(),
 		CRLFetches:  c.crlFetches.Load(),
 		DedupeJoins: c.dedupeJoins.Load(),
 	}
+	for i := range c.shards {
+		sh := &c.shards[i]
+		st.CRLHits += sh.crlHits.Load()
+		st.CRLMisses += sh.crlMisses.Load()
+		st.OCSPHits += sh.ocspHits.Load()
+		st.OCSPMisses += sh.ocspMisses.Load()
+		st.Expired += sh.expired.Load()
+	}
+	return st
 }
 
-// shardFor hashes key (FNV-1a) onto a shard.
-func (c *Cache) shardFor(key []byte) *cacheShard {
+// crlShard hashes a distribution-point URL (FNV-1a) onto a shard.
+func (c *Cache) crlShard(url string) *cacheShard {
 	h := uint32(2166136261)
-	for _, b := range key {
-		h ^= uint32(b)
+	for i := 0; i < len(url); i++ {
+		h ^= uint32(url[i])
 		h *= 16777619
 	}
 	return &c.shards[h&c.mask]
 }
 
-func (c *Cache) shardForString(key string) *cacheShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &c.shards[h&c.mask]
+// ocspShard picks the shard of an appendOCSPKey key from twelve of its
+// bytes instead of a pass over all of them: a word of each issuer hash
+// (uniform already, and all that tells two issuers apart) and the
+// serial's last four bytes (all that tells one issuer's certificates
+// apart; random for a CA that follows the Baseline Requirements, the low
+// end of a counter for one that does not). The multiply spreads either
+// kind over the high bits the index is taken from.
+func (c *Cache) ocspShard(key []byte) *cacheShard {
+	h := binary.BigEndian.Uint32(key) ^ binary.BigEndian.Uint32(key[32:]) ^ binary.BigEndian.Uint32(key[len(key)-4:])
+	return &c.shards[(h*0x9E3779B1)>>16&c.mask]
 }
 
 // ocspKeyBuf is the stack scratch an OCSP lookup assembles its key in:
-// issuer RawSubject + issuer RawSPKI + compact serial. Typical sizes are
-// ~40 + ~91 + ≤20 bytes, comfortably inside the array, so the read path
-// never allocates; oversized names spill to the heap and still work.
-type ocspKeyBuf [256]byte
+// two 32-byte hashes and a serial of up to 32 bytes (RFC 5280 allows 20),
+// so the read path never allocates; a longer serial spills to the heap
+// and still works.
+type ocspKeyBuf [96]byte
 
-// appendOCSPKey builds the cache key identifying (issuer, cert) — the
-// same uniqueness the OCSP CertID provides (issuer name, issuer key,
-// serial) without the two SHA-256s, the elliptic point marshal, and the
-// string concatenation the seed paid per lookup.
+// appendOCSPKey builds the cache key identifying (issuer, cert): the
+// issuer's name hash, its key hash and the certificate's serial
+// magnitude. Those are the three fields of the OCSP CertID (RFC 6960
+// §4.1.1) in its own fixed-width order, so two keys are equal exactly
+// when the CertIDs are: cross-signed issuers (one key under two names)
+// and re-keyed ones (one name, two keys) stay apart, and the serial, the
+// only variable-length part, comes last. All three are read from the
+// certificates' memoised identity; building the key hashes nothing.
 func appendOCSPKey(dst []byte, issuer, cert *x509x.Certificate) []byte {
-	dst = append(dst, issuer.RawSubject...)
-	dst = append(dst, issuer.RawSPKI...)
-	return appendSerial(dst, cert.SerialNumber)
-}
-
-// appendSerial appends the compact big-endian magnitude of s (what
-// big.Int.Bytes returns) without allocating.
-func appendSerial(dst []byte, s *big.Int) []byte {
-	n := (s.BitLen() + 7) / 8
-	if n == 0 {
-		return dst
-	}
-	if cap(dst)-len(dst) < n {
-		return append(dst, s.Bytes()...)
-	}
-	out := dst[:len(dst)+n]
-	s.FillBytes(out[len(dst):])
-	return out
+	nameHash, keyHash := issuer.NameHash(), issuer.KeyHash()
+	dst = append(dst, nameHash[:]...)
+	dst = append(dst, keyHash[:]...)
+	return append(dst, cert.SerialBytes()...)
 }
 
 // CRL returns the cached CRL for url if it is still current at now.
@@ -246,20 +250,20 @@ func (c *Cache) CRL(url string, now time.Time) (*crl.CRL, bool) {
 	if c == nil || len(c.shards) == 0 {
 		return nil, false
 	}
-	sh := c.shardForString(url)
+	sh := c.crlShard(url)
 	sh.mu.RLock()
 	cached, ok := sh.crls[url]
 	sh.mu.RUnlock()
 	if !ok {
-		c.crlMisses.Add(1)
+		sh.crlMisses.Add(1)
 		return nil, false
 	}
 	if !cached.CurrentAt(now) {
-		c.expired.Add(1)
-		c.crlMisses.Add(1)
+		sh.expired.Add(1)
+		sh.crlMisses.Add(1)
 		return nil, false
 	}
-	c.crlHits.Add(1)
+	sh.crlHits.Add(1)
 	return cached, true
 }
 
@@ -269,7 +273,7 @@ func (c *Cache) PutCRL(url string, parsed *crl.CRL) {
 	if c == nil || len(c.shards) == 0 || parsed.NextUpdate.IsZero() {
 		return
 	}
-	sh := c.shardForString(url)
+	sh := c.crlShard(url)
 	sh.mu.Lock()
 	sh.crls[url] = parsed
 	c.enforceCapLocked(sh)
@@ -285,20 +289,20 @@ func (c *Cache) OCSP(issuer, cert *x509x.Certificate, now time.Time) (ocsp.Singl
 	}
 	var buf ocspKeyBuf
 	key := appendOCSPKey(buf[:0], issuer, cert)
-	sh := c.shardFor(key)
+	sh := c.ocspShard(key)
 	sh.mu.RLock()
 	sr, ok := sh.ocsps[string(key)]
 	sh.mu.RUnlock()
 	if !ok {
-		c.ocspMisses.Add(1)
+		sh.ocspMisses.Add(1)
 		return ocsp.SingleResponse{}, false
 	}
 	if !sr.CurrentAt(now) {
-		c.expired.Add(1)
-		c.ocspMisses.Add(1)
+		sh.expired.Add(1)
+		sh.ocspMisses.Add(1)
 		return ocsp.SingleResponse{}, false
 	}
-	c.ocspHits.Add(1)
+	sh.ocspHits.Add(1)
 	return sr, true
 }
 
@@ -310,7 +314,7 @@ func (c *Cache) PutOCSP(issuer, cert *x509x.Certificate, sr ocsp.SingleResponse)
 	}
 	var buf ocspKeyBuf
 	key := appendOCSPKey(buf[:0], issuer, cert)
-	sh := c.shardFor(key)
+	sh := c.ocspShard(key)
 	sh.mu.Lock()
 	sh.ocsps[string(key)] = sr
 	c.enforceCapLocked(sh)
@@ -324,20 +328,26 @@ func (c *Cache) PutOCSP(issuer, cert *x509x.Certificate, sr ocsp.SingleResponse)
 // usual PutCRL rules. With a nil receiver DoCRL degrades to calling
 // fetch directly.
 func (c *Cache) DoCRL(url string, now time.Time, fetch func() (*crl.CRL, error)) (*crl.CRL, CRLSource, error) {
+	if parsed, ok := c.CRL(url, now); ok {
+		return parsed, SourceCached, nil
+	}
+	return c.fetchCRLOnce(url, now, fetch)
+}
+
+// fetchCRLOnce is DoCRL after the lookup missed. Client calls it directly
+// so that it builds its fetch closure only once CRL has said no.
+func (c *Cache) fetchCRLOnce(url string, now time.Time, fetch func() (*crl.CRL, error)) (*crl.CRL, CRLSource, error) {
 	if c == nil || len(c.shards) == 0 {
 		parsed, err := fetch()
 		return parsed, SourceFetched, err
 	}
-	if parsed, ok := c.CRL(url, now); ok {
-		return parsed, SourceCached, nil
-	}
-	sh := c.shardForString(url)
+	sh := c.crlShard(url)
 	sh.mu.Lock()
 	// Re-check under the write lock: a flight may have completed between
 	// the read miss and here.
 	if cached, ok := sh.crls[url]; ok && cached.CurrentAt(now) {
 		sh.mu.Unlock()
-		c.crlHits.Add(1)
+		sh.crlHits.Add(1)
 		return cached, SourceCached, nil
 	}
 	if fl := sh.flights[url]; fl != nil {

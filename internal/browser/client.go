@@ -356,33 +356,37 @@ func (c *Client) EvaluateInto(v *Verdict, chainCerts []*x509x.Certificate, stapl
 	return nil
 }
 
-// localFastPath consults the client's CRLSet and Bloom artifacts for
-// (cert, issuer). decided is true when the artifacts answered the
-// revocation question and no staple or network check should run.
+// localFastPath consults the client's installed artifacts (cascade shards,
+// cascade, CRLSet, Bloom) for (cert, issuer). decided is true when they
+// answered the revocation question and no staple or network check should
+// run. Every artifact keys on BloomKey(issuer SPKI hash, serial); both
+// halves are read from the certificates' memoised identity, so a verdict
+// costs the probe and no hashing of its own.
 func (c *Client) localFastPath(v *Verdict, cert, issuer *x509x.Certificate, pos Position) (status, bool) {
 	if c.Cascade == nil && c.CascadeShards == nil && c.CRLSet == nil && c.Bloom == nil {
 		return stUnavailable, false
 	}
 	var keyBuf [56]byte // 32-byte parent + serials up to 20 bytes (RFC 5280 §4.1.2.2)
-	parent := crlset.Parent(x509x.SPKIHash(issuer.RawSPKI))
-	serial := appendSerial(keyBuf[32:32], cert.SerialNumber)
+	parent := crlset.Parent(issuer.SPKIHash())
+	serial := cert.SerialBytes()
+	key := BloomKey(keyBuf[:0], parent, serial)
 
 	if c.CascadeShards != nil {
+		// One lookup finds the issuer's shard; freshness, coverage and
+		// the verdict are then that filter's own.
 		p := cascade.Parent(parent)
 		if sh := c.CascadeShards.Shard(p); sh == nil {
 			// Untrusted or never-fetched issuer: no local verdict, fall
 			// through (monolithic cascade, CRLSet, then the network).
 			v.FastPath.CascadeMisses++
-		} else if !c.CascadeShards.FreshAt(p, c.now()) {
+		} else if !sh.FreshAt(c.now()) {
 			// Per-shard freshness: one stale issuer must not disable the
 			// rest of the install.
 			v.FastPath.CascadeStale++
 			c.log(v, cert, pos, "cascade-shard", "stale")
 		} else if sh.Covers(p, cert.NotBefore) {
 			v.FastPath.CascadeHits++
-			key := keyBuf[:32+len(serial)]
-			copy(key, parent[:])
-			if c.CascadeShards.Revoked(key) {
+			if sh.Revoked(key) {
 				c.log(v, cert, pos, "cascade-shard", "revoked")
 				return stRevoked, true
 			}
@@ -401,8 +405,6 @@ func (c *Client) localFastPath(v *Verdict, cert, issuer *x509x.Certificate, pos 
 			// Enrolled and fresh: the cascade's answer is exact, not
 			// probabilistic — it is authoritative either way.
 			v.FastPath.CascadeHits++
-			key := keyBuf[:32+len(serial)]
-			copy(key, parent[:])
 			if c.Cascade.Revoked(key) {
 				c.log(v, cert, pos, "cascade", "revoked")
 				return stRevoked, true
@@ -416,7 +418,7 @@ func (c *Client) localFastPath(v *Verdict, cert, issuer *x509x.Certificate, pos 
 
 	if c.CRLSet != nil {
 		if len(c.CRLSet.BlockedSPKIs) > 0 {
-			spki := crlset.Parent(x509x.SPKIHash(cert.RawSPKI))
+			spki := crlset.Parent(cert.SPKIHash())
 			for _, blocked := range c.CRLSet.BlockedSPKIs {
 				if blocked == spki {
 					v.FastPath.BlockedSPKI++
@@ -438,8 +440,6 @@ func (c *Client) localFastPath(v *Verdict, cert, issuer *x509x.Certificate, pos 
 	}
 
 	if c.Bloom != nil {
-		key := keyBuf[:32+len(serial)]
-		copy(key, parent[:])
 		if !c.Bloom.Contains(key) {
 			v.FastPath.BloomNegatives++
 			c.log(v, cert, pos, "bloom", "good")
@@ -567,9 +567,7 @@ func (c *Client) fetchCRL(v *Verdict, cert, issuer *x509x.Certificate, pos Posit
 			c.log(v, cert, pos, "crl", crlErrorResult(err))
 			continue
 		}
-		var serialBuf [24]byte
-		serial := appendSerial(serialBuf[:0], cert.SerialNumber)
-		revoked := parsed.ContainsSerial(serial)
+		revoked := parsed.ContainsSerial(cert.SerialBytes())
 		st := stGood
 		if revoked {
 			st = stRevoked
@@ -588,7 +586,15 @@ func (c *Client) fetchCRL(v *Verdict, cert, issuer *x509x.Certificate, pos Posit
 // cache the client carries: the sharded Cache deduplicates concurrent
 // downloads per URL (singleflight), other stores follow the seed
 // lookup/download/store sequence, and no cache means a plain download.
+// The lookup comes first and the fetch closure (which the compiler puts
+// on the heap) is built only on a miss, so a cached CRL costs no
+// allocation.
 func (c *Client) obtainCRL(url string, issuer *x509x.Certificate, now time.Time) (*crl.CRL, CRLSource, error) {
+	if c.Cache != nil {
+		if parsed, ok := c.Cache.CRL(url, now); ok {
+			return parsed, SourceCached, nil
+		}
+	}
 	fetch := func() (*crl.CRL, error) {
 		parsed, err := c.downloadCRL(url)
 		if err != nil {
@@ -603,12 +609,7 @@ func (c *Client) obtainCRL(url string, issuer *x509x.Certificate, now time.Time)
 		return parsed, nil
 	}
 	if sf, ok := c.Cache.(crlSingleflighter); ok {
-		return sf.DoCRL(url, now, fetch)
-	}
-	if c.Cache != nil {
-		if parsed, ok := c.Cache.CRL(url, now); ok {
-			return parsed, SourceCached, nil
-		}
+		return sf.fetchCRLOnce(url, now, fetch)
 	}
 	parsed, err := fetch()
 	if err != nil {

@@ -145,12 +145,59 @@ func TestBloomFastPath(t *testing.T) {
 	}
 }
 
-// buildChainCascade builds a cascade over the test world's chain: the
-// revoked keys plus a small synthetic population under the same issuers.
-func buildChainCascade(t *testing.T, chain []*x509x.Certificate, revokedSerials [][]byte, cfg cascade.BuildConfig) *cascade.Filter {
+// knownKeys returns the known population of a test cascade, each key
+// once: the revoked keys, every element the chains would have checked
+// (everything below the root), and n synthetic good serials under each
+// padded issuer. A cascade is exact only for keys it was built over:
+// probing a good certificate that was left out is a probe outside the
+// filter's universe, and with random CA keys a level-1 false positive
+// there reads as "revoked" about one run in fifty. Every chain a test
+// evaluates therefore has to be passed here.
+func knownKeys(chains [][]*x509x.Certificate, revoked [][]byte, padded []cascade.Parent, n int) [][]byte {
+	var keys [][]byte
+	seen := make(map[string]bool)
+	add := func(key []byte) {
+		if !seen[string(key)] {
+			seen[string(key)] = true
+			keys = append(keys, key)
+		}
+	}
+	for _, k := range revoked {
+		add(k)
+	}
+	for _, chain := range chains {
+		for e := 0; e+1 < len(chain); e++ {
+			p := cascade.Parent(x509x.SPKIHash(chain[e+1].RawSPKI))
+			add(cascade.AppendKey(nil, p, chain[e].SerialNumber.Bytes()))
+		}
+	}
+	for _, p := range padded {
+		for i := 0; i < n; i++ {
+			add(cascade.AppendKey(nil, p, []byte{0x55, byte(i >> 8), byte(i)}))
+		}
+	}
+	return keys
+}
+
+// visitUnder is a cascade visitKnown over the keys issued by parent.
+func visitUnder(keys [][]byte, parent cascade.Parent) func(fn func(key []byte) bool) {
+	return func(fn func(key []byte) bool) {
+		for _, k := range keys {
+			if bytes.HasPrefix(k, parent[:]) && !fn(k) {
+				return
+			}
+		}
+	}
+}
+
+// buildChainCascade builds one cascade over the chains a test will
+// present (which share their issuers): every checked element is known,
+// the given serials under the leaf issuer are revoked, and a small
+// synthetic population pads the leaf issuer.
+func buildChainCascade(t *testing.T, chains [][]*x509x.Certificate, revokedSerials [][]byte, cfg cascade.BuildConfig) *cascade.Filter {
 	t.Helper()
 	var parents []cascade.Parent
-	for _, p := range coveredParents(chain) {
+	for _, p := range coveredParents(chains[0]) {
 		parents = append(parents, cascade.Parent(p))
 	}
 	issuer := parents[0]
@@ -158,15 +205,10 @@ func buildChainCascade(t *testing.T, chain []*x509x.Certificate, revokedSerials 
 	for _, s := range revokedSerials {
 		revoked = append(revoked, cascade.AppendKey(nil, issuer, s))
 	}
+	known := knownKeys(chains, revoked, []cascade.Parent{issuer}, 500)
 	visit := func(fn func(key []byte) bool) {
-		for _, k := range revoked {
+		for _, k := range known {
 			if !fn(k) {
-				return
-			}
-		}
-		for i := 0; i < 500; i++ {
-			serial := []byte{0x55, byte(i >> 8), byte(i)}
-			if !fn(cascade.AppendKey(nil, issuer, serial)) {
 				return
 			}
 		}
@@ -189,7 +231,7 @@ func TestCascadeFastPathAuthoritative(t *testing.T) {
 	goodChain, _ := w.leaf(false)
 
 	client := w.client(Hardened())
-	client.Cascade = buildChainCascade(t, revokedChain, [][]byte{rec.Serial.Bytes()}, cascade.BuildConfig{
+	client.Cascade = buildChainCascade(t, [][]*x509x.Certificate{revokedChain, goodChain}, [][]byte{rec.Serial.Bytes()}, cascade.BuildConfig{
 		Epoch: 1, BuiltAt: w.clock.Now(), MaxAge: 48 * time.Hour,
 	})
 
@@ -215,7 +257,7 @@ func TestCascadeStaleFallsBack(t *testing.T) {
 	w := newWorld(t, ocspOnly)
 	chain, _ := w.leaf(false)
 	client := w.client(Hardened())
-	client.Cascade = buildChainCascade(t, chain, nil, cascade.BuildConfig{
+	client.Cascade = buildChainCascade(t, [][]*x509x.Certificate{chain}, nil, cascade.BuildConfig{
 		Epoch: 1, BuiltAt: w.clock.Now().Add(-72 * time.Hour), MaxAge: 24 * time.Hour,
 	})
 
@@ -238,7 +280,7 @@ func TestCascadeCutoffExcludesNewCerts(t *testing.T) {
 	w := newWorld(t, ocspOnly)
 	chain, _ := w.leaf(false) // NotBefore is one month before now
 	client := w.client(Hardened())
-	client.Cascade = buildChainCascade(t, chain, nil, cascade.BuildConfig{
+	client.Cascade = buildChainCascade(t, [][]*x509x.Certificate{chain}, nil, cascade.BuildConfig{
 		Epoch: 1, BuiltAt: w.clock.Now(), Cutoff: w.clock.Now().AddDate(0, -2, 0),
 	})
 
@@ -272,41 +314,33 @@ func TestCascadeKeyMatchesBloomKey(t *testing.T) {
 	}
 }
 
-// buildShardInstall builds one ribbon-level shard per issuer in the
-// chain, pins them all under a signed manifest, and installs only the
-// shards the trust predicate accepts — the full client-side path for a
-// sharded cascade (cascade.InstallShards).
-func buildShardInstall(t *testing.T, chain []*x509x.Certificate, revokedSerials [][]byte, now time.Time, trusted func(cascade.Parent) bool) *cascade.ShardSet {
+// buildShardInstall builds one ribbon-level shard per issuer of the
+// chains a test will present (which share their issuers), each over the
+// chain elements that issuer signed plus a synthetic population, pins
+// them all under a signed manifest, and installs only the shards the
+// trust predicate accepts — the full client-side path for a sharded
+// cascade (cascade.InstallShards).
+func buildShardInstall(t *testing.T, chains [][]*x509x.Certificate, revokedSerials [][]byte, now time.Time, trusted func(cascade.Parent) bool) *cascade.ShardSet {
 	t.Helper()
-	parents := coveredParents(chain)
+	parents := coveredParents(chains[0])
 	order := make([]cascade.Parent, len(parents))
 	for i, p := range parents {
 		order[i] = cascade.Parent(p)
 	}
 	cascade.SortParents(order)
+	var revokedAll [][]byte
+	for _, s := range revokedSerials { // the leaf's issuer owns the revocations
+		revokedAll = append(revokedAll, cascade.AppendKey(nil, cascade.Parent(parents[0]), s))
+	}
+	known := knownKeys(chains, revokedAll, order, 400)
 	snaps := make(map[cascade.Parent][]byte)
 	m := &cascade.Manifest{Epoch: 1, BuiltAt: now}
 	for _, p := range order {
 		var revoked [][]byte
-		if p == cascade.Parent(parents[0]) { // the leaf's issuer owns the revocations
-			for _, s := range revokedSerials {
-				revoked = append(revoked, cascade.AppendKey(nil, p, s))
-			}
+		if p == cascade.Parent(parents[0]) {
+			revoked = revokedAll
 		}
-		parent := p
-		visit := func(fn func(key []byte) bool) {
-			for _, k := range revoked {
-				if !fn(k) {
-					return
-				}
-			}
-			for i := 0; i < 400; i++ {
-				serial := []byte{0x55, byte(i >> 8), byte(i)}
-				if !fn(cascade.AppendKey(nil, parent, serial)) {
-					return
-				}
-			}
-		}
+		visit := visitUnder(known, p)
 		f, err := cascade.Build(revoked, visit, []cascade.Parent{p}, cascade.BuildConfig{
 			Epoch: 1, BuiltAt: now, MaxAge: 48 * time.Hour, LevelKind: cascade.KindRibbon,
 		})
@@ -347,7 +381,7 @@ func TestCascadeShardsFastPath(t *testing.T) {
 	goodChain, _ := w.leaf(false)
 
 	client := w.client(Hardened())
-	client.CascadeShards = buildShardInstall(t, revokedChain, [][]byte{rec.Serial.Bytes()}, w.clock.Now(), nil)
+	client.CascadeShards = buildShardInstall(t, [][]*x509x.Certificate{revokedChain, goodChain}, [][]byte{rec.Serial.Bytes()}, w.clock.Now(), nil)
 
 	v := mustEval(t, client, revokedChain)
 	if v.Outcome != OutcomeReject || !v.RevocationDetected {
@@ -373,7 +407,7 @@ func TestCascadeShardsTrustFiltering(t *testing.T) {
 	chain, _ := w.leaf(false)
 	leafIssuer := cascade.Parent(coveredParents(chain)[0])
 	client := w.client(Hardened())
-	client.CascadeShards = buildShardInstall(t, chain, nil, w.clock.Now(),
+	client.CascadeShards = buildShardInstall(t, [][]*x509x.Certificate{chain}, nil, w.clock.Now(),
 		func(p cascade.Parent) bool { return p == leafIssuer })
 	if client.CascadeShards.NumShards() != 1 {
 		t.Fatalf("installed %d shards, want 1", client.CascadeShards.NumShards())

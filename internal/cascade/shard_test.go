@@ -68,6 +68,27 @@ func TestShardSetRoutesVerdicts(t *testing.T) {
 			if s.Shard(stranger) != nil || s.Covers(stranger, t0.Add(-time.Hour)) || s.Revoked(stranger[:]) {
 				t.Error("uninstalled parent claimed")
 			}
+			// The browser resolves the issuer's shard once and asks that
+			// filter directly; it must hear what the set's routed methods
+			// say, for every key, at fresh and stale instants, and a nil
+			// shard must mean what the set says of an uninstalled parent.
+			for _, k := range append(w.keys, AppendKey(nil, stranger, []byte{7})) {
+				var p Parent
+				copy(p[:], k)
+				sh := s.Shard(p)
+				if got := sh != nil && sh.Revoked(k); got != s.Revoked(k) {
+					t.Fatalf("key %x: shard says revoked=%v, set says %v", k[:8], got, s.Revoked(k))
+				}
+				for _, at := range []time.Time{t0.Add(time.Hour), t0.Add(73 * time.Hour)} {
+					if got := sh != nil && sh.FreshAt(at); got != s.FreshAt(p, at) {
+						t.Fatalf("parent %x at %v: shard says fresh=%v, set says %v", p[:4], at, got, s.FreshAt(p, at))
+					}
+				}
+				nb := t0.Add(-time.Hour)
+				if got := sh != nil && sh.Covers(p, nb); got != s.Covers(p, nb) {
+					t.Fatalf("parent %x: shard says covers=%v, set says %v", p[:4], got, s.Covers(p, nb))
+				}
+			}
 			if s.Revoked([]byte{1, 2, 3}) {
 				t.Error("short key claimed")
 			}

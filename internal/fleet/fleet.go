@@ -188,7 +188,7 @@ func New(cfg Config) (*World, error) {
 
 	// Revoke the unpopular tail so the Zipf head stays mostly good.
 	nRevoked := int(cfg.RevokedFraction * float64(cfg.Certs))
-	parent := crlset.Parent(x509x.SPKIHash(caCert.RawSPKI))
+	parent := crlset.Parent(caCert.SPKIHash())
 	w.CRLSet = crlset.NewSet(1)
 	w.CRLSet.AddParent(parent)
 	w.Bloom = bloom.NewOptimal(max(64, nRevoked*2), max(1, nRevoked))
@@ -235,20 +235,40 @@ func New(cfg Config) (*World, error) {
 		return nil, err
 	}
 
-	// Per-browser plans: browser b's sequence depends only on (Seed, b),
-	// never on scheduling, which is what makes fleet aggregates
-	// worker-count independent.
-	w.plans = make([][]int32, cfg.Browsers)
-	for b := 0; b < cfg.Browsers; b++ {
-		r := rand.New(rand.NewSource(cfg.Seed + 1 + int64(b)))
-		z := rand.NewZipf(r, cfg.ZipfS, 1, uint64(cfg.Certs-1))
-		seq := make([]int32, cfg.EvalsPerBrowser)
-		for e := range seq {
-			seq[e] = int32(z.Uint64())
-		}
-		w.plans[b] = seq
-	}
+	w.plans = buildPlans(cfg, runtime.GOMAXPROCS(0))
 	return w, nil
+}
+
+// buildPlans draws every browser's chain-index sequence. Browser b's
+// sequence depends only on (Seed, b), never on scheduling or on which
+// goroutine drew it, which is what makes fleet aggregates worker-count
+// independent and lets the browsers be split over workers goroutines
+// (browser b goes to goroutine b mod workers). Each goroutine owns one
+// generator, re-seeded per browser: Seed leaves it in exactly the state
+// of a new source, and a Zipf holds parameters only, so the draws equal
+// those of a fresh Rand and Zipf per browser without allocating a
+// source for each.
+func buildPlans(cfg Config, workers int) [][]int32 {
+	plans := make([][]int32, cfg.Browsers)
+	var wg sync.WaitGroup
+	for wk := 0; wk < workers; wk++ {
+		wg.Add(1)
+		go func(wk int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(0))
+			z := rand.NewZipf(r, cfg.ZipfS, 1, uint64(cfg.Certs-1))
+			for b := wk; b < cfg.Browsers; b += workers {
+				r.Seed(cfg.Seed + 1 + int64(b))
+				seq := make([]int32, cfg.EvalsPerBrowser)
+				for e := range seq {
+					seq[e] = int32(z.Uint64())
+				}
+				plans[b] = seq
+			}
+		}(wk)
+	}
+	wg.Wait()
+	return plans
 }
 
 // NumRevoked reports how many leaves the world revoked.

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -307,5 +309,32 @@ func TestRibbonAndShardedCascadeMatchBloom(t *testing.T) {
 	}
 	if digests[0] != digests[1] || digests[1] != digests[2] {
 		t.Errorf("cascade digests diverge across representations: %x", digests)
+	}
+}
+
+// TestPlansEqualSerialReference: buildPlans shares one re-seeded
+// generator per goroutine; the plans must equal, draw for draw, those of
+// the loop it replaced (a new source and a new Zipf for every browser),
+// however the browsers are split.
+func TestPlansEqualSerialReference(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42} {
+		for _, browsers := range []int{1, 3, 1000} {
+			cfg := Config{Browsers: browsers, Certs: 300, EvalsPerBrowser: 17, Seed: seed}
+			cfg.fillDefaults()
+			want := make([][]int32, browsers)
+			for b := range want {
+				r := rand.New(rand.NewSource(cfg.Seed + 1 + int64(b)))
+				z := rand.NewZipf(r, cfg.ZipfS, 1, uint64(cfg.Certs-1))
+				want[b] = make([]int32, cfg.EvalsPerBrowser)
+				for e := range want[b] {
+					want[b][e] = int32(z.Uint64())
+				}
+			}
+			for _, workers := range []int{1, 2, 5} {
+				if got := buildPlans(cfg, workers); !reflect.DeepEqual(got, want) {
+					t.Errorf("seed %d, %d browsers, %d workers: plans differ from the serial reference", seed, browsers, workers)
+				}
+			}
+		}
 	}
 }

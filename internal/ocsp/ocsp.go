@@ -8,8 +8,6 @@ package ocsp
 import (
 	"bytes"
 	"crypto/ecdsa"
-	"crypto/elliptic"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/big"
@@ -94,15 +92,15 @@ type CertID struct {
 }
 
 // NewCertID builds the CertID for the certificate with the given serial
-// issued by issuer.
+// issued by issuer. The two hashes are the issuer's memoised identity
+// (x509x.Certificate.NameHash, KeyHash), so a CertID costs no SHA-256
+// after the issuer's first; the CertID keeps serial itself, not a copy.
 func NewCertID(issuer *x509x.Certificate, serial *big.Int) CertID {
-	nameHash := sha256.Sum256(issuer.RawSubject)
-	point := elliptic.Marshal(elliptic.P256(), issuer.PublicKey.X, issuer.PublicKey.Y)
-	keyHash := sha256.Sum256(point)
+	nameHash, keyHash := issuer.NameHash(), issuer.KeyHash()
 	return CertID{
 		IssuerNameHash: nameHash[:],
 		IssuerKeyHash:  keyHash[:],
-		Serial:         new(big.Int).Set(serial),
+		Serial:         serial,
 	}
 }
 
@@ -319,8 +317,7 @@ func (r *Response) VerifySignature(signer *x509x.Certificate) error {
 	if r.RespStatus != RespSuccessful {
 		return fmt.Errorf("ocsp: cannot verify %v response", r.RespStatus)
 	}
-	point := elliptic.Marshal(elliptic.P256(), signer.PublicKey.X, signer.PublicKey.Y)
-	keyHash := sha256.Sum256(point)
+	keyHash := signer.KeyHash()
 	if !bytes.Equal(keyHash[:], r.ResponderKeyHash) {
 		return errors.New("ocsp: responder key hash does not match signer")
 	}
@@ -376,9 +373,7 @@ func CreateResponse(tmpl *ResponseTemplate, signer *x509x.Certificate, key *ecds
 		}
 		singles[i] = enc
 	}
-	point := elliptic.Marshal(elliptic.P256(), signer.PublicKey.X, signer.PublicKey.Y)
-	keyHash := sha256.Sum256(point)
-
+	keyHash := signer.KeyHash()
 	tbsParts := [][]byte{
 		der.Implicit(2, true, der.OctetString(keyHash[:])), // responderID byKey
 		der.GeneralizedTime(tmpl.ProducedAt),

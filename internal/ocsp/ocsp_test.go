@@ -3,7 +3,10 @@ package ocsp
 import (
 	"bytes"
 	"crypto/ecdsa"
+	"crypto/elliptic"
+	"crypto/sha256"
 	"math/big"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -49,6 +52,30 @@ func TestCertID(t *testing.T) {
 	}
 	if len(a.IssuerNameHash) != 32 || len(a.IssuerKeyHash) != 32 {
 		t.Errorf("hash lengths %d/%d", len(a.IssuerNameHash), len(a.IssuerKeyHash))
+	}
+}
+
+// TestCertIDMatchesDerivation: NewCertID reads the issuer's memoised
+// hashes and keeps the caller's serial; what it returns must encode,
+// byte for byte, as the CertID derived from scratch the way NewCertID
+// derived it before (two SHA-256s, the marshalled point, a copied
+// serial), for 1,000 (issuer, serial) pairs.
+func TestCertIDMatchesDerivation(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for i := 0; i < 10; i++ {
+		ca, _ := newCA(t)
+		nameHash := sha256.Sum256(ca.RawSubject)
+		keyHash := sha256.Sum256(elliptic.Marshal(elliptic.P256(), ca.PublicKey.X, ca.PublicKey.Y))
+		for j := 0; j < 100; j++ {
+			mag := make([]byte, rng.Intn(22)) // zero through 21 bytes
+			rng.Read(mag)
+			serial := new(big.Int).SetBytes(mag)
+			want := CertID{IssuerNameHash: nameHash[:], IssuerKeyHash: keyHash[:], Serial: new(big.Int).Set(serial)}
+			got := NewCertID(ca, serial)
+			if !bytes.Equal(got.encode(), want.encode()) || got.Key() != want.Key() || !got.Equal(want) {
+				t.Fatalf("issuer %d serial %x: CertID %x, want %x", i, mag, got.encode(), want.encode())
+			}
+		}
 	}
 }
 

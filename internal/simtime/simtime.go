@@ -11,6 +11,7 @@ package simtime
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -48,22 +49,26 @@ func DaysBetween(a, b time.Time) int {
 
 // Clock is a virtual clock. The zero value is unusable; construct with
 // NewClock. Clock is safe for concurrent use: simulated servers read it
-// while the simulation driver advances it.
+// on every request while the simulation driver advances it. Now is one
+// atomic load of the current instant and takes no lock; Advance and
+// AdvanceTo publish a new instant under a mutex that only writers take,
+// so a reader sees either the instant before a step or the one after,
+// never a mixture, and never one earlier than it saw before.
 type Clock struct {
-	mu  sync.RWMutex
-	now time.Time
+	mu  sync.Mutex // serialises writers; readers never take it
+	now atomic.Pointer[time.Time]
 }
 
 // NewClock returns a clock frozen at start.
 func NewClock(start time.Time) *Clock {
-	return &Clock{now: start}
+	c := &Clock{}
+	c.now.Store(&start)
+	return c
 }
 
 // Now returns the current virtual time.
 func (c *Clock) Now() time.Time {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.now
+	return *c.now.Load()
 }
 
 // Advance moves the clock forward by d. It panics if d is negative, because
@@ -73,7 +78,8 @@ func (c *Clock) Advance(d time.Duration) {
 		panic(fmt.Sprintf("simtime: Advance(%v): negative duration", d))
 	}
 	c.mu.Lock()
-	c.now = c.now.Add(d)
+	t := c.now.Load().Add(d)
+	c.now.Store(&t)
 	c.mu.Unlock()
 }
 
@@ -81,10 +87,10 @@ func (c *Clock) Advance(d time.Duration) {
 func (c *Clock) AdvanceTo(t time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t.Before(c.now) {
-		panic(fmt.Sprintf("simtime: AdvanceTo(%v): before current time %v", t, c.now))
+	if now := *c.now.Load(); t.Before(now) {
+		panic(fmt.Sprintf("simtime: AdvanceTo(%v): before current time %v", t, now))
 	}
-	c.now = t
+	c.now.Store(&t)
 }
 
 // Schedule is an ordered list of instants at which a recurring measurement

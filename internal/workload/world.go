@@ -16,7 +16,6 @@ import (
 	"repro/internal/revdb"
 	"repro/internal/simnet"
 	"repro/internal/simtime"
-	"repro/internal/x509x"
 )
 
 // Config parameterizes the simulated ecosystem.
@@ -363,7 +362,7 @@ func NewWorld(cfg Config) (*World, error) {
 		entry := &Authority{
 			Profile:   profile,
 			CA:        authority,
-			Parent:    crlset.Parent(x509x.SPKIHash(authority.Certificate().RawSPKI)),
+			Parent:    crlset.Parent(authority.Certificate().SPKIHash()),
 			revBudget: int(float64(profile.RevokedCerts) * cfg.Scale),
 		}
 		w.Authorities = append(w.Authorities, entry)

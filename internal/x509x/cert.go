@@ -2,9 +2,11 @@ package x509x
 
 import (
 	"crypto/ecdsa"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/big"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/der"
@@ -67,6 +69,64 @@ type Certificate struct {
 	// "rarely used and few clients support it".
 	PermittedDNSDomains []string
 	ExcludedDNSDomains  []string
+
+	// serial is SerialBytes where it sits in Raw, set by Parse; hashes is
+	// filled by the first call that needs one. Both are derived from the
+	// exported fields above, which must not change once they were read.
+	serial []byte
+	hashes atomic.Pointer[certHashes]
+}
+
+// certHashes is the part of a certificate's revocation identity that
+// costs a SHA-256 to derive. A revocation check asks the issuer for all
+// of it on every verdict and most certificates are never an issuer, so
+// it hangs off the Certificate by a pointer filled on first use.
+type certHashes struct {
+	spki, name, key [32]byte
+}
+
+func (c *Certificate) identity() *certHashes {
+	if h := c.hashes.Load(); h != nil {
+		return h
+	}
+	h := &certHashes{spki: sha256.Sum256(c.RawSPKI), name: sha256.Sum256(c.RawSubject)}
+	if pub := c.PublicKey; pub != nil {
+		// The uncompressed point, as elliptic.Marshal lays it out.
+		n := (pub.Curve.Params().BitSize + 7) / 8
+		point := make([]byte, 1+2*n)
+		point[0] = 4
+		pub.X.FillBytes(point[1 : 1+n])
+		pub.Y.FillBytes(point[1+n:])
+		h.key = sha256.Sum256(point)
+	}
+	// Racing first readers derive equal values; whichever lands is kept.
+	c.hashes.CompareAndSwap(nil, h)
+	return c.hashes.Load()
+}
+
+// SPKIHash returns SPKIHash(c.RawSPKI), the "parent" CRLSets, Bloom keys
+// and cascade shards know an issuer by, hashed once per certificate.
+func (c *Certificate) SPKIHash() [32]byte { return c.identity().spki }
+
+// NameHash returns the SHA-256 of RawSubject: the issuerNameHash of an
+// OCSP CertID naming a certificate c issued. Hashed once per certificate.
+func (c *Certificate) NameHash() [32]byte { return c.identity().name }
+
+// KeyHash returns the SHA-256 of the public key's uncompressed point: the
+// issuerKeyHash of an OCSP CertID naming a certificate c issued. Hashed
+// once per certificate; zero when c has no PublicKey.
+func (c *Certificate) KeyHash() [32]byte { return c.identity().key }
+
+// SerialBytes returns the serial number's big-endian magnitude without
+// leading zeros (SerialNumber.Bytes(); empty for zero), the form every
+// revocation key ends in. For a parsed certificate it is a subslice of
+// Raw and costs nothing; callers must not modify it. A Certificate that
+// Parse did not build computes it on each call.
+func (c *Certificate) SerialBytes() []byte {
+	if c.serial != nil {
+		return c.serial
+	}
+	return c.SerialNumber.Bytes()
 }
 
 // IsEV reports whether the certificate asserts one of the EV policy OIDs.
@@ -343,6 +403,12 @@ func Parse(raw []byte) (*Certificate, error) {
 	}
 	if c.SerialNumber, err = tbsFields[i].Integer(); err != nil {
 		return nil, fmt.Errorf("x509x: serial: %v", err)
+	}
+	// Integer accepted the field, so IntegerBytes cannot fail on it.
+	if mag, neg, _ := tbsFields[i].IntegerBytes(); !neg {
+		c.serial = mag
+	} else {
+		c.serial = c.SerialNumber.Bytes() // Raw holds the two's complement
 	}
 	i++
 	innerAlg, err := parseAlgorithmIdentifier(tbsFields[i])

@@ -164,8 +164,12 @@ func TestWrongIssuerSignature(t *testing.T) {
 		t.Error("accepted signature from unrelated CA")
 	}
 	_ = otherKey
-	// Corrupt the signature.
-	bad := *leaf
+	// Corrupt the signature of a second parse (a Certificate is not copied
+	// by value: it carries its memoised identity).
+	bad, err := Parse(leaf.Raw)
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad.Signature = append([]byte(nil), leaf.Signature...)
 	bad.Signature[10] ^= 0xff
 	if err := bad.CheckSignatureFrom(root); err == nil {
