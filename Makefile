@@ -49,8 +49,9 @@ flake:
 chaos:
 	$(GO) run ./cmd/chaos -seeds 20150501,3,77,424242
 
-# fuzz-short gives each DER-facing fuzz target a 10s budget — enough to
-# exercise the corpus plus some fresh mutations on every merge.
+# fuzz-short gives each fuzz target (the DER-facing parsers, the filter
+# and manifest decoders) a 10s budget — enough to exercise the corpus plus
+# some fresh mutations on every merge.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/der
 	$(GO) test -run='^$$' -fuzz='^FuzzParseCRL$$' -fuzztime=10s ./internal/crl
@@ -59,6 +60,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzParseCertificate -fuzztime=10s ./internal/x509x
 	$(GO) test -run='^$$' -fuzz=FuzzParseCRLSet -fuzztime=10s ./internal/crlset
 	$(GO) test -run='^$$' -fuzz=FuzzCascadeDecode -fuzztime=10s ./internal/cascade
+	$(GO) test -run='^$$' -fuzz=FuzzManifest -fuzztime=10s ./internal/cascade
 	$(GO) test -run='^$$' -fuzz=FuzzRibbonDecode -fuzztime=10s ./internal/ribbon
 
 # bench-smoke builds one world end to end under the benchmark harness —

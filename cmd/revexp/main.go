@@ -78,22 +78,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "world: %d certificates, %d hosts, %d CAs\n",
 		len(runner.World.Certs), len(runner.World.Hosts), len(runner.World.Authorities))
 
-	results, err := runner.All()
+	var ids []string
+	for _, id := range strings.Split(*only, ",") {
+		if id = strings.TrimSpace(id); id != "" {
+			ids = append(ids, id)
+		}
+	}
+	var results []*experiments.Result
+	if len(ids) == 0 {
+		results, err = runner.All()
+	} else {
+		results, err = runner.Run(ids...)
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "revexp:", err)
 		return 1
 	}
-	filter := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			filter[id] = true
-		}
-	}
 	failures := 0
 	for _, res := range results {
-		if len(filter) > 0 && !filter[res.ID] {
-			continue
-		}
 		fmt.Fprintln(stdout, res.Render())
 		if !res.OK() {
 			failures++

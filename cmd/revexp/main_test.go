@@ -29,6 +29,11 @@ func TestRunBadFlags(t *testing.T) {
 	if code := run([]string{"-scale", "x"}, &out, &errOut); code != 1 {
 		t.Errorf("bad flag: exit = %d", code)
 	}
+	errOut.Reset()
+	if code := run([]string{"-scale", "0.0003", "-only", "fig1,nosuch"}, &out, &errOut); code != 1 ||
+		!strings.Contains(errOut.String(), "nosuch") || out.Len() != 0 {
+		t.Errorf("unknown -only ID: exit = %d, stdout %d bytes, stderr: %s", code, out.Len(), errOut.String())
+	}
 }
 
 func TestRunWritesDatFiles(t *testing.T) {

@@ -35,16 +35,18 @@
 // # Updates
 //
 // A Publisher maintains a daily chain: adds are OR'd into the fixed-size
-// level 1, removals simply leave their bits set (a removed key becomes a
-// level-1 false positive, is captured by the rebuilt level 2, and the
-// verdict flips back to Good — exactness is preserved without bit
-// deletion), and the small deep levels are rebuilt on every day that
-// adds or removes a key. The publisher reads the known population once
-// per chain and keeps each key's level-1 digest, so a rebuild probes
-// instead of re-hashing, and a day without churn republishes the
-// previous levels. Each epoch ships as a full snapshot plus a binary
-// delta against the previous snapshot, CRC-fenced on both ends so a
-// client can never apply a delta to the wrong base (see delta.go).
+// level 1 (or, on a ribbon chain, stashed beside a frozen solution),
+// removals simply leave their claim standing (a removed key becomes a
+// level-1 false positive, level 2 captures it, and the verdict flips back
+// to Good — exactness is preserved without bit deletion). The publisher
+// reads the known population once per chain and keeps, between epochs,
+// the key sets the deep levels were built from; a day's churn moves those
+// sets by the keys it names, the levels above the first set that moved
+// are kept and the ones from there down are solved again, and a day
+// without churn republishes them all. Each epoch ships as a full snapshot
+// plus a binary delta against the previous snapshot, CRC-fenced on both
+// ends so a client can never apply a delta to the wrong base (see
+// delta.go).
 package cascade
 
 import (
@@ -52,6 +54,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -173,8 +176,23 @@ func sortSide(side []byte) []uint32 {
 	for i := range out {
 		out[i] = binary.LittleEndian.Uint32(side[i*4:])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
+}
+
+// mergeSorted merges two ascending slices into a new one, duplicates kept
+// as sortSide keeps them, so a publisher can extend a published level's
+// lookup view without writing it.
+func mergeSorted(a, b []uint32) []uint32 {
+	out := make([]uint32, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if b[0] < a[0] {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // sizeLevel1 returns the level-1 bit count for the given key capacity:
@@ -263,7 +281,7 @@ func truncateHashes(hs []uint64) []uint32 {
 	for i, h := range hs {
 		out[i] = uint32(h)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	w := 1
 	for i := 1; i < len(out); i++ {
 		if out[i] != out[w-1] {
@@ -484,9 +502,10 @@ func (cfg *BuildConfig) capacity(nRevoked int) int {
 // buildDeepLevels constructs levels 2..L given a finished level 1, in
 // streaming form: revoked maps every key of R; visitKnown streams the
 // full known-cert population (revoked certs included — they are skipped
-// by the map). The returned level slice includes lvl1. A Publisher finds
-// the same candidates from its retained digests instead and calls
-// buildFromCandidates directly.
+// by the map). The returned level slice includes lvl1. This is the
+// reference a Publisher is tested against: it finds the same key sets
+// from what it kept of the previous epoch and calls buildFromCandidates
+// from the first level whose set moved.
 func buildDeepLevels(lvl1 level, revoked map[string]bool, visitKnown func(func(key []byte) bool), kind LevelKind) ([]level, error) {
 	// D2: enrolled non-revoked keys that level 1 wrongly claims. This is
 	// the only pass over the full population; later levels winnow the
@@ -502,54 +521,44 @@ func buildDeepLevels(lvl1 level, revoked map[string]bool, visitKnown func(func(k
 	for k := range revoked {
 		fromRev = append(fromRev, []byte(k))
 	}
-	return buildFromCandidates(lvl1, fromPop, fromRev, kind)
+	levels, _, err := buildFromCandidates([]level{lvl1}, fromPop, fromRev, kind)
+	return levels, err
 }
 
-// buildFromCandidates builds levels 2..L from the two candidate lists:
-// fromPop, the level-2 population (enrolled non-revoked keys that level 1
-// claims), and fromRev, all of R. Neither list is written — winnowing
-// allocates — and the result depends only on the two key sets, not on
-// their order. The returned level slice includes lvl1.
-func buildFromCandidates(lvl1 level, fromPop, fromRev [][]byte, kind LevelKind) ([]level, error) {
-	levels := []level{lvl1}
-
-	// Alternate: level i holds D_i, the members of D_{i-2} that the
-	// just-built level i-1 wrongly claims. Even levels hold subsets of
-	// the population, odd levels subsets of R.
-	cur := fromPop
+// buildFromCandidates builds the levels that follow levels, a standing
+// prefix of the cascade which it appends to: level 1 alone for a build
+// from nothing, levels 1..i-1 to rebuild from level i. cur is D_i, the
+// key set level i holds; other is D_{i-1}, the set the prefix's last level
+// holds (all of R when that is level 1). From there the loop alternates:
+// D_{i+1} is the members of D_{i-1} that the just-built level i wrongly
+// claims, so even levels hold subsets of the population and odd levels
+// subsets of R, until a level claims nothing it should not. Neither list
+// is written — winnowing allocates — and every level is a function of its
+// key set alone, not of the order the keys come in, which is what lets a
+// prefix built on another day stand. sets[j] is the key set of the j-th
+// level built here (sets[0] is cur); the keys alias the caller's.
+func buildFromCandidates(levels []level, cur, other [][]byte, kind LevelKind) (_ []level, sets [][][]byte, err error) {
 	for len(cur) > 0 {
 		if len(levels) >= maxLevels {
-			return nil, fmt.Errorf("cascade: build exceeded %d levels (hash correlation?)", maxLevels)
+			return nil, nil, fmt.Errorf("cascade: build exceeded %d levels (hash correlation?)", maxLevels)
 		}
 		salt := byte(len(levels))
 		lv, err := makeDeepLevel(salt, cur, kind)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		levels = append(levels, lv)
+		sets = append(sets, cur)
 
-		// The next level's candidates are the *other* population: keys
-		// two levels up that the level just built claims.
-		var src [][]byte
-		if len(levels)%2 == 0 { // just built an even level → winnow R-side
-			src = fromRev
-		} else {
-			src = fromPop
-		}
-		next := src[:0:0]
-		for _, k := range src {
+		next := other[:0:0]
+		for _, k := range other {
 			if lv.contains(salt, k) {
 				next = append(next, k)
 			}
 		}
-		if len(levels)%2 == 0 {
-			fromRev = next
-		} else {
-			fromPop = next
-		}
-		cur = next
+		cur, other = next, cur
 	}
-	return levels, nil
+	return levels, sets, nil
 }
 
 // Build constructs a cascade from scratch: revoked holds every revoked

@@ -128,18 +128,29 @@ func universal(tag int, constructed bool, content []byte) []byte {
 	return TLV(Header{Class: ClassUniversal, Tag: tag, Constructed: constructed}, content)
 }
 
+// constructed encodes a universal constructed TLV whose content is the
+// concatenation of the already-encoded children: the children are sized
+// once and written once, straight after the header.
+func constructed(tag int, children [][]byte) []byte {
+	n := 0
+	for _, c := range children {
+		n += len(c)
+	}
+	out := encodeHeader(make([]byte, 0, n+6), Header{Class: ClassUniversal, Tag: tag, Constructed: true}, n)
+	for _, c := range children {
+		out = append(out, c...)
+	}
+	return out
+}
+
 // Sequence encodes a SEQUENCE whose content is the concatenation of the
 // already-encoded children.
-func Sequence(children ...[]byte) []byte {
-	return universal(TagSequence, true, bytes.Join(children, nil))
-}
+func Sequence(children ...[]byte) []byte { return constructed(TagSequence, children) }
 
 // Set encodes a SET with the already-encoded children in the given order.
 // (Proper DER SET OF ordering is the caller's responsibility; X.509 RDNs in
 // this codebase always contain a single attribute.)
-func Set(children ...[]byte) []byte {
-	return universal(TagSet, true, bytes.Join(children, nil))
-}
+func Set(children ...[]byte) []byte { return constructed(TagSet, children) }
 
 // Bool encodes a BOOLEAN.
 func Bool(v bool) []byte {

@@ -41,7 +41,10 @@ func TestEveryExperimentMatchesPaperShape(t *testing.T) {
 		t.Fatalf("experiments = %d, want 24", len(results))
 	}
 	seen := map[string]bool{}
-	for _, res := range results {
+	for i, res := range results {
+		if res.ID != table[i].id {
+			t.Errorf("experiment %d: the table says %q, its result %q", i, table[i].id, res.ID)
+		}
 		if seen[res.ID] {
 			t.Errorf("duplicate experiment ID %s", res.ID)
 		}
@@ -59,6 +62,23 @@ func TestEveryExperimentMatchesPaperShape(t *testing.T) {
 		if !seen[id] {
 			t.Errorf("experiment %s missing", id)
 		}
+	}
+}
+
+// TestRunSelects: Run runs the named experiments and nothing else, in
+// paper order, and names the valid IDs when it is given one that is not.
+func TestRunSelects(t *testing.T) {
+	r := testRunner(t)
+	results, err := r.Run("table1", "fig1", "table1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 2 || results[0].ID != "fig1" || results[1].ID != "table1" {
+		t.Fatalf("Run(table1, fig1, table1) returned %d results, want fig1 then table1", len(results))
+	}
+	if _, err := r.Run("fig1", "fig12"); err == nil ||
+		!strings.Contains(err.Error(), "fig12") || !strings.Contains(err.Error(), "ext-cascade") {
+		t.Fatalf("Run with an unknown ID: %v, want an error naming it and the valid ones", err)
 	}
 }
 
