@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race race-hot flake bench-smoke bench bench-all bench-crl bench-crl-check bench-fleet bench-fleet-check bench-revdb bench-revdb-check bench-world bench-world-check bench-cascade bench-cascade-check bench-scenario bench-scenario-check chaos fuzz-short
+.PHONY: check vet build test race race-hot flake bench-smoke bench bench-all bench-crl bench-crl-check bench-fleet bench-fleet-check bench-revdb bench-revdb-check bench-world bench-world-check bench-scenario bench-scenario-check chaos fuzz-short
 
 # check is the full pre-merge gate: static checks, race-enabled tests on
 # the concurrency-hot packages and then the whole tree (including the
@@ -9,7 +9,7 @@ GO ?= go
 # its fixed seeds, a short fuzz pass over the
 # DER-facing parsers, and a one-iteration smoke of the end-to-end
 # world-build benchmark.
-check: vet build race-hot race flake chaos fuzz-short bench-smoke bench-crl-check bench-fleet-check bench-revdb-check bench-world-check bench-cascade-check bench-scenario-check
+check: vet build race-hot race flake chaos fuzz-short bench-smoke bench-crl-check bench-fleet-check bench-revdb-check bench-world-check bench-scenario-check
 
 # vet also fails on any file gofmt would rewrite, and names it.
 vet:
@@ -129,14 +129,6 @@ bench-world:
 bench-world-check:
 	$(GO) run ./cmd/benchworld -check BENCH_pr7.json -quick
 
-# bench-cascade regenerates BENCH_pr9.json: the filter-cascade record
-# (snapshot + daily-delta bytes/day/client vs CRLSet vs raw CRLs for both
-# the Bloom and ribbon level families, the per-issuer sharded ribbon
-# chain, the zero-FP/zero-FN exactness audits, and the fully-offline
-# fleet phases for all three installed representations).
-bench-cascade:
-	$(GO) run ./cmd/benchcascade -o BENCH_pr9.json
-
 # bench-scenario regenerates BENCH_pr10.json: the scenario-engine tail-
 # latency record of the headline Heartbleed preset (one million simulated
 # clients against the CDN-fronted responder tier: per-phase p50/p99/p999
@@ -153,11 +145,3 @@ bench-scenario:
 bench-scenario-check:
 	$(GO) run ./cmd/scenario -check BENCH_pr10.json -quick
 
-# bench-cascade-check is the regression gate in `make check`: it re-runs
-# the publisher and offline-fleet phases on a small world and fails if
-# any gate (bandwidth ratios, exact coverage, offline allocs/verdict,
-# zero network, ribbon snapshot <=0.70x Bloom, sharded ribbon below the
-# CRLSet budget, ribbon probes within 2x Bloom ns/verdict, equal fleet
-# digests) breaks or allocs regress against BENCH_pr9.json.
-bench-cascade-check:
-	$(GO) run ./cmd/benchcascade -check BENCH_pr9.json -quick

@@ -9,7 +9,6 @@
 //
 //	cascadegen [-scale 0.01] [-seed 1] [-store mem|disk] [-storedir DIR]
 //	           [-world mem|disk] [-worlddir DIR]
-//	           [-levelkind bloom|ribbon|auto]
 //	           [-cascadedir DIR] [-full-study] [-verify]
 //
 // By default additions are dated by crawl observation (the first day the
@@ -47,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	worldBackend := fs.String("world", "mem", "corpus backend: mem keeps sighting runs resident, disk spills sealed scan segments")
 	worldDir := fs.String("worlddir", "", "corpus spill directory (default: a temp dir removed on exit)")
 	cascadeDir := fs.String("cascadedir", "", "write the snapshot/delta artifact chain to this directory")
-	levelKind := fs.String("levelkind", "bloom", "level representation: bloom, ribbon, or auto (smaller of the two per level)")
 	fullStudy := fs.Bool("full-study", false, "publish daily over the whole study period, additions dated by RevokedAt")
 	verify := fs.Bool("verify", false, "replay the delta chain and audit the final filter against ground truth")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -58,10 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fatal := func(err error) int {
 		fmt.Fprintln(stderr, "cascadegen:", err)
 		return 1
-	}
-	kind, err := cascade.ParseLevelKind(*levelKind)
-	if err != nil {
-		return fatal(err)
 	}
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
@@ -102,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fatal(err)
 	}
-	series, err := feed.PublishKind(kind)
+	series, err := feed.PublishKind(cascade.KindRibbon)
 	if err != nil {
 		return fatal(err)
 	}
@@ -119,7 +113,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "epochs published:   %d (%s..%s)\n",
 		len(series.Days), first.Format("2006-01-02"), last.Format("2006-01-02"))
 	fmt.Fprintf(stdout, "revocations:        %d under %d parents\n", feed.Revocations, len(feed.Parents))
-	fmt.Fprintf(stdout, "level kind:         %s\n", kind)
 	fmt.Fprintf(stdout, "day-zero snapshot:  %d bytes\n", len(series.First))
 	fmt.Fprintf(stdout, "final snapshot:     %d bytes\n", len(series.Final))
 	fmt.Fprintf(stdout, "delta chain:        %d bytes over %d days (%.0f B/day)\n",

@@ -280,7 +280,7 @@ func runFleet(cfg Config, stdout io.Writer) (*Report, error) {
 	}); err != nil {
 		return nil, err
 	}
-	cascadeRes, err := measure("cascade-fastpath", fleet.RunOptions{Workers: cfg.Workers, Cascade: true})
+	cascadeRes, err := measure("cascade-fastpath", fleet.RunOptions{Workers: cfg.Workers, CascadeRibbon: true})
 	if err != nil {
 		return nil, err
 	}

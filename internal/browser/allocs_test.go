@@ -2,14 +2,16 @@ package browser
 
 import (
 	"testing"
+	"time"
 
+	"repro/internal/cascade"
 	"repro/internal/crlset"
 	"repro/internal/x509x"
 )
 
-// TestWarmVerdictAllocatesNothing gates the four verdicts a fleet makes
+// TestWarmVerdictAllocatesNothing gates the five verdicts a fleet makes
 // by the million: an OCSP answer and a CRL out of the shared cache, and
-// the installed shard set and CRLSet answering offline. With a reused
+// the installed cascade, shard set and CRLSet answering offline. With a reused
 // Verdict each costs exactly zero allocations, on a three-element chain
 // (two checks per verdict).
 func TestWarmVerdictAllocatesNothing(t *testing.T) {
@@ -23,6 +25,11 @@ func TestWarmVerdictAllocatesNothing(t *testing.T) {
 	}{
 		{"ocsp-cache-hit", ocspOnly, func(w *world, c *Client, _ []*x509x.Certificate) { c.Cache = NewCache() }},
 		{"crl-cache-hit", crlOnly, func(w *world, c *Client, _ []*x509x.Certificate) { c.Cache = NewCache() }},
+		{"cascade", ocspOnly, func(w *world, c *Client, chain []*x509x.Certificate) {
+			c.Cascade = buildChainCascade(t, [][]*x509x.Certificate{chain}, nil, cascade.BuildConfig{
+				Epoch: 1, BuiltAt: w.clock.Now(), MaxAge: 48 * time.Hour,
+			})
+		}},
 		{"cascade-shards", ocspOnly, func(w *world, c *Client, chain []*x509x.Certificate) {
 			c.CascadeShards = buildShardInstall(t, [][]*x509x.Certificate{chain}, nil, w.clock.Now(), nil)
 		}},

@@ -314,7 +314,7 @@ func TestCascadeKeyMatchesBloomKey(t *testing.T) {
 	}
 }
 
-// buildShardInstall builds one ribbon-level shard per issuer of the
+// buildShardInstall builds one cascade shard per issuer of the
 // chains a test will present (which share their issuers), each over the
 // chain elements that issuer signed plus a synthetic population, pins
 // them all under a signed manifest, and installs only the shards the
@@ -342,7 +342,7 @@ func buildShardInstall(t *testing.T, chains [][]*x509x.Certificate, revokedSeria
 		}
 		visit := visitUnder(known, p)
 		f, err := cascade.Build(revoked, visit, []cascade.Parent{p}, cascade.BuildConfig{
-			Epoch: 1, BuiltAt: now, MaxAge: 48 * time.Hour, LevelKind: cascade.KindRibbon,
+			Epoch: 1, BuiltAt: now, MaxAge: 48 * time.Hour,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,24 +1,26 @@
-// Package cascade implements a CRLite-style multi-level Bloom filter
-// cascade over the full revocation corpus: a push-based artifact that is
-// both complete (every revocation is represented) and exact for every
-// enrolled certificate, unlike the <1%-coverage CRLSet and the
-// false-positive-prone single Bloom filter of §7.4.
+// Package cascade implements a CRLite-style filter cascade over the full
+// revocation corpus: a push-based artifact that is both complete (every
+// revocation is represented) and exact for every enrolled certificate,
+// unlike the <1%-coverage CRLSet and the false-positive-prone single
+// Bloom filter of §7.4.
 //
 // # Construction
 //
-// Level 1 is a Bloom filter over the revoked key set R at a low
-// false-positive rate (p≈1/128, k=7). Level 2 holds the *false positives*
-// of level 1: every enrolled non-revoked key that level 1 wrongly claims,
-// discovered by streaming the entire known-certificate population
-// (corpus.Corpus.Visit) through level 1. Level 3 holds the revoked keys
-// that level 2 wrongly claims, and so on, alternating between subsets of
-// R and subsets of the population, each level at p≈1/2 (k=1), until a
-// level captures no false positives. Because every wrong answer at level
-// i is enumerated exactly at level i+1, the final structure gives the
-// ground-truth answer for every key that was in R or in the streamed
-// population at build time — zero false positives, zero false negatives.
-// Each level salts its hashes with the level index so false positives do
-// not correlate across levels (an unsalted cascade can fail to converge).
+// Level 1 is a ribbon filter over the revoked key set R with 7-bit
+// fingerprints (false-positive rate ≈2^-7), solved exactly for R. Level 2
+// holds the *false positives* of level 1: every enrolled non-revoked key
+// that level 1 wrongly claims, discovered by streaming the entire
+// known-certificate population (corpus.Corpus.Visit) through level 1.
+// Level 3 holds the revoked keys that level 2 wrongly claims, and so on,
+// alternating between subsets of R and subsets of the population, each
+// level at p≈1/2, until a level captures no false positives. A deep level
+// is a 1-bit ribbon or a k=1 Bloom filter, whichever encodes smaller for
+// its key count. Because every wrong answer at level i is enumerated
+// exactly at level i+1, the final structure gives the ground-truth answer
+// for every key that was in R or in the streamed population at build
+// time — zero false positives, zero false negatives. Each level salts its
+// hashes with the level index so false positives do not correlate across
+// levels (an unsalted cascade can fail to converge).
 //
 // A key is the issuing CA's SPKI hash (32 bytes) followed by the
 // canonical serial magnitude (serialx.Canon) — the same layout
@@ -34,19 +36,19 @@
 //
 // # Updates
 //
-// A Publisher maintains a daily chain: adds are OR'd into the fixed-size
-// level 1 (or, on a ribbon chain, stashed beside a frozen solution),
-// removals simply leave their claim standing (a removed key becomes a
-// level-1 false positive, level 2 captures it, and the verdict flips back
-// to Good — exactness is preserved without bit deletion). The publisher
-// reads the known population once per chain and keeps, between epochs,
-// the key sets the deep levels were built from; a day's churn moves those
-// sets by the keys it names, the levels above the first set that moved
-// are kept and the ones from there down are solved again, and a day
-// without churn republishes them all. Each epoch ships as a full snapshot
-// plus a binary delta against the previous snapshot, CRC-fenced on both
-// ends so a client can never apply a delta to the wrong base (see
-// delta.go).
+// A Publisher maintains a daily chain: level 1 is a frozen solution and
+// adds are stashed beside it (a tail append to its side list) until the
+// stash outgrows its budget and level 1 is solved again; removals simply
+// leave their claim standing (a removed key becomes a level-1 false
+// positive, level 2 captures it, and the verdict flips back to Good —
+// exactness is preserved without touching level 1). The publisher reads
+// the known population once per chain and keeps, between epochs, the key
+// sets the deep levels were built from; a day's churn moves those sets
+// by the keys it names, the levels above the first set that moved are
+// kept and the ones from there down are solved again, and a day without
+// churn republishes them all. Each epoch ships as a full snapshot plus a
+// binary delta against the previous snapshot, CRC-fenced on both ends so
+// a client can never apply a delta to the wrong base (see delta.go).
 package cascade
 
 import (
@@ -66,11 +68,9 @@ const (
 	// level populations are not shrinking (pathological correlation) and
 	// the build errors out rather than looping.
 	maxLevels = 64
-	// level1K is the hash count of level 1, giving p = 2^-7 at the sized
-	// capacity so level 2 stays ~1% of the population.
-	level1K = 7
-	// level1RBits / deepRBits are the ribbon fingerprint widths matching
-	// the Bloom levels' false-positive targets (2^-7 and 2^-1).
+	// level1RBits / deepRBits are the ribbon fingerprint widths of level 1
+	// and of the deep levels: false-positive targets 2^-7, so level 2
+	// stays ~1% of the population, and 2^-1.
 	level1RBits = 7
 	deepRBits   = 1
 	// ParentSize is the byte length of an issuer key hash (SHA-256 of
@@ -82,52 +82,17 @@ const (
 // (the same value crlset.Parent holds).
 type Parent [ParentSize]byte
 
-// LevelKind selects the per-level filter representation a build or a
-// publisher chain uses. The zero value is the original all-Bloom cascade
-// so existing callers (and the CASC v1 wire format) are unchanged.
+// LevelKind names a cascade chain kind. There is one, KindRibbon, and no
+// code reads a LevelKind value: the type, its constant and the fields and
+// parameters that carry it stay only because the benchmark harness
+// (bench/layers.go) names them.
 type LevelKind uint8
 
-const (
-	// KindBloom builds every level as a salted Bloom filter — the CASC
-	// v1 representation, byte-compatible with pre-ribbon artifacts.
-	KindBloom LevelKind = iota
-	// KindRibbon builds level 1 as a bucketed ribbon filter (~2.5x
-	// fewer bits than a capacity-sized Bloom) and picks whichever
-	// representation encodes smaller for each deep level.
-	KindRibbon
-	// KindAuto is KindRibbon under a name tooling can default to: the
-	// size comparison already picks the smaller representation per
-	// level, so "auto" and "ribbon" coincide.
-	KindAuto
-)
+// KindRibbon is the one chain kind: a ribbon level 1 and, for each deep
+// level, whichever of ribbon and Bloom encodes smaller.
+const KindRibbon LevelKind = 1
 
-func (k LevelKind) String() string {
-	switch k {
-	case KindBloom:
-		return "bloom"
-	case KindRibbon:
-		return "ribbon"
-	case KindAuto:
-		return "auto"
-	default:
-		return fmt.Sprintf("LevelKind(%d)", uint8(k))
-	}
-}
-
-// ParseLevelKind maps the -levelkind flag spellings.
-func ParseLevelKind(s string) (LevelKind, error) {
-	switch s {
-	case "bloom":
-		return KindBloom, nil
-	case "ribbon":
-		return KindRibbon, nil
-	case "auto":
-		return KindAuto, nil
-	}
-	return 0, fmt.Errorf("cascade: unknown level kind %q (want bloom|ribbon|auto)", s)
-}
-
-// levelKind is the on-wire per-level representation tag (CASC v2).
+// levelKind is the on-wire per-level representation tag.
 type levelKind uint8
 
 const (
@@ -193,14 +158,6 @@ func mergeSorted(a, b []uint32) []uint32 {
 		}
 	}
 	return append(append(out, a...), b...)
-}
-
-// sizeLevel1 returns the level-1 bit count for the given key capacity:
-// m = n·k/ln2 (so the filter runs at p = 2^-k when full), rounded up to
-// a 64-bit multiple.
-func sizeLevel1(capacity int) uint64 {
-	m := uint64(float64(capacity)*float64(level1K)/0.6931471805599453) + 1
-	return (m + 63) &^ 63
 }
 
 // sizeDeep returns the bit count of a deep (k=1) level holding n keys:
@@ -312,10 +269,13 @@ func packHashes(hs []uint32) []byte {
 func bloomLevelBytes(n int) int  { return 1 + levelHeaderSize + int(sizeDeep(n)/8) }
 func ribbonLevelBytes(n int) int { return 1 + ribbon.EstimateBytes(n, deepRBits) }
 
-// makeDeepLevel builds one deep level over keys, choosing the smaller
-// encoding when the chain allows ribbon levels (ties go to Bloom).
-func makeDeepLevel(salt byte, keys [][]byte, kind LevelKind) (level, error) {
-	if kind != KindBloom && ribbonLevelBytes(len(keys)) < bloomLevelBytes(len(keys)) {
+// makeDeepLevel builds one deep level over keys in whichever
+// representation encodes smaller for their count (ties go to Bloom). A
+// handful of keys — the tail of every cascade — is cheaper as a few
+// bytes of k=1 Bloom bits than as a ribbon's fixed header and bucket
+// granularity.
+func makeDeepLevel(salt byte, keys [][]byte) (level, error) {
+	if ribbonLevelBytes(len(keys)) < bloomLevelBytes(len(keys)) {
 		rib, bumped, err := ribbon.Build(salt, keys, deepRBits)
 		if err != nil {
 			return level{}, err
@@ -400,48 +360,9 @@ func (f *Filter) Revoked(key []byte) bool {
 	return len(f.levels)%2 == 1
 }
 
-// wireVersion returns the CASC version the filter encodes as: v1 when
-// every level is Bloom (byte-compatible with pre-ribbon artifacts), v2
-// as soon as any level is a ribbon.
-func (f *Filter) wireVersion() byte {
-	for i := range f.levels {
-		if f.levels[i].kind != kindBloom {
-			return formatVersion2
-		}
-	}
-	return formatVersion
-}
-
-// RibbonLevels returns how many levels use the ribbon representation.
-func (f *Filter) RibbonLevels() int {
-	n := 0
-	for i := range f.levels {
-		if f.levels[i].kind == kindRibbon {
-			n++
-		}
-	}
-	return n
-}
-
-// SideEntries returns the total exact side-list entries (bumped rows
-// plus publisher stash) across all levels.
-func (f *Filter) SideEntries() int {
-	n := 0
-	for i := range f.levels {
-		n += len(f.levels[i].side) / 4
-	}
-	return n
-}
-
 // SizeBytes returns the encoded snapshot size.
 func (f *Filter) SizeBytes() int {
 	n := headerSize + len(f.parents) + crcSize
-	if f.wireVersion() == formatVersion {
-		for _, l := range f.levels {
-			n += levelHeaderSize + len(l.bits)
-		}
-		return n
-	}
 	for i := range f.levels {
 		l := &f.levels[i]
 		n++ // kind byte
@@ -480,23 +401,8 @@ type BuildConfig struct {
 	// MaxAge is how long clients may treat the snapshot as fresh.
 	// Zero means forever.
 	MaxAge time.Duration
-	// Level1Capacity fixes the level-1 key capacity (and therefore its
-	// size) independently of the current |R|, so a publisher can OR
-	// daily additions into the same bit array. Zero sizes for
-	// 2·|R|+64. Bloom levels only: a ribbon level 1 is solved exactly
-	// for the build's key set (a publisher absorbs growth in its stash
-	// instead of in slack bits), so the capacity knob does not apply.
-	Level1Capacity int
-	// LevelKind selects the level representation. The zero value keeps
-	// the all-Bloom CASC v1 cascade.
+	// LevelKind is not read: there is one chain kind (see LevelKind).
 	LevelKind LevelKind
-}
-
-func (cfg *BuildConfig) capacity(nRevoked int) int {
-	if cfg.Level1Capacity > 0 {
-		return cfg.Level1Capacity
-	}
-	return 2*nRevoked + 64
 }
 
 // buildDeepLevels constructs levels 2..L given a finished level 1, in
@@ -506,7 +412,7 @@ func (cfg *BuildConfig) capacity(nRevoked int) int {
 // reference a Publisher is tested against: it finds the same key sets
 // from what it kept of the previous epoch and calls buildFromCandidates
 // from the first level whose set moved.
-func buildDeepLevels(lvl1 level, revoked map[string]bool, visitKnown func(func(key []byte) bool), kind LevelKind) ([]level, error) {
+func buildDeepLevels(lvl1 level, revoked map[string]bool, visitKnown func(func(key []byte) bool)) ([]level, error) {
 	// D2: enrolled non-revoked keys that level 1 wrongly claims. This is
 	// the only pass over the full population; later levels winnow the
 	// two materialized false-positive lists.
@@ -521,7 +427,7 @@ func buildDeepLevels(lvl1 level, revoked map[string]bool, visitKnown func(func(k
 	for k := range revoked {
 		fromRev = append(fromRev, []byte(k))
 	}
-	levels, _, err := buildFromCandidates([]level{lvl1}, fromPop, fromRev, kind)
+	levels, _, err := buildFromCandidates([]level{lvl1}, fromPop, fromRev)
 	return levels, err
 }
 
@@ -537,13 +443,13 @@ func buildDeepLevels(lvl1 level, revoked map[string]bool, visitKnown func(func(k
 // key set alone, not of the order the keys come in, which is what lets a
 // prefix built on another day stand. sets[j] is the key set of the j-th
 // level built here (sets[0] is cur); the keys alias the caller's.
-func buildFromCandidates(levels []level, cur, other [][]byte, kind LevelKind) (_ []level, sets [][][]byte, err error) {
+func buildFromCandidates(levels []level, cur, other [][]byte) (_ []level, sets [][][]byte, err error) {
 	for len(cur) > 0 {
 		if len(levels) >= maxLevels {
 			return nil, nil, fmt.Errorf("cascade: build exceeded %d levels (hash correlation?)", maxLevels)
 		}
 		salt := byte(len(levels))
-		lv, err := makeDeepLevel(salt, cur, kind)
+		lv, err := makeDeepLevel(salt, cur)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -570,24 +476,16 @@ func Build(revoked [][]byte, visitKnown func(func(key []byte) bool), parents []P
 	for _, k := range revoked {
 		revSet[string(k)] = true
 	}
-	var lvl1 level
-	if cfg.LevelKind == KindBloom {
-		lvl1 = newLevel(level1K, sizeLevel1(cfg.capacity(len(revSet))))
-		for k := range revSet {
-			lvl1.add(0, []byte(k))
-		}
-	} else {
-		keys := make([][]byte, 0, len(revSet))
-		for k := range revSet {
-			keys = append(keys, []byte(k))
-		}
-		rib, bumped, err := ribbon.Build(0, keys, level1RBits)
-		if err != nil {
-			return nil, err
-		}
-		lvl1 = ribbonLevel(rib, packHashes(truncateHashes(bumped)))
+	keys := make([][]byte, 0, len(revSet))
+	for k := range revSet {
+		keys = append(keys, []byte(k))
 	}
-	levels, err := buildDeepLevels(lvl1, revSet, visitKnown, cfg.LevelKind)
+	rib, bumped, err := ribbon.Build(0, keys, level1RBits)
+	if err != nil {
+		return nil, err
+	}
+	lvl1 := ribbonLevel(rib, packHashes(truncateHashes(bumped)))
+	levels, err := buildDeepLevels(lvl1, revSet, visitKnown)
 	if err != nil {
 		return nil, err
 	}

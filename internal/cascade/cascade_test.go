@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -46,6 +47,54 @@ func (w *synthWorld) visit(fn func(key []byte) bool) {
 }
 
 var t0 = time.Date(2015, 3, 1, 0, 0, 0, 0, time.UTC)
+
+// levelOffsets returns the file offset of each level's kind byte in f's
+// encoding.
+func levelOffsets(f *Filter) []int {
+	offs := make([]int, len(f.levels))
+	pos := headerSize + len(f.parents)
+	for i := range f.levels {
+		l := &f.levels[i]
+		offs[i] = pos
+		pos++
+		if l.kind == kindRibbon {
+			pos += l.rib.EncodedLen()
+		} else {
+			pos += levelHeaderSize + len(l.bits)
+		}
+		pos += sideCountSize + 4*sideCapEntries(len(l.side)/4, i)
+	}
+	return offs
+}
+
+// craft frames raw level encodings as a CRC-valid snapshot of the given
+// version with no parents, so a test can state a file the encoder never
+// writes.
+func craft(version byte, levels ...[]byte) []byte {
+	b := append([]byte(snapMagic), version)
+	b = binary.LittleEndian.AppendUint32(b, 1) // epoch
+	b = binary.LittleEndian.AppendUint64(b, uint64(t0.Unix()))
+	b = binary.LittleEndian.AppendUint64(b, uint64(t0.Unix()))
+	b = binary.LittleEndian.AppendUint32(b, 0) // maxAge
+	b = binary.LittleEndian.AppendUint32(b, 0) // nRevoked
+	b = binary.LittleEndian.AppendUint32(b, 0) // nParents
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(levels)))
+	for _, l := range levels {
+		b = append(b, l...)
+	}
+	return binary.LittleEndian.AppendUint32(b, CRC(b))
+}
+
+// bloomHeader is a Bloom level's k and mBits fields; the bits follow.
+func bloomHeader(k uint32, mBits uint64) []byte {
+	return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(nil, k), mBits)
+}
+
+// v2Level frames one level payload the way version 2 does: kind byte,
+// payload, empty side list.
+func v2Level(kind levelKind, payload []byte) []byte {
+	return binary.LittleEndian.AppendUint32(append([]byte{byte(kind)}, payload...), 0)
+}
 
 // TestBuildExactness is the core zero-FP/zero-FN property on synthetic
 // data: every enrolled key, revoked or not, gets the ground-truth
@@ -135,6 +184,16 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := f.Encode()
+	bloomOff := -1 // the k field of the first deep level encoded as Bloom
+	for i, off := range levelOffsets(f) {
+		if f.levels[i].kind == kindBloom {
+			bloomOff = off + 1
+			break
+		}
+	}
+	if bloomOff < 0 {
+		t.Fatal("build has no Bloom deep level to corrupt")
+	}
 
 	for cut := 0; cut < len(enc); cut += 97 {
 		if _, err := Decode(enc[:cut]); err == nil {
@@ -150,18 +209,12 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	// Semantically hostile with a recomputed (valid) CRC: the decoder
 	// must still reject on structural checks.
-	refence := func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b[len(b)-4:], CRC(b[:len(b)-4]))
-		return b
-	}
 	hostile := map[string]func([]byte){
 		"zero levels":     func(b []byte) { binary.LittleEndian.PutUint32(b[37:], 0) },
 		"too many levels": func(b []byte) { binary.LittleEndian.PutUint32(b[37:], 1000) },
 		"huge parents":    func(b []byte) { binary.LittleEndian.PutUint32(b[33:], 1<<23) },
-		"zero hash count": func(b []byte) { binary.LittleEndian.PutUint32(b[headerSize+f.NumParents()*ParentSize:], 0) },
-		"oversized mbits": func(b []byte) {
-			binary.LittleEndian.PutUint64(b[headerSize+f.NumParents()*ParentSize+4:], 1<<60)
-		},
+		"zero hash count": func(b []byte) { binary.LittleEndian.PutUint32(b[bloomOff:], 0) },
+		"oversized mbits": func(b []byte) { binary.LittleEndian.PutUint64(b[bloomOff+4:], 1<<60) },
 		"unsorted parents": func(b []byte) {
 			p := b[headerSize : headerSize+2*ParentSize]
 			q := make([]byte, ParentSize)
@@ -177,19 +230,23 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+	// A well-formed version-1 (all-Bloom) file: a format older builds
+	// wrote and this one no longer reads.
+	v1 := craft(1, append(bloomHeader(7, 64), make([]byte, 8)...))
+	if _, err := Decode(v1); err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 1") {
+		t.Errorf("version-1 snapshot: err = %v", err)
+	}
 }
 
-// chainWorld simulates daily churn for publisher tests: a growing
-// population with daily adds and occasional removals.
-func runChain(t *testing.T, days int, cap int, withRemovals bool, kind LevelKind) (*Publisher, [][]byte, [][]byte, *synthWorld) {
+// runChain simulates daily churn for publisher tests: a growing
+// population with 40 adds a day and occasional removals.
+func runChain(t *testing.T, days int, withRemovals bool) (*Publisher, [][]byte, [][]byte, *synthWorld) {
 	t.Helper()
 	w := newSynthWorld(5, 4, 12000, 0)
 	pub := NewPublisher(PublishConfig{
-		Parents:        w.parents,
-		VisitKnown:     w.visit,
-		MaxAge:         72 * time.Hour,
-		Level1Capacity: cap,
-		LevelKind:      kind,
+		Parents:    w.parents,
+		VisitKnown: w.visit,
+		MaxAge:     72 * time.Hour,
 	})
 	rng := rand.New(rand.NewSource(99))
 	var snaps, deltas [][]byte
@@ -254,7 +311,7 @@ func TestDeltaChainRoundTrip(t *testing.T) {
 			name = "with-removals"
 		}
 		t.Run(name, func(t *testing.T) {
-			_, snaps, deltas, _ := runChain(t, 8, 2048, removals, KindBloom)
+			_, snaps, deltas, _ := runChain(t, 8, removals)
 			cur := snaps[0]
 			for i, d := range deltas {
 				next, err := Apply(cur, d)
@@ -296,7 +353,7 @@ func lenSum(bs [][]byte) int {
 // TestDeltaFences pins the epoch fence: a delta applied to anything but
 // its exact base errors out instead of corrupting the filter.
 func TestDeltaFences(t *testing.T) {
-	_, snaps, deltas, _ := runChain(t, 4, 2048, false, KindBloom)
+	_, snaps, deltas, _ := runChain(t, 4, false)
 	if _, err := Apply(snaps[0], deltas[1]); err == nil {
 		t.Error("applied day-2 delta to day-0 base")
 	}
@@ -314,23 +371,48 @@ func TestDeltaFences(t *testing.T) {
 	}
 }
 
-// TestDeltaSizeTracksChurn: a daily delta must be proportional to the
-// day's churn, far below the full snapshot.
+// TestDeltaSizeTracksChurn: on a day level 1 stands, the delta copies its
+// frozen solution from the base instead of shipping it; what it carries
+// is the header, the day's stash entries and what lies past them. Deep
+// levels whose key set moved are solved again and ship whole, so on a
+// chain whose snapshot is mostly deep levels a day's delta comes close to
+// the snapshot's size: the bound below is the solution, not a fraction.
 func TestDeltaSizeTracksChurn(t *testing.T) {
-	_, snaps, deltas, _ := runChain(t, 6, 4096, false, KindBloom)
-	full := len(snaps[len(snaps)-1])
-	for i, d := range deltas {
-		if len(d) >= full/2 {
-			t.Errorf("delta %d is %d B, snapshot %d B — not incremental", i, len(d), full)
+	w := newSynthWorld(5, 4, 12000, 0)
+	pub := NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit})
+	standing := 0
+	for day := 0; day < 6; day++ {
+		adds := w.keys[2000+40*day : 2000+40*(day+1)]
+		if day == 0 {
+			adds = w.keys[:2000]
 		}
+		rib := pub.lvl1.rib
+		snap, d, err := pub.Advance(t0.AddDate(0, 0, day), adds, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if day == 0 || pub.lvl1.rib != rib {
+			continue
+		}
+		standing++
+		if solution := rib.EncodedLen(); len(d) > len(snap)-solution+64 {
+			t.Errorf("day %d: delta is %d B of a %d B snapshot whose frozen level 1 is %d B — it re-ships level 1", day, len(d), len(snap), solution)
+		}
+	}
+	if standing < 3 {
+		t.Fatalf("level 1 stood on %d of 5 days; the test measures nothing", standing)
 	}
 }
 
-// TestPublisherMatchesBuild: with no removals and no resize, the chain's
-// day-N snapshot must be byte-identical to a from-scratch Build with the
-// same parameters — the incremental path cannot drift.
+// TestPublisherMatchesBuild: with no removals, on a day that solves level
+// 1 again (here the last, when four days of adds outgrow the stash), the
+// chain's snapshot must be byte-identical to a from-scratch Build with
+// the same parameters — the incremental path cannot drift.
 func TestPublisherMatchesBuild(t *testing.T) {
-	pub, snaps, _, w := runChain(t, 5, 2048, false, KindBloom)
+	pub, snaps, _, w := runChain(t, 5, false)
+	if pub.StashLen() != 0 {
+		t.Fatalf("the last epoch stashed %d keys instead of re-freezing", pub.StashLen())
+	}
 	f, err := Decode(snaps[len(snaps)-1])
 	if err != nil {
 		t.Fatal(err)
@@ -345,10 +427,9 @@ func TestPublisherMatchesBuild(t *testing.T) {
 		t.Fatalf("verdict count %d != publisher set %d", len(revoked), pub.NumRevoked())
 	}
 	fresh, err := Build(revoked, w.visit, w.parents, BuildConfig{
-		Epoch:          pub.Epoch(),
-		BuiltAt:        f.BuiltAt(),
-		MaxAge:         72 * time.Hour,
-		Level1Capacity: 2048,
+		Epoch:   pub.Epoch(),
+		BuiltAt: f.BuiltAt(),
+		MaxAge:  72 * time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -358,48 +439,11 @@ func TestPublisherMatchesBuild(t *testing.T) {
 	}
 }
 
-// TestPublisherResize: outgrowing the level-1 capacity triggers a
-// rebuild that stays exact and keeps the chain appliable.
-func TestPublisherResize(t *testing.T) {
-	w := newSynthWorld(6, 2, 6000, 0)
-	pub := NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit, Level1Capacity: 64})
-	var snaps, deltas [][]byte
-	for day := 0; day < 4; day++ {
-		adds := w.keys[day*50 : (day+1)*50] // blows through 64 capacity on day 2
-		snap, delta, err := pub.Advance(t0.AddDate(0, 0, day), adds, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snaps = append(snaps, snap)
-		if delta != nil {
-			deltas = append(deltas, delta)
-		}
-	}
-	f, err := Decode(snaps[3])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range w.keys {
-		if f.Revoked(k) != (i < 200) {
-			t.Fatalf("post-resize verdict drift at key %d", i)
-		}
-	}
-	cur := snaps[0]
-	for i, d := range deltas {
-		if cur, err = Apply(cur, d); err != nil {
-			t.Fatalf("delta %d across resize: %v", i, err)
-		}
-	}
-	if !bytes.Equal(cur, snaps[3]) {
-		t.Fatal("delta chain across resize not byte-identical")
-	}
-}
-
 // TestRemovalFlipsVerdict: removing a key must flip its verdict to Good
-// while the level-1 bits stay untouched (the whitelist path).
+// while level 1's bytes stay untouched (the whitelist path).
 func TestRemovalFlipsVerdict(t *testing.T) {
 	w := newSynthWorld(7, 2, 4000, 0)
-	pub := NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit, Level1Capacity: 512})
+	pub := NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit})
 	victim := w.keys[0]
 	s1, _, err := pub.Advance(t0, [][]byte{victim, w.keys[1]}, nil)
 	if err != nil {
@@ -409,7 +453,7 @@ func TestRemovalFlipsVerdict(t *testing.T) {
 	if !f1.Revoked(victim) {
 		t.Fatal("added key not revoked")
 	}
-	s2, d2, err := pub.Advance(t0.AddDate(0, 0, 1), nil, [][]byte{victim})
+	s2, _, err := pub.Advance(t0.AddDate(0, 0, 1), nil, [][]byte{victim})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,12 +464,9 @@ func TestRemovalFlipsVerdict(t *testing.T) {
 	if f2.Revoked(w.keys[1]) != true {
 		t.Fatal("unrelated key lost")
 	}
-	info, err := InspectDelta(d2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Removes != 1 || info.Adds != 0 || info.BaseEpoch != 1 || info.TargetEpoch != 2 {
-		t.Fatalf("delta metadata %+v", info)
+	offs := levelOffsets(f1)
+	if f1.NumLevels() < 2 || levelOffsets(f2)[1] != offs[1] || !bytes.Equal(s1[offs[0]:offs[1]], s2[offs[0]:offs[1]]) {
+		t.Fatal("a removal rewrote level 1")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Delta wire format "CASD" version 1, little-endian:
@@ -16,45 +15,41 @@ import (
 //	targetEpoch uint32        4
 //	baseCRC     uint32        4   CRC-32C of the full base snapshot file
 //	targetCRC   uint32        4   CRC-32C of the full target snapshot file
-//	adds        uvarint count, then per key: uvarint len + bytes
-//	removes     same
+//	adds        uvarint 0     1   must be zero (see below)
+//	removes     uvarint 0     1   must be zero
 //	targetLen   uvarint
-//	patch       ops over the post-add intermediate (see below):
+//	patch       ops over the base snapshot:
 //	              0x00 copy    uvarint n       (n bytes from base)
 //	              0x01 replace uvarint n, uvarint m, m literal bytes
 //	                           (consume n base bytes, emit m)
 //	crc         uint32 (CRC-32C over everything before it)
 //
-// Application is two-stage. First the add keys are OR'd into the base's
-// level-1 bit array in place (using the base's own level-1 geometry) —
-// level-1 churn flips k bits per added key scattered uniformly across
-// the array, which a byte diff cannot express compactly, but the key
-// list can. Then the byte patch rewrites whatever else changed: the
-// header (epoch, counters), the daily-rebuilt deep levels, and — on a
-// level-1 resize epoch — the whole filter. Removals need no bytes at
-// all: removed keys keep their level-1 bits and flip to Good via the
-// rebuilt level-2 whitelist, so the removes list is advisory churn
-// metadata only.
+// The byte patch carries everything that changed: the header (epoch,
+// counters), the stash entries appended to level 1's side list, the deep
+// levels solved again, and — on a re-freeze epoch — level 1 itself.
+// Removals need no bytes of their own: removed keys keep their level-1
+// claim and flip to Good via the rebuilt level-2 whitelist. The two
+// counts once prefixed key lists a client replayed into an all-Bloom
+// level 1; they stay on the wire as zero bytes, so the layout and every
+// delta's bytes are unchanged, and a delta whose count is not zero is
+// rejected.
 //
 // None of this is trusted: Apply verifies the reconstructed bytes
-// against targetCRC, so a hostile or corrupt key list/patch can never
-// yield a filter that differs from the published snapshot. baseCRC is
-// the epoch fence: a client holding any snapshot other than the delta's
-// exact base fails the fence instead of corrupting its filter.
+// against targetCRC, so a hostile or corrupt patch can never yield a
+// filter that differs from the published snapshot. baseCRC is the epoch
+// fence: a client holding any snapshot other than the delta's exact base
+// fails the fence instead of corrupting its filter.
 const (
-	deltaMagic = "CASD"
+	deltaMagic   = "CASD"
+	deltaVersion = 1
 	// diffBlock is the granularity of the binary diff — an emitter
 	// tuning knob only, since the copy/replace ops are self-describing
-	// byte counts. Level-1 daily churn flips a few bits per added key
-	// (Bloom) or appends a few stash words (ribbon); 16-byte blocks
-	// ship ~16 bytes per touched spot against ~5 bytes of op overhead
-	// per run, the sweet spot for both — 64-byte blocks quadruple the
-	// literal cost of every isolated change, and byte-granular runs
-	// drown small filters in op framing.
+	// byte counts. Level-1 daily churn appends a few stash words; 16-byte
+	// blocks ship ~16 bytes per touched spot against ~5 bytes of op
+	// overhead per run — 64-byte blocks quadruple the literal cost of
+	// every isolated change, and byte-granular runs drown small filters
+	// in op framing.
 	diffBlock = 16
-	// maxDeltaKeys and maxKeyBytes bound decoded allocations.
-	maxDeltaKeys = 1 << 24
-	maxKeyBytes  = 255
 	// maxPatchBytes bounds the reconstructed snapshot size.
 	maxPatchBytes = 1 << 31
 )
@@ -65,30 +60,8 @@ type delta struct {
 	targetEpoch uint32
 	baseCRC     uint32
 	targetCRC   uint32
-	adds        [][]byte
-	removes     [][]byte
 	targetLen   uint64
 	patch       []byte // raw op stream
-}
-
-// DeltaInfo summarizes a delta file for tooling.
-type DeltaInfo struct {
-	BaseEpoch, TargetEpoch uint32
-	Adds, Removes          int
-}
-
-// InspectDelta validates a delta's framing and returns its summary.
-func InspectDelta(data []byte) (DeltaInfo, error) {
-	d, err := parseDelta(data)
-	if err != nil {
-		return DeltaInfo{}, err
-	}
-	return DeltaInfo{
-		BaseEpoch:   d.baseEpoch,
-		TargetEpoch: d.targetEpoch,
-		Adds:        len(d.adds),
-		Removes:     len(d.removes),
-	}, nil
 }
 
 func readUvarint(b []byte, pos int) (uint64, int, error) {
@@ -99,32 +72,6 @@ func readUvarint(b []byte, pos int) (uint64, int, error) {
 	return v, pos + n, nil
 }
 
-func readKeyList(b []byte, pos int) ([][]byte, int, error) {
-	count, pos, err := readUvarint(b, pos)
-	if err != nil {
-		return nil, pos, err
-	}
-	// Every key costs at least one length byte; a count beyond the
-	// remaining input is corruption, not an allocation request.
-	if count > maxDeltaKeys || count > uint64(len(b)-pos) {
-		return nil, pos, fmt.Errorf("cascade: implausible delta key count %d", count)
-	}
-	keys := make([][]byte, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var n uint64
-		n, pos, err = readUvarint(b, pos)
-		if err != nil {
-			return nil, pos, err
-		}
-		if n > maxKeyBytes || uint64(len(b)-pos) < n {
-			return nil, pos, errors.New("cascade: truncated delta key")
-		}
-		keys = append(keys, b[pos:pos+int(n)])
-		pos += int(n)
-	}
-	return keys, pos, nil
-}
-
 func parseDelta(data []byte) (*delta, error) {
 	if len(data) < 4+1+16+crcSize {
 		return nil, errors.New("cascade: delta too short")
@@ -132,7 +79,7 @@ func parseDelta(data []byte) (*delta, error) {
 	if string(data[:4]) != deltaMagic {
 		return nil, errors.New("cascade: bad delta magic")
 	}
-	if data[4] != formatVersion {
+	if data[4] != deltaVersion {
 		return nil, fmt.Errorf("cascade: unsupported delta version %d", data[4])
 	}
 	body, crcField := data[:len(data)-crcSize], data[len(data)-crcSize:]
@@ -147,13 +94,14 @@ func parseDelta(data []byte) (*delta, error) {
 	}
 	pos := 21
 	var err error
-	d.adds, pos, err = readKeyList(body, pos)
-	if err != nil {
-		return nil, err
-	}
-	d.removes, pos, err = readKeyList(body, pos)
-	if err != nil {
-		return nil, err
+	for _, list := range []string{"add", "remove"} {
+		var n uint64
+		if n, pos, err = readUvarint(body, pos); err != nil {
+			return nil, err
+		}
+		if n != 0 {
+			return nil, fmt.Errorf("cascade: delta %s count %d, want 0", list, n)
+		}
 	}
 	d.targetLen, pos, err = readUvarint(body, pos)
 	if err != nil {
@@ -166,76 +114,13 @@ func parseDelta(data []byte) (*delta, error) {
 	return d, nil
 }
 
-// orAdds returns a copy of snapshot with each key OR'd into its level-1
-// Bloom bit array, using the snapshot's own level-1 geometry. A v2
-// snapshot whose level 1 is a ribbon has no OR-able bits — its churn
-// rides in the byte patch (stash tail append) instead, so the adds list
-// must be empty and the snapshot is copied unchanged. Errors if the
-// snapshot is too mangled to locate the level-1 region safely.
-func orAdds(snapshot []byte, adds [][]byte) ([]byte, error) {
-	if len(snapshot) < headerSize+crcSize {
-		return nil, errors.New("cascade: snapshot too short for level-1 region")
-	}
-	version := snapshot[4]
-	if version != formatVersion && version != formatVersion2 {
-		return nil, fmt.Errorf("cascade: unsupported snapshot version %d", version)
-	}
-	nParents := binary.LittleEndian.Uint32(snapshot[33:])
-	if nParents > maxParents {
-		return nil, fmt.Errorf("cascade: implausible parent count %d", nParents)
-	}
-	off := headerSize + int(nParents)*ParentSize
-	if version == formatVersion2 {
-		if len(snapshot)-crcSize < off+1 {
-			return nil, errors.New("cascade: truncated before level 1")
-		}
-		switch levelKind(snapshot[off]) {
-		case kindRibbon:
-			if len(adds) > 0 {
-				return nil, errors.New("cascade: cannot replay adds into a ribbon level 1")
-			}
-			return append([]byte(nil), snapshot...), nil
-		case kindBloom:
-			off++ // Bloom payload follows the kind byte
-		default:
-			return nil, fmt.Errorf("cascade: unknown level-1 kind %d", snapshot[off])
-		}
-	}
-	if len(snapshot)-crcSize < off+levelHeaderSize {
-		return nil, errors.New("cascade: truncated before level 1")
-	}
-	mBits := binary.LittleEndian.Uint64(snapshot[off+4:])
-	if mBits < 1 || mBits > uint64(maxLevelBytes)*8 {
-		return nil, fmt.Errorf("cascade: level-1 size %d bits out of range", mBits)
-	}
-	bitsOff := off + levelHeaderSize
-	bLen64 := int64((mBits + 7) / 8)
-	if bLen64 > int64(len(snapshot)-crcSize-bitsOff) {
-		return nil, errors.New("cascade: truncated level-1 bits")
-	}
-	bLen := int(bLen64)
-	out := append([]byte(nil), snapshot...)
-	lv := level{
-		k:     binary.LittleEndian.Uint32(snapshot[off:]),
-		mBits: mBits,
-		bits:  out[bitsOff : bitsOff+bLen],
-	}
-	if lv.k < 1 || lv.k > maxLevels {
-		return nil, fmt.Errorf("cascade: level-1 hash count %d out of range", lv.k)
-	}
-	for _, key := range adds {
-		lv.add(0, key)
-	}
-	return out, nil
-}
-
-// Apply reconstructs the target snapshot from base and a delta: the add
-// keys are OR'd into the base's level 1, then the byte patch rewrites
-// the rest. The epoch fence is enforced twice: the delta must name the
-// base snapshot's epoch AND the CRC-32C of its exact bytes, and the
-// reconstructed target must match the delta's target CRC. Any mismatch
-// is an error and the base is left untouched — a client can never end
-// up with a filter that differs from the published snapshot.
+// Apply reconstructs the target snapshot from base and a delta by
+// running the byte patch over base. The epoch fence is enforced twice:
+// the delta must name the base snapshot's epoch AND the CRC-32C of its
+// exact bytes, and the reconstructed target must match the delta's
+// target CRC. Any mismatch is an error and the base is left untouched — a
+// client can never end up with a filter that differs from the published
+// snapshot.
 func Apply(base, deltaBytes []byte) ([]byte, error) {
 	d, err := parseDelta(deltaBytes)
 	if err != nil {
@@ -250,10 +135,6 @@ func Apply(base, deltaBytes []byte) ([]byte, error) {
 	if CRC(base) != d.baseCRC {
 		return nil, errors.New("cascade: delta base CRC fence failed")
 	}
-	mid, err := orAdds(base, d.adds)
-	if err != nil {
-		return nil, err
-	}
 	out := make([]byte, 0, d.targetLen)
 	src, patch := 0, d.patch
 	pos := 0
@@ -267,10 +148,10 @@ func Apply(base, deltaBytes []byte) ([]byte, error) {
 				return nil, err
 			}
 			pos = next
-			if n == 0 || uint64(len(mid)-src) < n || uint64(len(out))+n > d.targetLen {
+			if n == 0 || uint64(len(base)-src) < n || uint64(len(out))+n > d.targetLen {
 				return nil, errors.New("cascade: delta copy out of range")
 			}
-			out = append(out, mid[src:src+int(n)]...)
+			out = append(out, base[src:src+int(n)]...)
 			src += int(n)
 		case 0x01: // replace
 			n, next, err := readUvarint(patch, pos)
@@ -282,7 +163,7 @@ func Apply(base, deltaBytes []byte) ([]byte, error) {
 				return nil, err
 			}
 			pos = next
-			if uint64(len(mid)-src) < n || uint64(len(patch)-pos) < m || uint64(len(out))+m > d.targetLen {
+			if uint64(len(base)-src) < n || uint64(len(patch)-pos) < m || uint64(len(out))+m > d.targetLen {
 				return nil, errors.New("cascade: delta replace out of range")
 			}
 			out = append(out, patch[pos:pos+int(m)]...)
@@ -302,40 +183,23 @@ func Apply(base, deltaBytes []byte) ([]byte, error) {
 }
 
 // MakeDelta builds a delta taking base to target (both encoded
-// snapshots). adds must be exactly the keys newly OR'd into the base's
-// level 1 between the two snapshots (the client replays them); removes
-// are advisory churn metadata. The byte patch is computed against the
-// post-add intermediate, so it carries only what the key replay cannot
-// express — headers, rebuilt deep levels, resizes.
-func MakeDelta(base, target []byte, adds, removes [][]byte) ([]byte, error) {
+// snapshots): a function of the two files alone.
+func MakeDelta(base, target []byte) ([]byte, error) {
 	for _, s := range [][]byte{base, target} {
 		if len(s) < headerSize+crcSize || string(s[:4]) != snapMagic {
 			return nil, errors.New("cascade: MakeDelta input is not a snapshot")
 		}
 	}
-	mid, err := orAdds(base, adds)
-	if err != nil {
-		return nil, err
-	}
 	out := make([]byte, 0, 256)
 	out = append(out, deltaMagic...)
-	out = append(out, formatVersion)
+	out = append(out, deltaVersion)
 	out = binary.LittleEndian.AppendUint32(out, binary.LittleEndian.Uint32(base[5:]))
 	out = binary.LittleEndian.AppendUint32(out, binary.LittleEndian.Uint32(target[5:]))
 	out = binary.LittleEndian.AppendUint32(out, CRC(base))
 	out = binary.LittleEndian.AppendUint32(out, CRC(target))
-	for _, list := range [][][]byte{adds, removes} {
-		out = binary.AppendUvarint(out, uint64(len(list)))
-		for _, k := range list {
-			if len(k) > maxKeyBytes {
-				return nil, fmt.Errorf("cascade: delta key of %d bytes", len(k))
-			}
-			out = binary.AppendUvarint(out, uint64(len(k)))
-			out = append(out, k...)
-		}
-	}
+	out = append(out, 0, 0) // empty add and remove lists
 	out = binary.AppendUvarint(out, uint64(len(target)))
-	out = appendPatch(out, mid, target)
+	out = appendPatch(out, base, target)
 	return binary.LittleEndian.AppendUint32(out, CRC(out)), nil
 }
 
@@ -394,48 +258,19 @@ func appendPatch(out, base, target []byte) []byte {
 // Compact merges a chain of deltas into one delta taking the chain's
 // first base directly to its last target. Every fence in the chain is
 // verified along the way (each delta is applied in sequence), then the
-// merged lists are derived from the chain's two distinct semantics: the
-// adds list is every key ever OR'd into level 1 across the chain (a key
-// added then removed keeps its bits, so its OR must still be replayed),
-// the removes list is every key whose final state in the chain is
-// removed. The patch is re-diffed base→final, so the compacted delta is
-// typically far smaller than the chain's sum.
+// patch is re-diffed base→final, so the compacted delta is typically far
+// smaller than the chain's sum.
 func Compact(base []byte, deltas [][]byte) ([]byte, error) {
 	if len(deltas) == 0 {
 		return nil, errors.New("cascade: nothing to compact")
 	}
-	added := make(map[string]bool) // ever OR'd in this chain
-	final := make(map[string]int)  // last churn op: +1 add, -1 remove
 	cur := base
 	for i, db := range deltas {
-		d, err := parseDelta(db)
-		if err != nil {
-			return nil, fmt.Errorf("cascade: compact delta %d: %w", i, err)
-		}
 		next, err := Apply(cur, db)
 		if err != nil {
 			return nil, fmt.Errorf("cascade: compact delta %d: %w", i, err)
 		}
-		for _, k := range d.adds {
-			added[string(k)] = true
-			final[string(k)] = 1
-		}
-		for _, k := range d.removes {
-			final[string(k)] = -1
-		}
 		cur = next
 	}
-	var adds, removes [][]byte
-	for k := range added {
-		adds = append(adds, []byte(k))
-	}
-	for k, op := range final {
-		if op == -1 {
-			removes = append(removes, []byte(k))
-		}
-	}
-	for _, list := range [][][]byte{adds, removes} {
-		sort.Slice(list, func(i, j int) bool { return bytes.Compare(list[i], list[j]) < 0 })
-	}
-	return MakeDelta(base, cur, adds, removes)
+	return MakeDelta(base, cur)
 }

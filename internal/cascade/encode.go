@@ -10,13 +10,10 @@ import (
 	"repro/internal/ribbon"
 )
 
-// Snapshot wire format "CASC", little-endian.
-//
-// Version 1 (all-Bloom cascades — byte-identical to pre-ribbon
-// artifacts, which must keep decoding forever):
+// Snapshot wire format "CASC" version 2, little-endian:
 //
 //	magic      "CASC"            4
-//	version    byte              1
+//	version    byte              1   always 2
 //	epoch      uint32            4
 //	builtUnix  int64             8
 //	cutoffUnix int64             8
@@ -25,21 +22,18 @@ import (
 //	nParents   uint32            4
 //	nLevels    uint32            4
 //	parents    nParents × 32         strictly ascending
-//	levels     nLevels × {k uint32, mBits uint64, bits ⌈mBits/8⌉}
-//	crc        uint32 (CRC-32C)  4   over everything before it
-//
-// Version 2 (any cascade with at least one ribbon level) keeps the
-// header and parent list byte-for-byte and adds a kind byte plus an
-// inline side list per level:
-//
 //	levels     nLevels × {kind byte, payload, side}
-//	             kind 0 (Bloom):  k uint32, mBits uint64, bits
+//	             kind 0 (Bloom):  k uint32, mBits uint64, bits ⌈mBits/8⌉
 //	             kind 1 (ribbon): ribbon wire form (see internal/ribbon)
 //	             side: count uint32, count × uint32 (publisher order;
 //	                   count must be 0 on Bloom levels); level 1 only:
 //	                   zero padding out to sideCapEntries(count) entries
 //	                   (derived from count, not a wire field)
-//	crc        uint32 (CRC-32C)
+//	crc        uint32 (CRC-32C)  4   over everything before it
+//
+// Level 1 is always a ribbon; a deep level is whichever of the two kinds
+// encodes smaller for its key count. Version 1, the all-Bloom encoding
+// older builds wrote, is no longer decoded.
 //
 // A level's side list holds truncated 32-bit hashes (ribbon.Hash64 low
 // word) of member keys the level must claim beyond its filter bits: rows
@@ -61,11 +55,8 @@ import (
 // tail of unchanged bytes.
 // Lookups sort a decoded copy in memory. Padding must be zero: a
 // nonzero pad word is non-canonical (re-encoding would not reproduce
-// the bytes) and is rejected.
-//
-// The canonical-version rule — v1 iff every level is Bloom — means each
-// filter has exactly one encoding; Decode rejects a v2 file with no
-// ribbon level so re-encoding any accepted input reproduces its bytes.
+// the bytes) and is rejected, so re-encoding any accepted input
+// reproduces its bytes.
 //
 // The layout is mmap-friendly: Decode keeps the parent list, level bit
 // arrays, ribbon planes and side lists as subslices of the input (zero
@@ -73,8 +64,7 @@ import (
 // cache.
 const (
 	snapMagic       = "CASC"
-	formatVersion   = 1
-	formatVersion2  = 2
+	snapVersion     = 2
 	headerSize      = 4 + 1 + 4 + 8 + 8 + 4 + 4 + 4 + 4
 	levelHeaderSize = 4 + 8
 	sideCountSize   = 4
@@ -128,13 +118,11 @@ func Digest(data []byte) uint64 {
 	return h.Sum64()
 }
 
-// Encode serializes the filter in its canonical CASC form: version 1
-// when every level is Bloom, version 2 otherwise.
+// Encode serializes the filter in its canonical CASC form.
 func (f *Filter) Encode() []byte {
-	version := f.wireVersion()
 	out := make([]byte, 0, f.SizeBytes())
 	out = append(out, snapMagic...)
-	out = append(out, version)
+	out = append(out, snapVersion)
 	out = binary.LittleEndian.AppendUint32(out, f.epoch)
 	out = binary.LittleEndian.AppendUint64(out, uint64(f.builtAt))
 	out = binary.LittleEndian.AppendUint64(out, uint64(f.cutoff))
@@ -145,9 +133,7 @@ func (f *Filter) Encode() []byte {
 	out = append(out, f.parents...)
 	for i := range f.levels {
 		l := &f.levels[i]
-		if version == formatVersion2 {
-			out = append(out, byte(l.kind))
-		}
+		out = append(out, byte(l.kind))
 		if l.kind == kindRibbon {
 			out = l.rib.AppendEncode(out)
 		} else {
@@ -155,12 +141,10 @@ func (f *Filter) Encode() []byte {
 			out = binary.LittleEndian.AppendUint64(out, l.mBits)
 			out = append(out, l.bits...)
 		}
-		if version == formatVersion2 {
-			count := len(l.side) / 4
-			out = binary.LittleEndian.AppendUint32(out, uint32(count))
-			out = append(out, l.side...)
-			out = append(out, make([]byte, (sideCapEntries(count, i)-count)*4)...)
-		}
+		count := len(l.side) / 4
+		out = binary.LittleEndian.AppendUint32(out, uint32(count))
+		out = append(out, l.side...)
+		out = append(out, make([]byte, (sideCapEntries(count, i)-count)*4)...)
 	}
 	return binary.LittleEndian.AppendUint32(out, CRC(out))
 }
@@ -190,13 +174,13 @@ func decodeBloomLevel(body []byte, pos, idx int) (level, int, error) {
 	return lv, pos + bLen, nil
 }
 
-// Decode parses a CASC snapshot, version 1 or 2. The returned Filter
-// aliases data — the caller must not mutate the buffer while the filter
-// is live. Every structural invariant is checked: any truncation, bit
-// flip (CRC), or semantically hostile field (out-of-range hash counts,
-// unsorted parents or side lists, level sizes that disagree with the
-// byte count, a v2 file with no ribbon level) is an error, never a panic
-// or a silently wrong filter.
+// Decode parses a CASC snapshot. The returned Filter aliases data — the
+// caller must not mutate the buffer while the filter is live. Every
+// structural invariant is checked: any truncation, bit flip (CRC), or
+// semantically hostile field (a version other than 2, out-of-range hash
+// counts, unsorted parents, level sizes that disagree with the byte
+// count, a level 1 that is not a ribbon) is an error, never a panic or a
+// silently wrong filter.
 func Decode(data []byte) (*Filter, error) {
 	if len(data) < headerSize+crcSize {
 		return nil, errors.New("cascade: snapshot too short")
@@ -204,9 +188,8 @@ func Decode(data []byte) (*Filter, error) {
 	if string(data[:4]) != snapMagic {
 		return nil, errors.New("cascade: bad snapshot magic")
 	}
-	version := data[4]
-	if version != formatVersion && version != formatVersion2 {
-		return nil, fmt.Errorf("cascade: unsupported snapshot version %d", version)
+	if data[4] != snapVersion {
+		return nil, fmt.Errorf("cascade: unsupported snapshot version %d", data[4])
 	}
 	body, crcField := data[:len(data)-crcSize], data[len(data)-crcSize:]
 	if CRC(body) != binary.LittleEndian.Uint32(crcField) {
@@ -240,15 +223,14 @@ func Decode(data []byte) (*Filter, error) {
 	}
 	pos += pLen
 	f.levels = make([]level, nLevels)
-	ribbons := 0
 	for i := range f.levels {
-		kind := kindBloom
-		if version == formatVersion2 {
-			if len(body)-pos < 1 {
-				return nil, errors.New("cascade: truncated level kind")
-			}
-			kind = levelKind(body[pos])
-			pos++
+		if len(body)-pos < 1 {
+			return nil, errors.New("cascade: truncated level kind")
+		}
+		kind := levelKind(body[pos])
+		pos++
+		if i == 0 && kind != kindRibbon {
+			return nil, fmt.Errorf("cascade: level 1 is kind %d, not a ribbon", kind)
 		}
 		switch kind {
 		case kindBloom:
@@ -264,43 +246,37 @@ func Decode(data []byte) (*Filter, error) {
 			}
 			f.levels[i] = level{kind: kindRibbon, rib: rib}
 			pos += n
-			ribbons++
 		default:
 			return nil, fmt.Errorf("cascade: level %d unknown kind %d", i+1, kind)
 		}
-		if version == formatVersion2 {
-			if len(body)-pos < sideCountSize {
-				return nil, errors.New("cascade: truncated side-list count")
-			}
-			count := binary.LittleEndian.Uint32(body[pos:])
-			pos += sideCountSize
-			if count == 0 {
-				continue
-			}
-			if f.levels[i].kind != kindRibbon {
-				return nil, errors.New("cascade: side list on a Bloom level")
-			}
-			if count > maxSideEntries {
-				return nil, fmt.Errorf("cascade: implausible side-list count %d", count)
-			}
-			capLen64 := int64(sideCapEntries(int(count), i)) * 4
-			if capLen64 > int64(len(body)-pos) {
-				return nil, errors.New("cascade: truncated side list")
-			}
-			sLen := int(count) * 4
-			side := body[pos : pos+sLen]
-			for _, b := range body[pos+sLen : pos+int(capLen64)] {
-				if b != 0 {
-					return nil, errors.New("cascade: nonzero side-list padding")
-				}
-			}
-			f.levels[i].side = side
-			f.levels[i].sideSorted = sortSide(side)
-			pos += int(capLen64)
+		if len(body)-pos < sideCountSize {
+			return nil, errors.New("cascade: truncated side-list count")
 		}
-	}
-	if version == formatVersion2 && ribbons == 0 {
-		return nil, errors.New("cascade: version 2 snapshot with no ribbon level")
+		count := binary.LittleEndian.Uint32(body[pos:])
+		pos += sideCountSize
+		if count == 0 {
+			continue
+		}
+		if kind != kindRibbon {
+			return nil, errors.New("cascade: side list on a Bloom level")
+		}
+		if count > maxSideEntries {
+			return nil, fmt.Errorf("cascade: implausible side-list count %d", count)
+		}
+		capLen64 := int64(sideCapEntries(int(count), i)) * 4
+		if capLen64 > int64(len(body)-pos) {
+			return nil, errors.New("cascade: truncated side list")
+		}
+		sLen := int(count) * 4
+		side := body[pos : pos+sLen]
+		for _, b := range body[pos+sLen : pos+int(capLen64)] {
+			if b != 0 {
+				return nil, errors.New("cascade: nonzero side-list padding")
+			}
+		}
+		f.levels[i].side = side
+		f.levels[i].sideSorted = sortSide(side)
+		pos += int(capLen64)
 	}
 	if pos != len(body) {
 		return nil, errors.New("cascade: trailing bytes after levels")

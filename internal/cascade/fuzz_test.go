@@ -4,22 +4,20 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
+	"strings"
 	"testing"
 	"time"
 )
 
-// fuzzArtifacts builds one small publisher chain per level kind and
-// returns (base snapshot, next snapshot, the delta between them) as
-// fuzz seed material.
-func fuzzArtifacts(f *testing.F, kind LevelKind) (snap0, snap1, delta []byte) {
+// fuzzArtifacts builds one small publisher chain and returns (base
+// snapshot, next snapshot, the delta between them) as fuzz seed material.
+func fuzzArtifacts(f *testing.F) (snap0, snap1, delta []byte) {
 	f.Helper()
 	w := newSynthWorld(11, 2, 1500, 0)
 	pub := NewPublisher(PublishConfig{
-		Parents:        w.parents,
-		VisitKnown:     w.visit,
-		MaxAge:         48 * time.Hour,
-		Level1Capacity: 256,
-		LevelKind:      kind,
+		Parents:    w.parents,
+		VisitKnown: w.visit,
+		MaxAge:     48 * time.Hour,
 	})
 	snap0, _, err := pub.Advance(t0, w.keys[:60], nil)
 	if err != nil {
@@ -41,6 +39,12 @@ func refence(b []byte) []byte {
 	return b
 }
 
+// withKeyList returns a CRC-valid copy of delta whose key-list count at
+// offset at (21 adds, 22 removes) is 1, followed by one one-byte key.
+func withKeyList(delta []byte, at int) []byte {
+	return refence(append(append(append([]byte(nil), delta[:at]...), 1, 1, 0xaa), delta[at+1:]...))
+}
+
 // FuzzCascadeDecode drives both binary decoders (snapshot and delta)
 // plus the delta applier with arbitrary bytes. Invariants: no input may
 // panic; any snapshot that decodes must re-encode byte-identically
@@ -48,42 +52,42 @@ func refence(b []byte) []byte {
 // whose verdicts differ from its own bytes); any delta that applies
 // must yield the exact fenced target bytes.
 func FuzzCascadeDecode(f *testing.F) {
-	snap0, snap1, delta := fuzzArtifacts(f, KindBloom)
+	snap0, snap1, delta := fuzzArtifacts(f)
 	f.Add(snap0)
 	f.Add(snap1)
 	f.Add(delta)
 	f.Add(snap0[:headerSize])
 	f.Add(delta[:21])
-	// Semantically hostile but CRC-valid seeds.
+	// Semantically hostile but CRC-valid seeds: header fields, then the
+	// version byte, the level-1 kind byte, ribbon geometry fields and the
+	// trailing side section.
 	for _, off := range []int{5, 33, 37, headerSize, len(snap0) - crcSize - 1} {
 		mut := append([]byte(nil), snap0...)
 		mut[off] ^= 0x40
 		f.Add(refence(mut))
 	}
-	for _, off := range []int{5, 9, 13, 17, 22, len(delta) - crcSize - 1} {
+	kindOff := headerSize + 2*ParentSize // level 1's kind byte (2 parents)
+	for _, mut := range [][]int{{4, 1}, {4, 3}, {kindOff, 0}, {kindOff, 2}, {kindOff, 0xff}} {
+		b := append([]byte(nil), snap0...)
+		b[mut[0]] = byte(mut[1])
+		f.Add(refence(b))
+	}
+	for _, off := range []int{kindOff + 1, kindOff + 3, kindOff + 7, len(snap0) - crcSize - 9} {
+		b := append([]byte(nil), snap0...)
+		b[off] ^= 0x40
+		f.Add(refence(b))
+	}
+	for _, off := range []int{5, 9, 13, 17, 21, 22, len(delta) - crcSize - 1} {
 		mut := append([]byte(nil), delta...)
 		mut[off] ^= 0x40
 		f.Add(refence(mut))
 	}
-	// CASC v2 (ribbon) seeds: pristine artifacts, plus CRC-valid mutants
-	// of the version byte, the level-1 kind byte, ribbon geometry fields,
-	// and the trailing side section. The canonical-version rule (v1 iff
-	// all-Bloom) makes the re-encode invariant hold across all of them.
-	rsnap0, rsnap1, rdelta := fuzzArtifacts(f, KindRibbon)
-	f.Add(rsnap0)
-	f.Add(rsnap1)
-	f.Add(rdelta)
-	kindOff := headerSize + 2*ParentSize // level 1's kind byte (2 parents)
-	for _, mut := range [][]int{{4, 1}, {4, 3}, {kindOff, 0}, {kindOff, 2}, {kindOff, 0xff}} {
-		b := append([]byte(nil), rsnap0...)
-		b[mut[0]] = byte(mut[1])
-		f.Add(refence(b))
+	// A delta whose add or remove list is not empty, and a well-formed
+	// version-1 snapshot.
+	for _, at := range []int{21, 22} {
+		f.Add(withKeyList(delta, at))
 	}
-	for _, off := range []int{kindOff + 1, kindOff + 3, kindOff + 7, len(rsnap0) - crcSize - 1, len(rsnap0) - crcSize - 9} {
-		b := append([]byte(nil), rsnap0...)
-		b[off] ^= 0x40
-		f.Add(refence(b))
-	}
+	f.Add(craft(1, append(bloomHeader(7, 64), make([]byte, 8)...)))
 
 	probe := AppendKey(nil, Parent{0x42}, []byte{0x01, 0x02})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -95,18 +99,11 @@ func FuzzCascadeDecode(f *testing.F) {
 				t.Fatal("accepted snapshot does not re-encode canonically")
 			}
 		}
-		if _, err := InspectDelta(data); err == nil {
-			if out, err := Apply(snap0, data); err == nil {
-				// The target CRC fence passed, so these must be the
-				// publisher's exact bytes.
-				if !bytes.Equal(out, snap1) {
-					t.Fatal("applied delta produced bytes that are not the fenced target")
-				}
-			}
-			if out, err := Apply(rsnap0, data); err == nil {
-				if !bytes.Equal(out, rsnap1) {
-					t.Fatal("applied ribbon delta produced bytes that are not the fenced target")
-				}
+		if out, err := Apply(snap0, data); err == nil {
+			// The target CRC fence passed, so these must be the
+			// publisher's exact bytes.
+			if !bytes.Equal(out, snap1) {
+				t.Fatal("applied delta produced bytes that are not the fenced target")
 			}
 		}
 	})
@@ -175,7 +172,7 @@ func FuzzManifest(f *testing.F) {
 // never a panic, never silently wrong bytes.
 func TestApplyRejectsHostileDeltas(t *testing.T) {
 	w := newSynthWorld(12, 2, 1500, 0)
-	pub := NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit, Level1Capacity: 256})
+	pub := NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit})
 	snap0, _, err := pub.Advance(t0, w.keys[:50], nil)
 	if err != nil {
 		t.Fatal(err)
@@ -185,12 +182,12 @@ func TestApplyRejectsHostileDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	hostile := map[string]func([]byte) []byte{
-		"wrong base epoch":  func(b []byte) []byte { b[5]++; return b },
-		"wrong base crc":    func(b []byte) []byte { b[13]++; return b },
-		"wrong target crc":  func(b []byte) []byte { b[17]++; return b },
-		"bogus op":          func(b []byte) []byte { b[len(b)-crcSize-3] = 0x7f; return b },
-		"truncated patch":   func(b []byte) []byte { return b[:len(b)-crcSize-4] },
-		"flipped add bytes": func(b []byte) []byte { b[30] ^= 0xff; return b },
+		"wrong base epoch":   func(b []byte) []byte { b[5]++; return b },
+		"wrong base crc":     func(b []byte) []byte { b[13]++; return b },
+		"wrong target crc":   func(b []byte) []byte { b[17]++; return b },
+		"bogus op":           func(b []byte) []byte { b[len(b)-crcSize-3] = 0x7f; return b },
+		"truncated patch":    func(b []byte) []byte { return b[:len(b)-crcSize-4] },
+		"flipped patch byte": func(b []byte) []byte { b[30] ^= 0xff; return b },
 		"huge target len": func(b []byte) []byte {
 			// Corrupt a patch-area byte to skew lengths downstream.
 			b[len(b)-crcSize-1] ^= 0xff
@@ -201,6 +198,18 @@ func TestApplyRejectsHostileDeltas(t *testing.T) {
 		mut := refence(mutate(append([]byte(nil), delta...)))
 		if out, err := Apply(snap0, mut); err == nil {
 			t.Errorf("%s: applied, %d bytes out", name, len(out))
+		}
+	}
+	// A key list where the wire holds an empty one: the delta is otherwise
+	// the publisher's, so only the count check can refuse it, on the
+	// direct path and on the catch-up path alike.
+	for name, at := range map[string]int{"add count 1": 21, "remove count 1": 22} {
+		mut := withKeyList(delta, at)
+		if _, err := Apply(snap0, mut); err == nil || !strings.Contains(err.Error(), "count 1, want 0") {
+			t.Errorf("%s: Apply err = %v", name, err)
+		}
+		if _, err := Compact(snap0, [][]byte{mut}); err == nil || !strings.Contains(err.Error(), "count 1, want 0") {
+			t.Errorf("%s: Compact err = %v", name, err)
 		}
 	}
 }

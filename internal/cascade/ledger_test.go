@@ -47,7 +47,6 @@ func collidingWorld(t testing.TB, nParents int) (a, b []byte, rest [][]byte, par
 // MakeDelta from the previous snapshot to that one; every verdict must be
 // the model's.
 type refChain struct {
-	kind    LevelKind
 	parents []Parent
 	known   [][]byte
 	pub     *Publisher
@@ -56,14 +55,12 @@ type refChain struct {
 	day     int
 }
 
-func newRefChain(kind LevelKind, parents []Parent, known [][]byte, capacity int) *refChain {
-	c := &refChain{kind: kind, parents: parents, known: known, model: make(map[string]bool)}
+func newRefChain(parents []Parent, known [][]byte) *refChain {
+	c := &refChain{parents: parents, known: known, model: make(map[string]bool)}
 	c.pub = NewPublisher(PublishConfig{
-		Parents:        parents,
-		VisitKnown:     c.visit,
-		MaxAge:         48 * time.Hour,
-		Level1Capacity: capacity,
-		LevelKind:      kind,
+		Parents:    parents,
+		VisitKnown: c.visit,
+		MaxAge:     48 * time.Hour,
 	})
 	return c
 }
@@ -77,28 +74,21 @@ func (c *refChain) visit(fn func(key []byte) bool) {
 }
 
 // move applies an epoch's churn to the model the way Advance documents
-// it, adds first, and returns the net lists in the caller's order.
-func (c *refChain) move(adds, removes [][]byte) (added, removed [][]byte) {
+// it, adds first.
+func (c *refChain) move(adds, removes [][]byte) {
 	for _, k := range adds {
-		if !c.model[string(k)] {
-			c.model[string(k)] = true
-			added = append(added, k)
-		}
+		c.model[string(k)] = true
 	}
 	for _, k := range removes {
-		if c.model[string(k)] {
-			delete(c.model, string(k))
-			removed = append(removed, k)
-		}
+		delete(c.model, string(k))
 	}
-	return added, removed
 }
 
 // advance publishes one epoch and checks it against the reference. It
 // returns how many known digests the publisher probed to get there.
 func (c *refChain) advance(t *testing.T, adds, removes [][]byte) (probed int) {
 	t.Helper()
-	added, removed := c.move(adds, removes)
+	c.move(adds, removes)
 	now := t0.AddDate(0, 0, c.day)
 	c.day++
 	before := c.pub.probed
@@ -108,13 +98,10 @@ func (c *refChain) advance(t *testing.T, adds, removes [][]byte) (probed int) {
 	}
 
 	lvl1 := c.pub.levels[0]
-	if lvl1.kind == kindRibbon {
-		if !slices.Equal(lvl1.sideSorted, sortSide(lvl1.side)) {
-			t.Fatalf("day %d: level 1's maintained sorted view is not its side list sorted", c.day-1)
-		}
-		lvl1 = ribbonLevel(lvl1.rib, lvl1.side)
+	if !slices.Equal(lvl1.sideSorted, sortSide(lvl1.side)) {
+		t.Fatalf("day %d: level 1's maintained sorted view is not its side list sorted", c.day-1)
 	}
-	levels, err := buildDeepLevels(lvl1, c.model, c.visit, c.kind)
+	levels, err := buildDeepLevels(ribbonLevel(lvl1.rib, lvl1.side), c.model, c.visit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +120,7 @@ func (c *refChain) advance(t *testing.T, adds, removes [][]byte) (probed int) {
 			t.Fatalf("day %d: first epoch shipped a delta", c.day-1)
 		}
 	} else {
-		if c.kind != KindBloom {
-			added, removed = nil, nil
-		}
-		wantDelta, err := MakeDelta(c.prev, want, added, removed)
+		wantDelta, err := MakeDelta(c.prev, want)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,32 +163,28 @@ func (c *refChain) inD2(k []byte) bool {
 
 // TestLedgerMatchesFromScratch walks a chain through every rule the
 // ledger has, each by construction, then through enough plain churn for
-// several re-freezes (ribbon) and resizes (Bloom): once on a population
-// of thousands under three parents, once on a one-parent chain the size
-// of a per-issuer shard.
+// several re-freezes: once on a population of thousands under three
+// parents, once on a one-parent chain the size of a per-issuer shard.
 func TestLedgerMatchesFromScratch(t *testing.T) {
 	for _, size := range []struct {
 		name                       string
 		parents, known             int
 		first, perEpoch, dropEpoch int
-		capacity                   int
 	}{
-		{"mono", 3, 4000, 300, 100, 60, 200},
-		{"shard", 1, 300, 40, 30, 25, 20},
+		{"mono", 3, 4000, 300, 100, 60},
+		{"shard", 1, 300, 40, 30, 25},
 	} {
 		a, b, rest, parents := collidingWorld(t, size.parents)
 		known := append(append([][]byte(nil), rest[:size.known]...), a, b)
 		outside := rest[size.known : size.known+50]
 		t.Run(size.name, func(t *testing.T) {
-			forBothKinds(t, func(t *testing.T, kind LevelKind) {
-				c := newRefChain(kind, parents, known, size.capacity)
-				ribbonChain := kind != KindBloom
+			asRibbon(t, func(t *testing.T) {
+				c := newRefChain(parents, known)
 				// wantDelta requires that an epoch on a standing level 1
-				// moved the ledger instead of probing the population. A
-				// Bloom level 1 stands only when the epoch ORs nothing in.
-				wantDelta := func(what string, probed int, standing bool) {
+				// moved the ledger instead of probing the population.
+				wantDelta := func(what string, probed int) {
 					t.Helper()
-					if standing && probed != 0 {
+					if probed != 0 {
 						t.Fatalf("%s: probed %d known digests, want the delta rules", what, probed)
 					}
 				}
@@ -219,23 +199,23 @@ func TestLedgerMatchesFromScratch(t *testing.T) {
 				// Rule 2: a is revoked after the freeze, so its truncated
 				// hash is stashed, and b, known and not revoked, carries
 				// the same one: level 1 now claims b.
-				wantDelta("stash collision", c.advance(t, [][]byte{a}, nil), ribbonChain)
-				if ribbonChain && !c.inD2(b) {
+				wantDelta("stash collision", c.advance(t, [][]byte{a}, nil))
+				if !c.inD2(b) {
 					t.Fatal("the stashed key's hash twin is not in level 2's key set")
 				}
 
 				// A key added and removed in one epoch: never in R, but
 				// stashed, so level 2 has to clear it.
 				x := known[size.first+1]
-				wantDelta("add and remove in one epoch", c.advance(t, [][]byte{x}, [][]byte{x}), ribbonChain)
-				if ribbonChain && !c.inD2(x) {
+				wantDelta("add and remove in one epoch", c.advance(t, [][]byte{x}, [][]byte{x}))
+				if !c.inD2(x) {
 					t.Fatal("a key added and removed in one epoch is not in level 2's key set")
 				}
 
-				// Rule 3, on an epoch that only removes (a Bloom level 1
-				// stands too): known keys, and one outside the population.
+				// Rule 3, on an epoch that only removes: known keys, and one
+				// outside the population.
 				gone := known[:5]
-				wantDelta("removes only", c.advance(t, nil, append(append([][]byte(nil), gone...), outside[0])), true)
+				wantDelta("removes only", c.advance(t, nil, append(append([][]byte(nil), gone...), outside[0])))
 				for _, k := range gone {
 					if !c.inD2(k) {
 						t.Fatal("a removed known key is not in level 2's key set")
@@ -243,27 +223,27 @@ func TestLedgerMatchesFromScratch(t *testing.T) {
 				}
 
 				// Rule 1: a removed key is revoked again and leaves.
-				wantDelta("re-add", c.advance(t, gone[:2], nil), ribbonChain)
-				if ribbonChain && c.inD2(gone[0]) {
+				wantDelta("re-add", c.advance(t, gone[:2], nil))
+				if c.inD2(gone[0]) {
 					t.Fatal("a re-added key stayed in level 2's key set")
 				}
 
 				// Churn outside the population moves R and no known key.
 				// Four of the keys come and go on the day: level 2 claims
 				// about half of them, and none belongs in level 3's set.
-				wantDelta("outside churn", c.advance(t, outside[10:18], append([][]byte{outside[1], outside[40]}, outside[14:18]...)), ribbonChain)
+				wantDelta("outside churn", c.advance(t, outside[10:18], append([][]byte{outside[1], outside[40]}, outside[14:18]...)))
 				// A quiet epoch, then a and x's twin cases in reverse:
 				// removing a leaves b claimed through the stash entry.
 				c.advance(t, nil, nil)
-				wantDelta("remove the stashed key", c.advance(t, nil, [][]byte{a}), true)
-				if !c.inD2(a) || (ribbonChain && !c.inD2(b)) {
+				wantDelta("remove the stashed key", c.advance(t, nil, [][]byte{a}))
+				if !c.inD2(a) || !c.inD2(b) {
 					t.Fatal("after removing the stashed key, it and its twin should both be in level 2's key set")
 				}
 
 				// Plain churn across several level-1 replacements.
 				rng := rand.New(rand.NewSource(22))
 				redone, fullProbes := 0, 0
-				capacity, stash := c.pub.capacity, c.pub.StashLen()
+				stash := c.pub.StashLen()
 				for i := 0; i < 25; i++ {
 					var adds, removes [][]byte
 					for len(adds) < size.perEpoch {
@@ -285,15 +265,15 @@ func TestLedgerMatchesFromScratch(t *testing.T) {
 					if c.advance(t, adds, removes) != 0 {
 						fullProbes++
 					}
-					if c.pub.capacity != capacity || c.pub.StashLen() < stash {
+					if c.pub.StashLen() < stash {
 						redone++
 					}
-					capacity, stash = c.pub.capacity, c.pub.StashLen()
+					stash = c.pub.StashLen()
 				}
 				if redone < 2 {
 					t.Fatalf("level 1 was replaced %d times in 25 epochs of churn, want several", redone)
 				}
-				if ribbonChain && fullProbes != redone {
+				if fullProbes != redone {
 					t.Fatalf("%d full probes for %d re-freezes", fullProbes, redone)
 				}
 			})
@@ -305,7 +285,7 @@ func TestLedgerMatchesFromScratch(t *testing.T) {
 // probed on the first epoch and on re-freezes, and on no other day.
 func TestChurnEpochTouchesItsChurn(t *testing.T) {
 	w := newSynthWorld(23, 4, 20000, 0)
-	pub := NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit, LevelKind: KindRibbon})
+	pub := NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit})
 	rng := rand.New(rand.NewSource(24))
 	var revoked [][]byte
 	freezes, probes := 0, 0
@@ -349,9 +329,9 @@ func TestChurnEpochTouchesItsChurn(t *testing.T) {
 // publish from either: it probes the population again and its bytes are
 // the from-scratch reference's.
 func TestFailedRebuildDropsLedger(t *testing.T) {
-	forBothKinds(t, func(t *testing.T, kind LevelKind) {
+	asRibbon(t, func(t *testing.T) {
 		w := newSynthWorld(25, 2, 3000, 0)
-		c := newRefChain(kind, w.parents, w.keys, 4096)
+		c := newRefChain(w.parents, w.keys)
 		c.advance(t, w.keys[:400], nil)
 		c.advance(t, w.keys[400:420], nil)
 		boom := errors.New("level build failed")
@@ -385,7 +365,7 @@ func TestFailedRebuildDropsLedger(t *testing.T) {
 // instead of a copy fails here.
 func TestPublishedLevelsAreNotWritten(t *testing.T) {
 	w := newSynthWorld(26, 2, 3000, 0)
-	pub := NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit, LevelKind: KindRibbon})
+	pub := NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit})
 	if _, _, err := pub.Advance(t0, w.keys[:2500], nil); err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +419,7 @@ func BenchmarkPublisherChurnEpoch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if next+10 > len(w.keys) {
 			b.StopTimer()
-			pub = NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit, LevelKind: KindRibbon})
+			pub = NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit})
 			if _, _, err := pub.Advance(t0, w.revoked(), nil); err != nil {
 				b.Fatal(err)
 			}

@@ -26,21 +26,7 @@ type PublishConfig struct {
 	VisitKnown func(fn func(key []byte) bool)
 	// MaxAge stamps each snapshot's freshness window. Zero = forever.
 	MaxAge time.Duration
-	// Level1Capacity is the initial level-1 key capacity (Bloom chains
-	// only). The level-1 bit array is sized once from it and daily
-	// additions are OR'd in place, keeping day-to-day deltas
-	// proportional to churn; when lifetime insertions outgrow the
-	// capacity the publisher resizes (a full rebuild and a large
-	// one-time delta). Zero defaults to 4096.
-	Level1Capacity int
-	// LevelKind selects the chain's level representation. KindBloom
-	// (the zero value) is the original OR-in-place Bloom chain and its
-	// CASC v1 bytes; KindRibbon/KindAuto run the succinct ribbon chain:
-	// level 1 is a frozen exact solution over R, daily additions land
-	// in an exact stash (the level's side list, a tail append in the
-	// encoding), and when the stash outgrows its budget the publisher
-	// re-freezes — a full re-solve and a large one-time delta, the same
-	// escape hatch as a Bloom resize.
+	// LevelKind is not read: there is one chain kind (see LevelKind).
 	LevelKind LevelKind
 }
 
@@ -81,19 +67,13 @@ type Publisher struct {
 	d3          map[string][]byte
 	knownByHash []uint32
 
-	// lvl1 is the current level 1. Bloom: the accumulated bit array,
-	// params fixed between resizes, written in place. Ribbon: the frozen
-	// solution and the side list, bumped rows then stash; an epoch that
-	// stashes replaces side and sideSorted with longer copies, so a level
-	// already published is never written.
+	// lvl1 is the current level 1: the frozen solution and the side list,
+	// bumped rows then stash. An epoch that stashes replaces side and
+	// sideSorted with longer copies, so a level already published is never
+	// written.
 	lvl1 level
-	// inserted counts distinct keys ever OR'd into a Bloom lvl1 — removals
-	// keep their bits, so fill (and the FP rate driving level-2 size)
-	// tracks lifetime insertions, not |R|.
-	inserted int
-	capacity int
-	// stashSet holds the truncated hashes a ribbon chain has stashed since
-	// the last freeze, frozen |R| at that freeze.
+	// stashSet holds the truncated hashes stashed since the last freeze,
+	// frozen |R| at that freeze.
 	stashSet map[uint32]bool
 	frozen   int
 
@@ -104,19 +84,10 @@ type Publisher struct {
 // NewPublisher creates an empty chain. The first Advance produces
 // epoch 1 with no delta.
 func NewPublisher(cfg PublishConfig) *Publisher {
-	p := &Publisher{
+	return &Publisher{
 		cfg:     cfg,
 		revoked: make(map[string][]byte),
 	}
-	if cfg.LevelKind == KindBloom {
-		cap := cfg.Level1Capacity
-		if cap <= 0 {
-			cap = 4096
-		}
-		p.lvl1 = newLevel(level1K, sizeLevel1(cap))
-		p.capacity = cap
-	}
-	return p
 }
 
 // Epoch returns the last published epoch (0 before the first Advance).
@@ -125,8 +96,8 @@ func (p *Publisher) Epoch() uint32 { return p.epoch }
 // NumRevoked returns the current revoked-set size.
 func (p *Publisher) NumRevoked() int { return len(p.revoked) }
 
-// StashLen returns the ribbon chain's current stash size (0 for Bloom
-// chains and right after a freeze).
+// StashLen returns the chain's current stash size (0 right after a
+// freeze).
 func (p *Publisher) StashLen() int { return len(p.stashSet) }
 
 // Snapshot returns the last published snapshot bytes (nil before the
@@ -140,23 +111,20 @@ func (p *Publisher) Snapshot() []byte { return p.prev }
 // the delta chain client-side reconstructs these exact bytes, fenced by
 // CRC at every hop.
 //
-// Bloom chains OR additions into the fixed-size level 1 and ship the
-// added keys in the delta for client-side replay. Ribbon chains leave
-// the frozen level-1 solution untouched and append additions to the
-// exact stash, which the delta's byte patch carries as a tail append.
-// Either way removals only shrink the revoked set — their level-1
-// claim stays, turning the removed keys into level-1 false positives
-// that level 2 whitelists, so the verdict flips to Good without touching
-// level-1 bytes.
+// Additions leave the frozen level-1 solution untouched and append to
+// the exact stash, which the delta's byte patch carries as a tail append.
+// Removals only shrink the revoked set — their level-1 claim stays,
+// turning the removed keys into level-1 false positives that level 2
+// whitelists, so the verdict flips to Good without touching level-1
+// bytes.
 //
 // The work is in proportion to what changed. The first Advance reads
 // the known population once (PublishConfig.VisitKnown) and probes every
-// digest it kept; so does an epoch whose level-1 claims can have moved
-// anywhere: a ribbon re-freeze, a Bloom epoch that ORs in a new key.
-// Any other epoch that newly adds or actually removes a key moves the
-// key sets of levels 2 and 3 by the day's churn (moveD2, moveD3), keeps
-// every level above the first whose set moved and solves the rest again
-// over their whole sets. An epoch with no net churn — an empty day,
+// digest it kept; so does a re-freeze, after which level 1's claims can
+// have moved anywhere. Any other epoch that newly adds or actually
+// removes a key moves the key sets of levels 2 and 3 by the day's churn
+// (moveD2, moveD3), keeps every level above the first whose set moved
+// and solves the rest again over their whole sets. An epoch with no net churn — an empty day,
 // re-adds of revoked keys, removes of keys not in R — republishes the
 // previous levels under the new epoch and build time.
 func (p *Publisher) Advance(now time.Time, adds, removes [][]byte) (snapshot, deltaBytes []byte, err error) {
@@ -185,16 +153,6 @@ func (p *Publisher) Advance(now time.Time, adds, removes [][]byte) (snapshot, de
 			return nil, nil, err
 		}
 	}
-	if p.cfg.LevelKind != KindBloom {
-		// Ribbon deltas ship no key lists at all. Adds: there is no bit
-		// array to replay them into, and the stash tail rides in the byte
-		// patch for 4 bytes per key instead of a full 33-byte key. Removes:
-		// the list is advisory everywhere (Apply only needs the patch), and
-		// at 33 bytes per key the late-study expiry churn would dominate
-		// per-issuer shard deltas — the rebuilt deep levels already carry
-		// the verdict flips.
-		added, removed = nil, nil
-	}
 
 	p.epoch++
 	f, err := assemble(p.levels, len(p.revoked), p.cfg.Parents, BuildConfig{
@@ -207,7 +165,7 @@ func (p *Publisher) Advance(now time.Time, adds, removes [][]byte) (snapshot, de
 	}
 	snapshot = f.Encode()
 	if p.prev != nil {
-		deltaBytes, err = MakeDelta(p.prev, snapshot, added, removed)
+		deltaBytes, err = MakeDelta(p.prev, snapshot)
 		if err != nil {
 			return nil, nil, fmt.Errorf("cascade: epoch %d delta: %w", p.epoch, err)
 		}
@@ -241,23 +199,13 @@ func (p *Publisher) rebuild(added, removed [][]byte) error {
 	// for a later churn epoch to move: the next one starts from nothing.
 	p.levels = nil
 
-	var stashed []uint32
-	moved := prev == nil // level 1 may claim keys it did not, anywhere
-	if p.cfg.LevelKind == KindBloom {
-		p.bloomLevel1(added)
-		moved = moved || len(added) > 0
-	} else {
-		var froze bool
-		var err error
-		if stashed, froze, err = p.ribbonLevel1(added); err != nil {
-			return err
-		}
-		moved = moved || froze
+	stashed, froze, err := p.level1(added)
+	if err != nil {
+		return err
 	}
-
 	from := 0 // the first level (1-based) whose key set moved
 	switch {
-	case moved:
+	case prev == nil || froze: // level 1 may claim keys it did not, anywhere
 		p.level2Candidates()
 		from = 2
 	case p.moveD2(added, stashed, removed):
@@ -284,7 +232,7 @@ func (p *Publisher) rebuild(added, removed [][]byte) error {
 			return err
 		}
 	}
-	levels, sets, err := buildFromCandidates(levels, cur, other, p.cfg.LevelKind)
+	levels, sets, err := buildFromCandidates(levels, cur, other)
 	if err != nil {
 		return err
 	}
@@ -440,32 +388,10 @@ func (p *Publisher) revokedKeys() [][]byte {
 	return keys
 }
 
-// bloomLevel1 ORs the epoch's new keys into the accumulated level 1.
-func (p *Publisher) bloomLevel1(added [][]byte) {
-	for _, k := range added {
-		p.lvl1.add(0, k)
-	}
-	p.inserted += len(added)
-	if p.inserted > p.capacity {
-		// Outgrown: rebuild level 1 from the live set at double the
-		// need. Clears removed keys' stale bits as a side effect. The
-		// next delta is near-full-size — rare by construction.
-		p.capacity = 2*p.inserted + 64
-		p.lvl1 = newLevel(level1K, sizeLevel1(p.capacity))
-		for _, k := range p.revoked {
-			p.lvl1.add(0, k)
-		}
-		p.inserted = len(p.revoked)
-	}
-	// The published levels share p.lvl1's live bits. That is fine: the
-	// bits only change on an epoch that adds a key, which replaces the
-	// levels, and every snapshot is a fresh byte slice.
-}
-
-// ribbonLevel1 is the succinct chain's level 1: frozen solution + exact
-// stash. It returns the truncated hashes stashed this epoch, or froze
-// when it solved level 1 again instead.
-func (p *Publisher) ribbonLevel1(added [][]byte) (stashed []uint32, froze bool, err error) {
+// level1 brings level 1 up to the epoch's additions: frozen solution +
+// exact stash. It returns the truncated hashes stashed this epoch, or
+// froze when it solved level 1 again instead.
+func (p *Publisher) level1(added [][]byte) (stashed []uint32, froze bool, err error) {
 	for _, k := range added {
 		if h := uint32(ribbon.Hash64(0, k)); !p.stashSet[h] {
 			if p.stashSet == nil {
@@ -478,9 +404,9 @@ func (p *Publisher) ribbonLevel1(added [][]byte) (stashed []uint32, froze bool, 
 	if p.lvl1.rib == nil || len(p.stashSet) > stashBudget(p.frozen) {
 		// Freeze: solve level 1 exactly for the live set, sized with
 		// only the solver's ~12% slack — no growth headroom, that is
-		// the stash's job. The next delta is near-full-size, the same
-		// rare escape hatch as a Bloom resize. A freeze that fails leaves
-		// stashSet over budget, so the next epoch tries again.
+		// the stash's job. The next delta is near-full-size, which the
+		// stash budget keeps rare. A freeze that fails leaves stashSet
+		// over budget, so the next epoch tries again.
 		keys := p.revokedKeys()
 		rib, bumps, err := ribbon.Build(0, keys, level1RBits)
 		if err != nil {
@@ -504,12 +430,10 @@ func (p *Publisher) ribbonLevel1(added [][]byte) (stashed []uint32, froze bool, 
 	return stashed, false, nil
 }
 
-// stashBudget is how many stashed keys a ribbon chain tolerates before
+// stashBudget is how many stashed keys a chain tolerates before
 // re-freezing: a sixteenth of the frozen set — at 4 bytes per stash
 // entry against the solution's ~1 byte/key, that caps the snapshot
-// bloat between freezes at ~25%, keeping the chain's published
-// artifact within the succinctness gate (≤0.70x Bloom) instead of
-// letting it double back to Bloom size. Floor 128 so small chains —
+// bloat between freezes at ~25% of level 1. Floor 128 so small chains —
 // per-issuer shards especially — still go weeks between the
 // near-full-size re-freeze deltas on modest daily churn.
 func stashBudget(frozen int) int {

@@ -27,7 +27,7 @@ type churnChain struct {
 	day     int
 }
 
-func newChurnChain(kind LevelKind) *churnChain {
+func newChurnChain() *churnChain {
 	c := &churnChain{
 		w:       newSynthWorld(11, 3, 6000, 0),
 		outside: newSynthWorld(12, 3, 200, 0).keys,
@@ -40,9 +40,7 @@ func newChurnChain(kind LevelKind) *churnChain {
 			c.visits++
 			c.w.visit(fn)
 		},
-		MaxAge:         48 * time.Hour,
-		Level1Capacity: 200, // outgrown within a week: the Bloom chain resizes
-		LevelKind:      kind,
+		MaxAge: 48 * time.Hour,
 	})
 	return c
 }
@@ -134,11 +132,10 @@ func (c *churnChain) checkVerdicts(t *testing.T, snap []byte) {
 	}
 }
 
-func forBothKinds(t *testing.T, fn func(t *testing.T, kind LevelKind)) {
-	for _, kind := range []LevelKind{KindBloom, KindRibbon} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) { fn(t, kind) })
-	}
+// asRibbon runs fn as the subtest "ribbon", named for the chain kind the
+// publisher tests exercise, so their test IDs stay stable.
+func asRibbon(t *testing.T, fn func(t *testing.T)) {
+	t.Run("ribbon", fn)
 }
 
 // TestPublisherMatchesStreamingRebuild is the differential test for the
@@ -147,11 +144,10 @@ func forBothKinds(t *testing.T, fn func(t *testing.T, kind LevelKind)) {
 // the snapshot is byte-equal to the streaming buildDeepLevels run fresh
 // over the publisher's level 1, the model's R and a new population pass.
 func TestPublisherMatchesStreamingRebuild(t *testing.T) {
-	forBothKinds(t, func(t *testing.T, kind LevelKind) {
-		c := newChurnChain(kind)
+	asRibbon(t, func(t *testing.T) {
+		c := newChurnChain()
 		rebuilds, reused := 0, 0
-		level1Redone := false // a Bloom resize or a ribbon re-freeze happened
-		capacity, stash := c.pub.capacity, 0
+		level1Redone, stash := false, 0
 		for c.day < 40 {
 			now, snap, _, changed := c.step(t)
 			if changed {
@@ -159,7 +155,7 @@ func TestPublisherMatchesStreamingRebuild(t *testing.T) {
 			} else {
 				reused++
 			}
-			levels, err := buildDeepLevels(c.pub.levels[0], c.model, c.w.visit, kind)
+			levels, err := buildDeepLevels(c.pub.levels[0], c.model, c.w.visit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,16 +169,16 @@ func TestPublisherMatchesStreamingRebuild(t *testing.T) {
 				t.Fatalf("day %d (net churn %v): snapshot differs from the streaming rebuild", c.day-1, changed)
 			}
 			c.checkVerdicts(t, snap)
-			if c.pub.capacity != capacity || c.pub.StashLen() < stash {
+			if c.pub.StashLen() < stash {
 				level1Redone = true
 			}
-			capacity, stash = c.pub.capacity, c.pub.StashLen()
+			stash = c.pub.StashLen()
 		}
 		if rebuilds < 10 || reused < 10 {
 			t.Fatalf("schedule has %d churn days and %d quiet days; want at least 10 of each", rebuilds, reused)
 		}
 		if !level1Redone {
-			t.Fatal("chain never resized (Bloom) or re-froze (ribbon) its level 1")
+			t.Fatal("chain never re-froze its level 1")
 		}
 		if c.pub.NumRevoked() != len(c.model) {
 			t.Fatalf("publisher holds %d revoked keys, model %d", c.pub.NumRevoked(), len(c.model))
@@ -193,8 +189,8 @@ func TestPublisherMatchesStreamingRebuild(t *testing.T) {
 // TestPublisherReadsKnownOnce pins the cost model's first term: one
 // population pass per chain, however many epochs follow.
 func TestPublisherReadsKnownOnce(t *testing.T) {
-	forBothKinds(t, func(t *testing.T, kind LevelKind) {
-		c := newChurnChain(kind)
+	asRibbon(t, func(t *testing.T) {
+		c := newChurnChain()
 		for c.day < 30 {
 			c.step(t)
 		}
@@ -211,8 +207,8 @@ func TestPublisherReadsKnownOnce(t *testing.T) {
 // CRC, nowhere else.
 func TestQuietEpochRestampsOnly(t *testing.T) {
 	const stamped = 5 + 4 + 8 + 8 // magic and version, then epoch u32, builtUnix i64, cutoffUnix i64
-	forBothKinds(t, func(t *testing.T, kind LevelKind) {
-		c := newChurnChain(kind)
+	asRibbon(t, func(t *testing.T) {
+		c := newChurnChain()
 		var prev []byte
 		quiet := 0
 		for c.day < 20 {
@@ -246,8 +242,8 @@ func TestQuietEpochRestampsOnly(t *testing.T) {
 
 // TestContainsDigestMatchesContains: probing with a held digest is the
 // same function as probing with the key, for ribbon levels (side list
-// included), Bloom levels and the ribbon filter underneath, and none of
-// the forms allocates.
+// included), deep Bloom levels and the ribbon filter underneath, and none
+// of the forms allocates.
 func TestContainsDigestMatchesContains(t *testing.T) {
 	w := newSynthWorld(14, 2, 4000, 1500)
 	const salt = 3
@@ -259,7 +255,7 @@ func TestContainsDigestMatchesContains(t *testing.T) {
 	stashed := w.keys[len(w.keys)-1]
 	side := packHashes(append(truncateHashes(bumped), uint32(ribbon.Hash64(salt, stashed))))
 	ribLevel := ribbonLevel(rib, side)
-	bloomLevel := newLevel(level1K, sizeLevel1(len(w.revoked())))
+	bloomLevel := newLevel(1, sizeDeep(len(w.revoked())))
 	for _, k := range w.revoked() {
 		bloomLevel.add(salt, k)
 	}

@@ -2,72 +2,68 @@ package cascade
 
 import (
 	"bytes"
-	"encoding/binary"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/ribbon"
 )
 
-// TestRibbonBuildExactness: the zero-FP/zero-FN property must hold
-// unchanged when the levels are ribbons, and the succinct snapshot must
-// actually be succinct — at most 0.70x of the Bloom bytes (the PR gate;
-// in practice it is closer to 0.45x against a capacity-sized Bloom).
+// TestRibbonBuildExactness: level 1 is a ribbon and each deep level is
+// whichever representation encodes smaller for its key count, so a build
+// whose deep levels run from hundreds of keys down to a handful carries
+// both kinds; verdicts stay exact on a population where most enrolled
+// keys are revoked, which swaps the roles of the two sides.
 func TestRibbonBuildExactness(t *testing.T) {
-	w := newSynthWorld(1, 8, 30000, 700)
-	rib, err := Build(w.revoked(), w.visit, w.parents, BuildConfig{
-		Epoch: 1, BuiltAt: t0, LevelKind: KindRibbon,
-	})
+	w := newSynthWorld(9, 8, 30000, 20000)
+	f, err := Build(w.revoked(), w.visit, w.parents, BuildConfig{Epoch: 1, BuiltAt: t0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rib.NumLevels() < 2 {
-		t.Fatalf("NumLevels = %d; population did not exercise the cascade", rib.NumLevels())
+	kinds := map[levelKind]int{}
+	for i := range f.levels {
+		kinds[f.levels[i].kind]++
 	}
-	if rib.RibbonLevels() == 0 {
-		t.Fatal("ribbon build produced no ribbon level")
+	if f.levels[0].kind != kindRibbon || kinds[kindRibbon] < 2 || kinds[kindBloom] == 0 {
+		t.Fatalf("level kinds %v (level 1 %d); want a ribbon level 1 and both kinds below it", kinds, f.levels[0].kind)
 	}
 	for i, k := range w.keys {
 		want := i < w.nRev
-		if got := rib.Revoked(k); got != want {
+		if got := f.Revoked(k); got != want {
 			t.Fatalf("key %d: Revoked = %v, want %v", i, got, want)
 		}
 	}
-	bloom, err := Build(w.revoked(), w.visit, w.parents, BuildConfig{Epoch: 1, BuiltAt: t0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r, b := rib.SizeBytes(), bloom.SizeBytes(); float64(r) > 0.70*float64(b) {
-		t.Fatalf("ribbon snapshot %d B not ≤ 0.70x of Bloom %d B", r, b)
-	}
 }
 
-// TestRibbonEncodeDecodeRoundTrip pins the CASC v2 wire format: version
-// byte 2, byte-identical re-encode, verdicts preserved across the trip.
+// TestRibbonEncodeDecodeRoundTrip pins the wire form of a publisher
+// snapshot whose level 1 carries a stash: version byte 2, the side list
+// and its zero padding, byte-identical re-encode, verdicts preserved
+// across the trip.
 func TestRibbonEncodeDecodeRoundTrip(t *testing.T) {
-	w := newSynthWorld(2, 4, 8000, 300)
-	f, err := Build(w.revoked(), w.visit, w.parents, BuildConfig{
-		Epoch: 7, BuiltAt: t0, MaxAge: 48 * time.Hour, LevelKind: KindRibbon,
-	})
+	w := newSynthWorld(2, 4, 8000, 0)
+	pub := NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit, MaxAge: 48 * time.Hour})
+	if _, _, err := pub.Advance(t0, w.keys[:300], nil); err != nil {
+		t.Fatal(err)
+	}
+	enc, _, err := pub.Advance(t0.AddDate(0, 0, 1), w.keys[300:321], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := f.Encode()
-	if enc[4] != formatVersion2 {
-		t.Fatalf("ribbon snapshot encoded as version %d", enc[4])
-	}
-	if len(enc) != f.SizeBytes() {
-		t.Errorf("SizeBytes = %d, encoded %d", f.SizeBytes(), len(enc))
+	if enc[4] != snapVersion {
+		t.Fatalf("snapshot encoded as version %d", enc[4])
 	}
 	g, err := Decode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Epoch() != 7 || !g.BuiltAt().Equal(t0) || g.NumRevoked() != 300 ||
-		g.NumLevels() != f.NumLevels() || g.RibbonLevels() != f.RibbonLevels() {
+	if n := len(g.levels[0].side) / 4; n < 21 || sideCapEntries(n, 0) == n {
+		t.Fatalf("level 1 carries %d side entries (capacity %d); want the stash, padded", n, sideCapEntries(n, 0))
+	}
+	if g.Epoch() != 2 || !g.BuiltAt().Equal(t0.AddDate(0, 0, 1)) || g.NumRevoked() != 321 || g.SizeBytes() != len(enc) {
 		t.Fatalf("decoded header drift: %+v", g)
 	}
 	for i, k := range w.keys {
-		if g.Revoked(k) != (i < w.nRev) {
+		if g.Revoked(k) != (i < 321) {
 			t.Fatalf("key %d verdict drift after round trip", i)
 		}
 	}
@@ -76,11 +72,10 @@ func TestRibbonEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRibbonChainRoundTrip runs the publisher in ribbon mode through
-// daily churn (including removals and at least one stash-triggered
-// re-freeze at 40 adds/day over 8 days) and proves the delta chain and
-// its compaction reconstruct the exact snapshots — the same contract as
-// the Bloom chain, through the same CASD format.
+// TestRibbonChainRoundTrip: through daily churn (including removals and
+// a stash-triggered re-freeze at 40 adds/day over 8 days) every delta
+// carries empty add and remove lists and is a function of its two
+// snapshots alone — MakeDelta over them rebuilds it byte for byte.
 func TestRibbonChainRoundTrip(t *testing.T) {
 	for _, removals := range []bool{false, true} {
 		name := "adds-only"
@@ -88,35 +83,18 @@ func TestRibbonChainRoundTrip(t *testing.T) {
 			name = "with-removals"
 		}
 		t.Run(name, func(t *testing.T) {
-			_, snaps, deltas, _ := runChain(t, 8, 2048, removals, KindRibbon)
-			cur := snaps[0]
+			_, snaps, deltas, _ := runChain(t, 8, removals)
 			for i, d := range deltas {
-				info, err := InspectDelta(d)
+				if d[21] != 0 || d[22] != 0 {
+					t.Fatalf("delta %d: add and remove counts %d, %d; want 0, 0", i, d[21], d[22])
+				}
+				again, err := MakeDelta(snaps[i], snaps[i+1])
 				if err != nil {
 					t.Fatal(err)
 				}
-				if info.Adds != 0 {
-					t.Fatalf("delta %d ships %d add keys; ribbon chains carry churn in the patch", i, info.Adds)
+				if !bytes.Equal(again, d) {
+					t.Fatalf("delta %d is not MakeDelta of its two snapshots", i)
 				}
-				next, err := Apply(cur, d)
-				if err != nil {
-					t.Fatalf("delta %d: %v", i, err)
-				}
-				if !bytes.Equal(next, snaps[i+1]) {
-					t.Fatalf("delta %d: reconstruction not byte-identical", i)
-				}
-				cur = next
-			}
-			merged, err := Compact(snaps[0], deltas)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Apply(snaps[0], merged)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if Digest(got) != Digest(snaps[len(snaps)-1]) {
-				t.Fatal("compacted delta does not reproduce the final snapshot")
 			}
 		})
 	}
@@ -127,7 +105,7 @@ func TestRibbonChainRoundTrip(t *testing.T) {
 // outgrows its budget the publisher re-freezes and the stash resets.
 func TestRibbonStashAndRefreeze(t *testing.T) {
 	w := newSynthWorld(8, 2, 9000, 0)
-	pub := NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit, LevelKind: KindRibbon})
+	pub := NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit})
 	sawStash, sawRefreeze := false, false
 	prevStash := 0
 	for day := 0; day < 10; day++ {
@@ -160,17 +138,29 @@ func TestRibbonStashAndRefreeze(t *testing.T) {
 	}
 }
 
-// TestRibbonRemovalFlipsVerdict mirrors the Bloom removal semantics: the
-// key's level-1 claim stays (solution and stash untouched) and the
-// rebuilt level 2 whitelists it.
+// TestRibbonRemovalFlipsVerdict: a key revoked after the freeze is
+// claimed by level 1's stash, not its solution; removing it keeps the
+// stash entry (level 1's bytes do not move) and the rebuilt level 2
+// whitelists it.
 func TestRibbonRemovalFlipsVerdict(t *testing.T) {
 	w := newSynthWorld(7, 2, 4000, 0)
-	pub := NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit, LevelKind: KindRibbon})
+	pub := NewPublisher(PublishConfig{Parents: w.parents, VisitKnown: w.visit})
 	victim := w.keys[0]
-	if _, _, err := pub.Advance(t0, [][]byte{victim, w.keys[1]}, nil); err != nil {
+	if _, _, err := pub.Advance(t0, w.keys[1:20], nil); err != nil {
 		t.Fatal(err)
 	}
-	s2, _, err := pub.Advance(t0.AddDate(0, 0, 1), nil, [][]byte{victim})
+	s1, _, err := pub.Advance(t0.AddDate(0, 0, 1), [][]byte{victim}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pub.StashLen() != 1 {
+		t.Fatalf("stash holds %d keys after one post-freeze add", pub.StashLen())
+	}
+	s2, _, err := pub.Advance(t0.AddDate(0, 0, 2), nil, [][]byte{victim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f1, err := Decode(s1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,20 +168,27 @@ func TestRibbonRemovalFlipsVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f2.Revoked(victim) {
-		t.Fatal("removed key still revoked")
+	if !f1.Revoked(victim) || f2.Revoked(victim) {
+		t.Fatalf("stashed key reads %v, then %v after its removal; want true, false", f1.Revoked(victim), f2.Revoked(victim))
 	}
 	if !f2.Revoked(w.keys[1]) {
 		t.Fatal("unrelated key lost")
 	}
+	if pub.StashLen() != 1 || !f2.levels[0].contains(0, victim) {
+		t.Fatal("the removal dropped the stash entry")
+	}
+	offs := levelOffsets(f1)
+	if levelOffsets(f2)[1] != offs[1] || !bytes.Equal(s1[offs[0]:offs[1]], s2[offs[0]:offs[1]]) {
+		t.Fatal("a removal rewrote level 1")
+	}
 }
 
-// TestV2DecodeRejects drives the v2-specific decode paths with
-// CRC-valid but structurally hostile inputs: unknown level kinds, a v2
-// file with no ribbon level (non-canonical), side lists on Bloom levels.
+// TestV2DecodeRejects drives the per-level decode paths with CRC-valid
+// but structurally hostile inputs: unknown level kinds, a level 1 that
+// is not a ribbon, versions other than 2.
 func TestV2DecodeRejects(t *testing.T) {
 	w := newSynthWorld(4, 2, 6000, 200)
-	f, err := Build(w.revoked(), w.visit, w.parents, BuildConfig{Epoch: 1, BuiltAt: t0, LevelKind: KindRibbon})
+	f, err := Build(w.revoked(), w.visit, w.parents, BuildConfig{Epoch: 1, BuiltAt: t0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,16 +196,12 @@ func TestV2DecodeRejects(t *testing.T) {
 	if _, err := Decode(enc); err != nil {
 		t.Fatalf("pristine v2 rejected: %v", err)
 	}
-	refence := func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b[len(b)-4:], CRC(b[:len(b)-4]))
-		return b
-	}
 	kindOff := headerSize + f.NumParents()*ParentSize // level 1's kind byte
 	hostile := map[string]func([]byte){
 		"unknown kind":    func(b []byte) { b[kindOff] = 7 },
 		"kind flip":       func(b []byte) { b[kindOff] = byte(kindBloom) }, // ribbon payload parsed as Bloom
 		"version 3":       func(b []byte) { b[4] = 3 },
-		"v1 with ribbons": func(b []byte) { b[4] = formatVersion },
+		"v1 with ribbons": func(b []byte) { b[4] = 1 },
 	}
 	for name, mutate := range hostile {
 		mut := append([]byte(nil), enc...)
@@ -217,65 +210,49 @@ func TestV2DecodeRejects(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	// A v2 snapshot whose levels are all Bloom is non-canonical (it would
-	// re-encode as v1) and must be rejected.
-	bf, err := Build(w.revoked(), w.visit, w.parents, BuildConfig{Epoch: 1, BuiltAt: t0})
+	// Well-formed version-2 files whose level 1 is Bloom: alone, and above
+	// a ribbon level 2.
+	bloom1 := v2Level(kindBloom, append(bloomHeader(7, 64), make([]byte, 8)...))
+	rib, _, err := ribbon.Build(1, w.keys[:50], deepRBits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := bf.Encode()
-	var v2 []byte
-	v2 = append(v2, v1[:headerSize]...)
-	v2[4] = formatVersion2
-	pos := headerSize + bf.NumParents()*ParentSize
-	v2 = append(v2, v1[headerSize:pos]...)
-	for i := 0; i < bf.NumLevels(); i++ {
-		mBits := binary.LittleEndian.Uint64(v1[pos+4:])
-		end := pos + levelHeaderSize + int((mBits+7)/8)
-		v2 = append(v2, byte(kindBloom))
-		v2 = append(v2, v1[pos:end]...)
-		v2 = binary.LittleEndian.AppendUint32(v2, 0) // empty inline side list
-		pos = end
-	}
-	v2 = binary.LittleEndian.AppendUint32(v2, CRC(v2))
-	if _, err := Decode(v2); err == nil || !strings.Contains(err.Error(), "no ribbon level") {
-		t.Errorf("v2 with no ribbon level: err = %v", err)
+	for name, snap := range map[string][]byte{
+		"all-Bloom":          craft(snapVersion, bloom1),
+		"Bloom above ribbon": craft(snapVersion, bloom1, v2Level(kindRibbon, rib.AppendEncode(nil))),
+	} {
+		if _, err := Decode(snap); err == nil || !strings.Contains(err.Error(), "level 1 is kind 0, not a ribbon") {
+			t.Errorf("%s: err = %v", name, err)
+		}
 	}
 }
 
 // TestDecodeBoundsInt64 is the 32-bit regression test for the decode
-// size bounds: a level header claiming mBits right at the cap
+// size bounds: a Bloom level header claiming mBits right at the cap
 // (maxLevelBytes·8 = 2^35) must fail as *truncated* — the byte-count
 // comparison happens in int64, so it cannot wrap to a small positive
 // int on 32-bit platforms and read out of bounds — while one past the
 // cap fails the explicit range check.
 func TestDecodeBoundsInt64(t *testing.T) {
-	craft := func(mBits uint64) []byte {
-		b := make([]byte, 0, headerSize+levelHeaderSize+crcSize)
-		b = append(b, snapMagic...)
-		b = append(b, formatVersion)
-		b = binary.LittleEndian.AppendUint32(b, 1) // epoch
-		b = binary.LittleEndian.AppendUint64(b, uint64(t0.Unix()))
-		b = binary.LittleEndian.AppendUint64(b, uint64(t0.Unix()))
-		b = binary.LittleEndian.AppendUint32(b, 0) // maxAge
-		b = binary.LittleEndian.AppendUint32(b, 0) // nRevoked
-		b = binary.LittleEndian.AppendUint32(b, 0) // nParents
-		b = binary.LittleEndian.AppendUint32(b, 1) // nLevels
-		b = binary.LittleEndian.AppendUint32(b, 7) // k
-		b = binary.LittleEndian.AppendUint64(b, mBits)
-		return binary.LittleEndian.AppendUint32(b, CRC(b))
+	rib, _, err := ribbon.Build(0, nil, level1RBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lvl1 := v2Level(kindRibbon, rib.AppendEncode(nil))
+	craftAt := func(mBits uint64) []byte {
+		return craft(snapVersion, lvl1, append([]byte{byte(kindBloom)}, bloomHeader(1, mBits)...))
 	}
 	atCap := uint64(maxLevelBytes) * 8
-	if _, err := Decode(craft(atCap)); err == nil || !strings.Contains(err.Error(), "truncated level bits") {
+	if _, err := Decode(craftAt(atCap)); err == nil || !strings.Contains(err.Error(), "truncated level bits") {
 		t.Errorf("mBits at cap: err = %v, want truncated", err)
 	}
-	if _, err := Decode(craft(atCap + 1)); err == nil || !strings.Contains(err.Error(), "out of range") {
+	if _, err := Decode(craftAt(atCap + 1)); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("mBits past cap: err = %v, want out of range", err)
 	}
 	// A value whose byte count would wrap a 32-bit int to something small
 	// (2^35 bits → 2^32 bytes → int32 wraps to 0) must also read as
 	// truncated, never as a zero-length level.
-	if _, err := Decode(craft(1 << 34)); err == nil || !strings.Contains(err.Error(), "truncated level bits") {
+	if _, err := Decode(craftAt(1 << 34)); err == nil || !strings.Contains(err.Error(), "truncated level bits") {
 		t.Errorf("mBits 2^34: err = %v, want truncated", err)
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // shardWorld splits a synthetic population into per-parent shard builds.
-func shardWorld(t *testing.T, seed int64, nParents, nPop, nRev int, kind LevelKind) (*synthWorld, []*Filter) {
+func shardWorld(t *testing.T, seed int64, nParents, nPop, nRev int) (*synthWorld, []*Filter) {
 	t.Helper()
 	w := newSynthWorld(seed, nParents, nPop, nRev)
 	shards := make([]*Filter, 0, nParents)
@@ -29,7 +29,7 @@ func shardWorld(t *testing.T, seed int64, nParents, nPop, nRev int, kind LevelKi
 			}
 		}
 		f, err := Build(revoked, visit, []Parent{p}, BuildConfig{
-			Epoch: 1, BuiltAt: t0, MaxAge: 72 * time.Hour, LevelKind: kind,
+			Epoch: 1, BuiltAt: t0, MaxAge: 72 * time.Hour,
 		})
 		if err != nil {
 			t.Fatalf("shard %x: %v", p[:4], err)
@@ -41,65 +41,63 @@ func shardWorld(t *testing.T, seed int64, nParents, nPop, nRev int, kind LevelKi
 
 // TestShardSetRoutesVerdicts: a sharded install must reproduce the
 // monolithic ground truth exactly, routing each key to its issuer's
-// shard, for both level representations.
+// shard.
 func TestShardSetRoutesVerdicts(t *testing.T) {
-	for _, kind := range []LevelKind{KindBloom, KindRibbon} {
-		t.Run(kind.String(), func(t *testing.T) {
-			w, shards := shardWorld(t, 11, 6, 20000, 500, kind)
-			s, err := NewShardSet(shards)
-			if err != nil {
-				t.Fatal(err)
+	asRibbon(t, func(t *testing.T) {
+		w, shards := shardWorld(t, 11, 6, 20000, 500)
+		s, err := NewShardSet(shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.NumShards() != 6 || s.NumRevoked() != 500 {
+			t.Fatalf("NumShards=%d NumRevoked=%d", s.NumShards(), s.NumRevoked())
+		}
+		for i, k := range w.keys {
+			if got, want := s.Revoked(k), i < w.nRev; got != want {
+				t.Fatalf("key %d: Revoked = %v, want %v", i, got, want)
 			}
-			if s.NumShards() != 6 || s.NumRevoked() != 500 {
-				t.Fatalf("NumShards=%d NumRevoked=%d", s.NumShards(), s.NumRevoked())
+		}
+		for _, p := range w.parents {
+			if s.Shard(p) == nil || !s.Covers(p, t0.Add(-time.Hour)) || !s.FreshAt(p, t0.Add(time.Hour)) {
+				t.Fatalf("parent %x not covered/fresh", p[:4])
 			}
-			for i, k := range w.keys {
-				if got, want := s.Revoked(k), i < w.nRev; got != want {
-					t.Fatalf("key %d: Revoked = %v, want %v", i, got, want)
+		}
+		var stranger Parent
+		stranger[0] = 0xfe
+		if s.Shard(stranger) != nil || s.Covers(stranger, t0.Add(-time.Hour)) || s.Revoked(stranger[:]) {
+			t.Error("uninstalled parent claimed")
+		}
+		// The browser resolves the issuer's shard once and asks that
+		// filter directly; it must hear what the set's routed methods
+		// say, for every key, at fresh and stale instants, and a nil
+		// shard must mean what the set says of an uninstalled parent.
+		for _, k := range append(w.keys, AppendKey(nil, stranger, []byte{7})) {
+			var p Parent
+			copy(p[:], k)
+			sh := s.Shard(p)
+			if got := sh != nil && sh.Revoked(k); got != s.Revoked(k) {
+				t.Fatalf("key %x: shard says revoked=%v, set says %v", k[:8], got, s.Revoked(k))
+			}
+			for _, at := range []time.Time{t0.Add(time.Hour), t0.Add(73 * time.Hour)} {
+				if got := sh != nil && sh.FreshAt(at); got != s.FreshAt(p, at) {
+					t.Fatalf("parent %x at %v: shard says fresh=%v, set says %v", p[:4], at, got, s.FreshAt(p, at))
 				}
 			}
-			for _, p := range w.parents {
-				if s.Shard(p) == nil || !s.Covers(p, t0.Add(-time.Hour)) || !s.FreshAt(p, t0.Add(time.Hour)) {
-					t.Fatalf("parent %x not covered/fresh", p[:4])
-				}
+			nb := t0.Add(-time.Hour)
+			if got := sh != nil && sh.Covers(p, nb); got != s.Covers(p, nb) {
+				t.Fatalf("parent %x: shard says covers=%v, set says %v", p[:4], got, s.Covers(p, nb))
 			}
-			var stranger Parent
-			stranger[0] = 0xfe
-			if s.Shard(stranger) != nil || s.Covers(stranger, t0.Add(-time.Hour)) || s.Revoked(stranger[:]) {
-				t.Error("uninstalled parent claimed")
-			}
-			// The browser resolves the issuer's shard once and asks that
-			// filter directly; it must hear what the set's routed methods
-			// say, for every key, at fresh and stale instants, and a nil
-			// shard must mean what the set says of an uninstalled parent.
-			for _, k := range append(w.keys, AppendKey(nil, stranger, []byte{7})) {
-				var p Parent
-				copy(p[:], k)
-				sh := s.Shard(p)
-				if got := sh != nil && sh.Revoked(k); got != s.Revoked(k) {
-					t.Fatalf("key %x: shard says revoked=%v, set says %v", k[:8], got, s.Revoked(k))
-				}
-				for _, at := range []time.Time{t0.Add(time.Hour), t0.Add(73 * time.Hour)} {
-					if got := sh != nil && sh.FreshAt(at); got != s.FreshAt(p, at) {
-						t.Fatalf("parent %x at %v: shard says fresh=%v, set says %v", p[:4], at, got, s.FreshAt(p, at))
-					}
-				}
-				nb := t0.Add(-time.Hour)
-				if got := sh != nil && sh.Covers(p, nb); got != s.Covers(p, nb) {
-					t.Fatalf("parent %x: shard says covers=%v, set says %v", p[:4], got, s.Covers(p, nb))
-				}
-			}
-			if s.Revoked([]byte{1, 2, 3}) {
-				t.Error("short key claimed")
-			}
-		})
-	}
+		}
+		if s.Revoked([]byte{1, 2, 3}) {
+			t.Error("short key claimed")
+		}
+	})
 }
 
 // TestShardSetRejectsOverlap: a parent owned by two shards would make
 // verdicts probe-order dependent, so assembly must refuse it.
 func TestShardSetRejectsOverlap(t *testing.T) {
-	_, shards := shardWorld(t, 12, 3, 6000, 100, KindBloom)
+	_, shards := shardWorld(t, 12, 3, 6000, 100)
 	if _, err := NewShardSet(append(shards, shards[0])); err == nil || !strings.Contains(err.Error(), "two shards") {
 		t.Fatalf("duplicate parent: err = %v", err)
 	}
@@ -174,7 +172,7 @@ func TestManifestSignVerifyRoundTrip(t *testing.T) {
 // byte-exact pinning against the manifest, and refusal of swapped or
 // missing artifacts.
 func TestInstallShards(t *testing.T) {
-	w, shards := shardWorld(t, 13, 4, 12000, 300, KindRibbon)
+	w, shards := shardWorld(t, 13, 4, 12000, 300)
 	priv := ManifestKeyFromSeed(7)
 	pub := priv.Public().(ed25519.PublicKey)
 

@@ -117,11 +117,8 @@ type World struct {
 	CRLSet *crlset.Set
 	// Bloom holds BloomKey(parent, serial) for every revoked leaf.
 	Bloom *bloom.Filter
-	// Cascade is the CRLite-style filter cascade over the whole leaf
+	// CascadeRibbon is the CRLite-style filter cascade over the whole leaf
 	// population: exact offline verdicts for every leaf, revoked or not.
-	Cascade *cascade.Filter
-	// CascadeRibbon is the same cascade with succinct ribbon levels —
-	// identical verdicts for every leaf at a fraction of the bytes.
 	CascadeRibbon *cascade.Filter
 	// Shards is the sharded install of CascadeRibbon (one issuer, one
 	// shard) for exercising the per-issuer client path.
@@ -215,17 +212,9 @@ func New(cfg Config) (*World, error) {
 			}
 		}
 	}
-	w.Cascade, err = cascade.Build(revokedKeys, visit, []cascade.Parent{cascade.Parent(parent)}, cascade.BuildConfig{
+	w.CascadeRibbon, err = cascade.Build(revokedKeys, visit, []cascade.Parent{cascade.Parent(parent)}, cascade.BuildConfig{
 		Epoch:   1,
 		BuiltAt: clock.Now(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	w.CascadeRibbon, err = cascade.Build(revokedKeys, visit, []cascade.Parent{cascade.Parent(parent)}, cascade.BuildConfig{
-		Epoch:     1,
-		BuiltAt:   clock.Now(),
-		LevelKind: cascade.KindRibbon,
 	})
 	if err != nil {
 		return nil, err
@@ -293,11 +282,8 @@ type RunOptions struct {
 	CRLSet bool
 	// Bloom installs the world's Bloom filter as the client's fast path.
 	Bloom bool
-	// Cascade installs the world's filter cascade as the authoritative
-	// offline fast path (consulted before CRLSet/Bloom).
-	Cascade bool
-	// CascadeRibbon installs the ribbon-level cascade instead — the same
-	// exact verdicts from a succinct snapshot.
+	// CascadeRibbon installs the world's filter cascade as the
+	// authoritative offline fast path (consulted before CRLSet/Bloom).
 	CascadeRibbon bool
 	// CascadeShards installs the world's sharded cascade set: verdicts
 	// route through the per-issuer shard path.
@@ -401,9 +387,6 @@ func (w *World) Run(opt RunOptions) (Result, error) {
 	}
 	if opt.Bloom {
 		client.Bloom = w.Bloom
-	}
-	if opt.Cascade {
-		client.Cascade = w.Cascade
 	}
 	if opt.CascadeRibbon {
 		client.Cascade = w.CascadeRibbon

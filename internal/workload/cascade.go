@@ -264,29 +264,21 @@ func (w *World) BuildCascadeSeries() (*CascadeFeed, *CascadeSeries, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	series, err := feed.Publish()
+	series, err := feed.PublishKind(cascade.KindRibbon)
 	if err != nil {
 		return nil, nil, err
 	}
 	return feed, series, nil
 }
 
-// Publish runs a fresh publisher over the feed's full schedule and
-// returns the artifact chain. The chain is the original Bloom kind —
-// the byte-stable baseline every recorded digest pins.
-func (f *CascadeFeed) Publish() (*CascadeSeries, error) {
-	return f.PublishKind(cascade.KindBloom)
-}
-
-// PublishKind runs the chain with the given level representation:
-// cascade.KindBloom for the OR-in-place Bloom chain, cascade.KindRibbon
-// for the succinct frozen-ribbon chain.
+// PublishKind runs a fresh publisher over the feed's full schedule and
+// returns the artifact chain. kind is not read: there is one chain kind
+// (see cascade.LevelKind).
 func (f *CascadeFeed) PublishKind(kind cascade.LevelKind) (*CascadeSeries, error) {
 	pub := cascade.NewPublisher(cascade.PublishConfig{
 		Parents:    f.Parents,
 		VisitKnown: f.VisitKnown,
 		MaxAge:     48 * time.Hour,
-		LevelKind:  kind,
 	})
 	series := &CascadeSeries{
 		Days:          f.Days,

@@ -16,7 +16,9 @@ import (
 // final snapshot, and a day-zero snapshot advanced through every daily
 // delta). Ground truth for "revoked" is "the revocation is still listed
 // on the final crawl day": entries the CAs pruned after expiry are
-// removed from the cascade the same way they vanish from CRLs.
+// removed from the cascade the same way they vanish from CRLs. The
+// test's own derivation of that truth and World.AuditCascade must count
+// the same certificates, revocations and errors.
 func TestCascadeDifferentialOracle(t *testing.T) {
 	w := testWorld(t)
 	feed, series, err := w.BuildCascadeSeries()
@@ -108,16 +110,6 @@ func TestCascadeDifferentialOracle(t *testing.T) {
 				}
 				return true
 			})
-			if checked < 1000 {
-				t.Fatalf("only %d corpus certificates checked; world too small to prove anything", checked)
-			}
-			if truthRevoked == 0 {
-				t.Fatal("no revoked certificate ever appeared in the corpus")
-			}
-			if fp != 0 || fn != 0 {
-				t.Fatalf("%d false positives, %d false negatives over %d certificates", fp, fn, checked)
-			}
-
 			// Every still-listed revocation — including certificates never
 			// advertised, which only the CRLs know — must probe revoked.
 			missed, listed := 0, 0
@@ -131,6 +123,28 @@ func TestCascadeDifferentialOracle(t *testing.T) {
 				}
 				return true
 			})
+
+			a, err := w.AuditCascade(state.data, finalDay)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := (CascadeAudit{
+				CertsChecked: checked, RevokedInCorpus: truthRevoked,
+				ListedRevocations: listed, Missed: missed,
+				FalsePositives: fp, FalseNegatives: fn,
+			}); a != want {
+				t.Fatalf("AuditCascade reports %+v, the independent derivation %+v", a, want)
+			}
+
+			if checked < 1000 {
+				t.Fatalf("only %d corpus certificates checked; world too small to prove anything", checked)
+			}
+			if truthRevoked == 0 {
+				t.Fatal("no revoked certificate ever appeared in the corpus")
+			}
+			if fp != 0 || fn != 0 {
+				t.Fatalf("%d false positives, %d false negatives over %d certificates", fp, fn, checked)
+			}
 			if listed == 0 {
 				t.Fatal("no revocations listed on the final crawl day")
 			}

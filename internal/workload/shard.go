@@ -79,8 +79,8 @@ type ShardedSeries struct {
 const manifestSeed = 0x5eed_ca5c_ade0_0001
 
 // PublishSharded runs one publisher per issuer over the shard feeds and
-// signs a daily manifest over all of them. The per-shard chains use the
-// given level kind.
+// signs a daily manifest over all of them. kind is not read: there is one
+// chain kind (see cascade.LevelKind).
 func (f *CascadeFeed) PublishSharded(kind cascade.LevelKind) (*ShardedSeries, error) {
 	feeds := f.Shard()
 	priv := cascade.ManifestKeyFromSeed(manifestSeed)
@@ -104,7 +104,6 @@ func (f *CascadeFeed) PublishSharded(kind cascade.LevelKind) (*ShardedSeries, er
 				Parents:    sf.Parents,
 				VisitKnown: sf.VisitKnown,
 				MaxAge:     48 * time.Hour,
-				LevelKind:  kind,
 			}),
 			series: &CascadeSeries{
 				Days:          f.Days,

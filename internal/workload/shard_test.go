@@ -6,18 +6,16 @@ import (
 	"repro/internal/cascade"
 )
 
-// TestRibbonCascadeDifferentialOracle is the PR 8 zero-FP battery run
-// over the succinct ribbon chain: the same world, the same ground-truth
-// audit, both client states (fresh final snapshot and day-zero snapshot
-// advanced through every delta) — and the snapshot must come in at no
-// more than 0.70x of the Bloom chain's bytes.
+// TestRibbonCascadeDifferentialOracle is the zero-FP battery run over the
+// ribbon chain through the feed's own publish path: the same world, the
+// same ground-truth audit, both client states (fresh final snapshot and
+// day-zero snapshot advanced through every delta) — and the snapshot must
+// stay compact. The Bloom chain it was once measured against spent 21.6
+// bits per listed revocation on this world; 0.70x of that is the 15-bit
+// ceiling checked here.
 func TestRibbonCascadeDifferentialOracle(t *testing.T) {
 	w := testWorld(t)
 	feed, err := w.CascadeFeed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bloom, err := feed.Publish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,15 +25,12 @@ func TestRibbonCascadeDifferentialOracle(t *testing.T) {
 	}
 	finalDay := feed.Days[len(feed.Days)-1]
 
-	if r, b := len(series.Final), len(bloom.Final); float64(r) > 0.70*float64(b) {
-		t.Errorf("ribbon final snapshot %d B not ≤ 0.70x of Bloom %d B", r, b)
-	}
 	flt, err := cascade.Decode(series.Final)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flt.RibbonLevels() == 0 {
-		t.Fatal("ribbon chain published no ribbon level")
+	if flt.NumLevels() < 2 {
+		t.Fatalf("ribbon chain published %d levels; population winnowing never engaged", flt.NumLevels())
 	}
 
 	patched := series.First
@@ -65,6 +60,9 @@ func TestRibbonCascadeDifferentialOracle(t *testing.T) {
 			}
 			if !a.Exact() {
 				t.Fatalf("ribbon cascade not exact: %+v", a)
+			}
+			if bits := 8 * float64(len(state.data)) / float64(a.ListedRevocations); bits > 15 {
+				t.Errorf("ribbon snapshot %d B is %.1f bits per listed revocation, not ≤ 15", len(state.data), bits)
 			}
 			t.Logf("%s: %d certs, %d listed revocations, %d B", state.name, a.CertsChecked, a.ListedRevocations, len(state.data))
 		})
