@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check vet build test race race-hot flake bench-smoke bench bench-all bench-crl bench-crl-check bench-fleet bench-fleet-check bench-revdb bench-revdb-check bench-world bench-world-check bench-scenario bench-scenario-check chaos fuzz-short
+.PHONY: check vet build test race race-hot flake bench-smoke bench bench-all chaos fuzz-short
 
-# check is the full pre-merge gate: static checks, race-enabled tests on
-# the concurrency-hot packages and then the whole tree (including the
-# cascade differential battery in internal/workload), a hundred repeats
-# of the tests that draw fresh CA keys, the chaos differential harness on
-# its fixed seeds, a short fuzz pass over the
+# check is the full pre-merge gate: static checks, the whole tree's
+# tests without and then with the race detector (the allocation and
+# throughput-ratio gates skip under -race, so the plain pass is the one
+# that holds them), race-enabled tests on the concurrency-hot packages,
+# a hundred repeats of the tests that draw fresh CA keys, the chaos
+# differential harness on its fixed seeds, a short fuzz pass over the
 # DER-facing parsers, and a one-iteration smoke of the end-to-end
 # world-build benchmark.
-check: vet build race-hot race flake chaos fuzz-short bench-smoke bench-crl-check bench-fleet-check bench-revdb-check bench-world-check bench-scenario-check
+check: vet build test race-hot race flake chaos fuzz-short bench-smoke
 
 # vet also fails on any file gofmt would rewrite, and names it.
 vet:
@@ -68,80 +69,11 @@ fuzz-short:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkWorldBuild -benchtime=1x .
 
-# bench regenerates BENCH_pr2.json: the OCSP serving-layer load report
-# (cold per-request signing vs warm pre-signed cache).
+# bench runs the repository's benchmark (bench/, declared by
+# BENCHMARK.json): all six workloads, end-to-end metrics.
 bench:
-	$(GO) run ./cmd/revload -o BENCH_pr2.json
+	$(GO) run -C bench .
 
 # bench-all runs every Go benchmark with memory stats (slow).
 bench-all:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
-
-# bench-crl regenerates BENCH_pr4.json: the CRL data-path record
-# (streaming parse, incremental re-sign, interned ingest) at full
-# Heartbleed-scale fixtures.
-bench-crl:
-	$(GO) run ./cmd/benchcrl -o BENCH_pr4.json
-
-# bench-crl-check is the benchstat-style regression gate in `make check`:
-# it re-runs the CRL benchmarks on small fixtures (allocs/op for these
-# paths is fixture-size independent) and fails if allocs/op regress
-# against the numbers recorded in BENCH_pr4.json.
-bench-crl-check:
-	$(GO) run ./cmd/benchcrl -check BENCH_pr4.json -quick
-
-# bench-fleet regenerates BENCH_pr5.json: the client-side fleet record
-# (seed single-mutex cache vs sharded singleflight cache vs CRLSet/Bloom
-# fast paths) at the full population.
-bench-fleet:
-	$(GO) run ./cmd/fleetload -o BENCH_pr5.json
-
-# bench-fleet-check re-runs the fleet phases on a small population and
-# fails if any acceptance gate (alloc reduction, singleflight collapse,
-# warm hit ratio, worker-count determinism, CRLSet offline) breaks or the
-# warm allocs/verdict regress against BENCH_pr5.json.
-bench-fleet-check:
-	$(GO) run ./cmd/fleetload -check BENCH_pr5.json -quick
-
-# bench-revdb regenerates BENCH_pr6.json: the revocation-store backend
-# record (mem-vs-disk ingest throughput, zero-alloc mmap lookups,
-# 1M-entry cold-start recovery, and the 10M-entry RSS budget run).
-bench-revdb:
-	$(GO) run ./cmd/benchrevdb -o BENCH_pr6.json
-
-# bench-revdb-check is the regression gate in `make check`: it re-runs
-# the quick store benchmarks (ingest ratio, zero-alloc warm lookup,
-# recovery digest) and validates the full-run numbers recorded in
-# BENCH_pr6.json, including the RSS budget split.
-bench-revdb-check:
-	$(GO) run ./cmd/benchrevdb -check BENCH_pr6.json -quick
-
-# bench-world regenerates BENCH_pr7.json: the world-engine record
-# (streaming-vs-in-memory analyze digest parity, 1M-cert build
-# throughput ratio, and the paper-scale 38.5M-cert RSS budget run).
-bench-world:
-	$(GO) run ./cmd/benchworld -o BENCH_pr7.json
-
-# bench-world-check is the regression gate in `make check`: it re-runs
-# the digest-parity and build-ratio phases on small fixtures and
-# validates the full-run numbers recorded in BENCH_pr7.json, including
-# the 38.5M RSS budget split.
-bench-world-check:
-	$(GO) run ./cmd/benchworld -check BENCH_pr7.json -quick
-
-# bench-scenario regenerates BENCH_pr10.json: the scenario-engine tail-
-# latency record of the headline Heartbleed preset (one million simulated
-# clients against the CDN-fronted responder tier: per-phase p50/p99/p999
-# wall latency, virtual time-to-convergence, stale-Good count).
-bench-scenario:
-	$(GO) run ./cmd/scenario -preset heartbleed-1m -o BENCH_pr10.json
-
-# bench-scenario-check is the SLO gate in `make check`: it replays the
-# scenario at the quick population (identical virtual-time schedule, so
-# convergence hours must match the record exactly) and fails if the warm
-# p99 or brownout p999 exceed 3x the recorded baseline, any stale-Good
-# survives convergence, the histogram record path allocates or exceeds
-# 25 ns/op, or the scenario digest differs across worker counts.
-bench-scenario-check:
-	$(GO) run ./cmd/scenario -check BENCH_pr10.json -quick
-

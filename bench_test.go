@@ -24,12 +24,13 @@ import (
 	"repro/internal/ca"
 	"repro/internal/chain"
 	"repro/internal/core"
+	"repro/internal/crawler"
 	"repro/internal/crl"
-	"repro/internal/crlbench"
 	"repro/internal/crlset"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/ocsp"
+	"repro/internal/revdb"
 	"repro/internal/simnet"
 	"repro/internal/simtime"
 	"repro/internal/testsuite"
@@ -341,47 +342,132 @@ func BenchmarkCRLParse1000Entries(b *testing.B) {
 	}
 }
 
+// The CRL data-path fixture, signed by the PKI fixture's CA: a
+// Heartbleed-scale CRL for the parse path (500k entries, the order of
+// GlobalSign's post-Heartbleed mass revocation, §4) and a 100k-entry list
+// for the re-sign and ingest paths.
 var (
 	crlBenchOnce  sync.Once
-	crlBenchWorld *crlbench.World
+	crlBenchRaw   []byte
+	crlBenchList  []crl.Entry
 	crlBenchErr   error
+	crlBenchStart = simtime.Date(2014, time.April, 16) // the Heartbleed spike
 )
 
-func crlBenchSetup(b *testing.B) *crlbench.World {
+// crlBenchEntries spreads serial widths like real CAs do (§5's per-CA
+// entry size variance): 4-to-9-byte magnitudes.
+func crlBenchEntries(n int) []crl.Entry {
+	entries := make([]crl.Entry, n)
+	reasons := []crl.Reason{crl.ReasonAbsent, crl.ReasonUnspecified, crl.ReasonKeyCompromise, crl.ReasonSuperseded}
+	for i := range entries {
+		entries[i] = crl.Entry{
+			Serial:    big.NewInt(int64(i)*2654435761 + 1000003).Bytes(),
+			RevokedAt: crlBenchStart.Add(-time.Duration(i%72) * time.Hour),
+			Reason:    reasons[i%4],
+		}
+	}
+	return entries
+}
+
+func crlBenchSetup(b *testing.B) *benchPKI {
 	b.Helper()
+	p := benchPKISetup(b)
 	crlBenchOnce.Do(func() {
-		crlBenchWorld, crlBenchErr = crlbench.New(0, 0)
+		issuer, key := p.authority.Signer()
+		crlBenchList = crlBenchEntries(100000)
+		crlBenchRaw, crlBenchErr = crl.Create(&crl.Template{
+			ThisUpdate: crlBenchStart,
+			NextUpdate: crlBenchStart.AddDate(0, 0, 1),
+			Number:     big.NewInt(1),
+			Entries:    crlBenchEntries(500000),
+		}, issuer, key)
 	})
 	if crlBenchErr != nil {
 		b.Fatal(crlBenchErr)
 	}
-	return crlBenchWorld
+	return p
 }
 
 // BenchmarkCRLParseHeartbleedScale parses a 500k-entry CRL — the size
 // GlobalSign shipped after Heartbleed — through the streaming parser.
 func BenchmarkCRLParseHeartbleedScale(b *testing.B) {
-	crlBenchSetup(b).BenchParse(b)
+	crlBenchSetup(b)
+	b.SetBytes(int64(len(crlBenchRaw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := crl.Parse(crlBenchRaw); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkCRLVisitHeartbleedScale streams the same list through the
 // visitor API without materializing the entry slice.
 func BenchmarkCRLVisitHeartbleedScale(b *testing.B) {
-	crlBenchSetup(b).BenchVisit(b)
+	crlBenchSetup(b)
+	b.SetBytes(int64(len(crlBenchRaw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		if err := crl.Visit(crlBenchRaw, func(crl.Entry) error { n++; return nil }); err != nil {
+			b.Fatal(err)
+		}
+		if n == 0 {
+			b.Fatal("no entries visited")
+		}
+	}
 }
 
 // BenchmarkCRLIncrementalResign measures a daily re-sign of a 100k-entry
 // shard whose entries are unchanged: the append-only encode cache reduces
 // it to header assembly plus one ECDSA signature.
+// crl.TestIncrementalResignAllocs gates its allocation count.
 func BenchmarkCRLIncrementalResign(b *testing.B) {
-	crlBenchSetup(b).BenchIncrementalResign(b)
+	issuer, key := crlBenchSetup(b).authority.Signer()
+	var ec crl.EncodeCache
+	if _, err := ec.Extend(crlBenchList); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		entriesDER, err := ec.Extend(crlBenchList)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := crl.CreateEncoded(&crl.Template{
+			ThisUpdate: crlBenchStart.AddDate(0, 0, i+1),
+			NextUpdate: crlBenchStart.AddDate(0, 0, i+2),
+			Number:     big.NewInt(int64(i) + 2),
+		}, entriesDER, issuer, key); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkRevDBIngestResigned measures revdb ingest of a re-signed
 // 100k-entry CRL (same entries, new object) via the interned per-URL
-// serial index.
+// serial index. revdb.TestIngestResignedAllocs gates its allocation
+// count.
 func BenchmarkRevDBIngestResigned(b *testing.B) {
-	crlBenchSetup(b).BenchIngestResigned(b)
+	crlBenchSetup(b)
+	const url = "http://crl.bench.test/heartbleed.crl"
+	db := revdb.New()
+	day := simtime.CrawlStart
+	db.IngestSnapshot(&crawler.Snapshot{Day: day, CRLs: map[string]*crl.CRL{url: {Entries: crlBenchList}}})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		added := db.IngestSnapshot(&crawler.Snapshot{
+			Day:  day.AddDate(0, 0, i+1),
+			CRLs: map[string]*crl.CRL{url: {Entries: crlBenchList}},
+		})
+		if added != 0 {
+			b.Fatalf("re-signed ingest added %d entries", added)
+		}
+	}
 }
 
 func BenchmarkCRLLookup(b *testing.B) {
@@ -581,9 +667,8 @@ func benchFleetWorld(b *testing.B) *fleet.World {
 }
 
 // BenchmarkBrowserFleet measures one fleet pass (every browser's plan,
-// 512 verdicts) per op under the three cache regimes the fleetload
-// harness gates: a cold sharded cache per op, a pre-warmed shared cache,
-// and the CRLSet local fast path.
+// 512 verdicts) per op under three cache regimes: a cold sharded cache
+// per op, a pre-warmed shared cache, and the CRLSet local fast path.
 func BenchmarkBrowserFleet(b *testing.B) {
 	w := benchFleetWorld(b)
 	b.Run("ColdCache", func(b *testing.B) {
@@ -618,36 +703,26 @@ func BenchmarkBrowserFleet(b *testing.B) {
 }
 
 // BenchmarkBrowserVerdictWarm isolates one warm-cache verdict on the
-// sharded cache versus the seed single-mutex cache — the allocs/op
-// difference is the PR's client-side gate.
+// sharded cache: browser.TestWarmVerdictAllocatesNothing holds it at
+// zero allocations.
 func BenchmarkBrowserVerdictWarm(b *testing.B) {
 	w := benchFleetWorld(b)
 	chain := w.Chains[0]
-	for _, tc := range []struct {
-		name  string
-		store browser.Store
-	}{
-		{"Sharded", browser.NewCache()},
-		{"SingleLock", browser.NewSingleLockCache()},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			client := &browser.Client{
-				Profile: browser.Hardened(),
-				HTTP:    w.Net.Client(),
-				Now:     w.Clock.Now,
-				Cache:   tc.store,
-			}
-			var v browser.Verdict
-			if err := client.EvaluateInto(&v, chain, nil); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := client.EvaluateInto(&v, chain, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	client := &browser.Client{
+		Profile: browser.Hardened(),
+		HTTP:    w.Net.Client(),
+		Now:     w.Clock.Now,
+		Cache:   browser.NewCache(),
+	}
+	var v browser.Verdict
+	if err := client.EvaluateInto(&v, chain, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := client.EvaluateInto(&v, chain, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -54,7 +54,16 @@ func TestWarmVerdictAllocatesNothing(t *testing.T) {
 			}
 			evaluate() // fills the cache, the memos and the Events array
 			before := w.net.TotalStats().Requests
-			if allocs := testing.AllocsPerRun(200, evaluate); allocs != 0 {
+			// AllocsPerRun counts every goroutine's allocations, and the
+			// x509x key pool refills in the background after newWorld drew
+			// its CA keys. A pause lets it fill; an allocation on the warm
+			// path shows in every attempt.
+			allocs := testing.AllocsPerRun(200, evaluate)
+			for try := 1; allocs != 0 && try < 3; try++ {
+				time.Sleep(20 * time.Millisecond)
+				allocs = testing.AllocsPerRun(200, evaluate)
+			}
+			if allocs != 0 {
 				t.Errorf("%v allocations per warm verdict, want 0", allocs)
 			}
 			if got := w.net.TotalStats().Requests - before; got != 0 {

@@ -20,9 +20,8 @@ import (
 // OCSP entries are keyed by (issuer, certificate) rather than a
 // pre-computed ocsp.CertID so each implementation can pick its own key
 // derivation: the sharded Cache lays the CertID's three parts out from
-// the certificates' memoised identity without allocating, while
-// SingleLockCache reproduces the seed's CertID.Key() string path for
-// baseline measurement.
+// the certificates' memoised identity without allocating, while the
+// tests' SingleLockCache reproduces the seed's CertID.Key() string path.
 type Store interface {
 	CRL(url string, now time.Time) (*crl.CRL, bool)
 	PutCRL(url string, parsed *crl.CRL)
@@ -46,8 +45,8 @@ const (
 
 // crlSingleflighter is implemented by stores that can collapse concurrent
 // same-URL CRL fetches into one download+parse. Client type-asserts for
-// it, after its own lookup missed, so the seed-faithful SingleLockCache
-// keeps the seed's fetch behaviour.
+// it, after its own lookup missed, so a store without it (the tests'
+// seed-faithful SingleLockCache) keeps the seed's fetch behaviour.
 type crlSingleflighter interface {
 	fetchCRLOnce(url string, now time.Time, fetch func() (*crl.CRL, error)) (*crl.CRL, CRLSource, error)
 }

@@ -10,11 +10,10 @@ import (
 )
 
 // SingleLockCache is the seed tree's browser cache, preserved verbatim as
-// the measured "before" of the fleet benchmark (the same convention as
-// the crlbench legacy oracle): one global mutex over two maps, an
-// exclusive lock even for read hits, delete-on-read for expired entries,
-// and an ocsp.CertID key string built — twice — per lookup. Do not use it
-// outside baseline measurement; Cache is the production Store.
+// the reference half of the Cache differential tests: one global mutex
+// over two maps, an exclusive lock even for read hits, delete-on-read for
+// expired entries, and an ocsp.CertID key string built — twice — per
+// lookup. Cache is the production Store.
 type SingleLockCache struct {
 	mu    sync.Mutex
 	crls  map[string]*crl.CRL

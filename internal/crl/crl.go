@@ -6,7 +6,7 @@
 // The data path is built for Heartbleed-scale lists (GoDaddy's
 // post-Heartbleed CRL was ~41 MB, §5.2): Parse materializes entries with
 // compact byte-slice serials that alias the raw buffer — no per-entry heap
-// allocation — while Visit and Iter stream entries without materializing
+// allocation — while Visit streams entries without materializing
 // a slice at all, EncodeCache lets a CA's daily re-sign DER-encode only
 // the entries added since the previous signing, and ParseFrom lets a
 // daily re-fetch decode only the entries the previous fetch did not hold.
@@ -567,56 +567,9 @@ func Visit(raw []byte, fn func(Entry) error) error {
 	return nil
 }
 
-// Iter is a pull-style iterator over a raw CRL's entries.
-type Iter struct {
-	// List carries the CRL's non-entry fields (issuer, validity window,
-	// number, signature); its Entries slice is nil.
-	List *CRL
-	cur  der.Cursor
-	err  error
-}
-
-// NewIter validates everything but the entry list of a raw CRL and
-// returns an iterator over its entries. Entry parse errors surface
-// through Err after Next returns false.
-func NewIter(raw []byte) (*Iter, error) {
-	c := &CRL{}
-	revoked, has, err := parseShell(raw, c)
-	if err != nil {
-		return nil, err
-	}
-	it := &Iter{List: c}
-	if has {
-		if it.cur, err = revoked.SequenceCursor(); err != nil {
-			return nil, err
-		}
-	}
-	return it, nil
-}
-
-// Next returns the next entry, or ok=false when the list is exhausted or
-// malformed (check Err). The entry's serial aliases the raw buffer.
-func (it *Iter) Next() (Entry, bool) {
-	if it.err != nil || !it.cur.More() {
-		return Entry{}, false
-	}
-	ev, err := it.cur.Next()
-	if err == nil {
-		var e Entry
-		if e, err = parseEntry(ev); err == nil {
-			return e, true
-		}
-	}
-	it.err = err
-	return Entry{}, false
-}
-
-// Err returns the entry parse error that terminated iteration, if any.
-func (it *Iter) Err() error { return it.err }
-
 // parseShell validates and decodes everything except the revoked-entry
 // list, which it returns as an unparsed Value for the caller to walk
-// (materializing, streaming, or iterating).
+// (materializing or streaming).
 func parseShell(raw []byte, c *CRL) (revoked der.Value, has bool, err error) {
 	top, rest, err := der.Parse(raw)
 	if err != nil {

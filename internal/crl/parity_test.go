@@ -384,7 +384,7 @@ func assertSameCRL(t *testing.T, raw []byte, want *legacyCRL, got *CRL) {
 			t.Fatalf("entry %d: legacy %+v, streaming %+v", i, le, ge)
 		}
 	}
-	// The two lazy paths must agree with the eager one.
+	// The lazy path must agree with the eager one.
 	var visited []Entry
 	if err := Visit(raw, func(e Entry) error {
 		visited = append(visited, Entry{
@@ -399,23 +399,11 @@ func assertSameCRL(t *testing.T, raw []byte, want *legacyCRL, got *CRL) {
 	if len(visited) != len(got.Entries) {
 		t.Fatalf("Visit yielded %d entries, Parse %d", len(visited), len(got.Entries))
 	}
-	it, err := NewIter(raw)
-	if err != nil {
-		t.Fatalf("NewIter rejected what Parse accepted: %v", err)
-	}
-	n := 0
-	for {
-		e, ok := it.Next()
-		if !ok {
-			break
+	for i, e := range visited {
+		p := got.Entries[i]
+		if !bytes.Equal(e.Serial, p.Serial) || !e.RevokedAt.Equal(p.RevokedAt) || e.Reason != p.Reason {
+			t.Fatalf("Visit entry %d disagrees with Parse", i)
 		}
-		if !bytes.Equal(e.Serial, visited[n].Serial) || !e.RevokedAt.Equal(visited[n].RevokedAt) || e.Reason != visited[n].Reason {
-			t.Fatalf("Iter entry %d disagrees with Visit", n)
-		}
-		n++
-	}
-	if it.Err() != nil || n != len(visited) {
-		t.Fatalf("Iter: n=%d err=%v", n, it.Err())
 	}
 }
 
@@ -715,5 +703,41 @@ func TestParseAllocsPerEntry(t *testing.T) {
 	})
 	if vAllocs > 64 {
 		t.Errorf("Visit allocated %.0f times; want O(1) total", vAllocs)
+	}
+}
+
+// TestIncrementalResignAllocs gates the steady-state daily re-sign of an
+// unchanged entry list: the encode cache hands back the entries' DER as
+// it stands, so the op is header assembly plus one signature and its
+// allocation count does not grow with the list.
+func TestIncrementalResignAllocs(t *testing.T) {
+	const maxAllocs = 104*2 + 8 // the recorded 104 per re-sign, times two, plus eight
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	issuer, key := newCA(t)
+	entries := make([]Entry, 2000)
+	for i := range entries {
+		entries[i] = Entry{Serial: big.NewInt(int64(i)*2654435761 + 1000003).Bytes(),
+			RevokedAt: thisUpdate.Add(-time.Duration(i%72) * time.Hour), Reason: Reason(i%4 - 1)}
+	}
+	var ec EncodeCache
+	if _, err := ec.Extend(entries); err != nil {
+		t.Fatal(err)
+	}
+	day := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		day++
+		der, err := ec.Extend(entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := CreateEncoded(&Template{ThisUpdate: thisUpdate.AddDate(0, 0, day),
+			NextUpdate: nextUpdate.AddDate(0, 0, day), Number: big.NewInt(int64(day))}, der, issuer, key); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxAllocs {
+		t.Errorf("re-signing %d unchanged entries allocated %.0f times, want <= %d", len(entries), allocs, maxAllocs)
 	}
 }

@@ -35,8 +35,8 @@ func (o OID) Equal(other OID) bool {
 	return true
 }
 
-// ParseOID parses a dotted-decimal OID string.
-func ParseOID(s string) (OID, error) {
+// parseOID parses a dotted-decimal OID string.
+func parseOID(s string) (OID, error) {
 	if s == "" {
 		return nil, errors.New("der: empty OID")
 	}
@@ -58,7 +58,7 @@ func ParseOID(s string) (OID, error) {
 // MustOID parses a dotted-decimal OID and panics on error; for use with
 // compile-time constants.
 func MustOID(s string) OID {
-	o, err := ParseOID(s)
+	o, err := parseOID(s)
 	if err != nil {
 		panic(err)
 	}

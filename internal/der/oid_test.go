@@ -63,8 +63,8 @@ func TestOIDInteropWithStdlib(t *testing.T) {
 
 func TestParseOIDErrors(t *testing.T) {
 	for _, s := range []string{"", "1", "1.x.3", "1.-2.3", "99999999999999999999.1"} {
-		if _, err := ParseOID(s); err == nil {
-			t.Errorf("ParseOID(%q) should fail", s)
+		if _, err := parseOID(s); err == nil {
+			t.Errorf("parseOID(%q) should fail", s)
 		}
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"repro/internal/workload"
 )
 
 // experiment is one entry of the table: the ID its Result carries and
@@ -131,10 +129,4 @@ func (r *Runner) run(picked []experiment) ([]*Result, error) {
 		}
 	}
 	return results, nil
-}
-
-// DefaultRunner builds a runner at the standard experiment scale (1/100 of
-// internet scale) with the calibrated configuration.
-func DefaultRunner() (*Runner, error) {
-	return New(workload.DefaultConfig())
 }

@@ -398,7 +398,7 @@ func (in *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
 			r = 0.999999
 		}
 		d := time.Duration(-float64(in.cfg.LatencyMean) * math.Log(1-r))
-		if budget, ok := BudgetFrom(ctx); ok && d >= budget {
+		if budget, ok := budgetFrom(ctx); ok && d >= budget {
 			in.record(FaultLatency, h)
 			return nil, &Error{Fault: FaultLatency, Host: host, IsTimeout: true}
 		}
@@ -458,7 +458,7 @@ func (in *Injector) apply(kind Fault, req *http.Request, ctx context.Context, ho
 		return nil, &Error{Fault: kind, Host: host}
 	case FaultHang:
 		in.record(kind, eventHash)
-		if _, ok := BudgetFrom(ctx); ok {
+		if _, ok := budgetFrom(ctx); ok {
 			// Virtual-time callers: the hang consumes the whole budget.
 			return nil, &Error{Fault: FaultHang, Host: host, IsTimeout: true}
 		}
@@ -551,8 +551,8 @@ func WithBudget(ctx context.Context, d time.Duration) context.Context {
 	return context.WithValue(ctx, budgetKey{}, d)
 }
 
-// BudgetFrom extracts the virtual-time budget from ctx.
-func BudgetFrom(ctx context.Context) (time.Duration, bool) {
+// budgetFrom extracts the virtual-time budget from ctx.
+func budgetFrom(ctx context.Context) (time.Duration, bool) {
 	d, ok := ctx.Value(budgetKey{}).(time.Duration)
 	return d, ok
 }

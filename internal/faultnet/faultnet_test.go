@@ -247,11 +247,11 @@ func TestScopeRestrictsHosts(t *testing.T) {
 }
 
 func TestBudgetHelpers(t *testing.T) {
-	if _, ok := BudgetFrom(context.Background()); ok {
+	if _, ok := budgetFrom(context.Background()); ok {
 		t.Fatal("empty context has a budget")
 	}
 	ctx := WithBudget(context.Background(), 3*time.Second)
-	if d, ok := BudgetFrom(ctx); !ok || d != 3*time.Second {
+	if d, ok := budgetFrom(ctx); !ok || d != 3*time.Second {
 		t.Fatalf("budget = %v, %v", d, ok)
 	}
 }

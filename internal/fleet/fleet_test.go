@@ -174,8 +174,8 @@ func TestBloomFastPathSkipsGoodFetches(t *testing.T) {
 // TestLatencyRecording: a run with a histogram attached must record one
 // sample per verdict, report a sane summary, keep the digest identical
 // to an unrecorded run, and stay allocation-free relative to it on the
-// warm path (the hard 0-alloc gate lives in bench-fleet-check; here we
-// bound the drift so a regression fails fast in plain tests).
+// warm path (the hard 0-alloc gate is
+// browser.TestWarmVerdictAllocatesNothing; here we bound the drift).
 func TestLatencyRecording(t *testing.T) {
 	cfg := Config{Browsers: 24, Certs: 64, EvalsPerBrowser: 12, Seed: 7}
 	w := testWorld(t, cfg)

@@ -215,3 +215,38 @@ func BenchmarkSnapshotQuantile(b *testing.B) {
 		_ = snap.Quantile(0.999)
 	}
 }
+
+// maxRecordNs is the record path's cost ceiling: a fleet records one
+// sample per verdict, so timing must stay far below the verdicts it
+// times (a warm verdict is a few hundred nanoseconds).
+const maxRecordNs = 25
+
+// TestRecordIsFreeAndFast gates the per-verdict record path: no
+// allocation, and at most maxRecordNs per sample. The timing half is
+// skipped under -race.
+func TestRecordIsFreeAndFast(t *testing.T) {
+	var r Recorder
+	var d time.Duration
+	if allocs := testing.AllocsPerRun(1000, func() {
+		r.Record(d & (1<<20 - 1))
+		d++
+	}); allocs != 0 {
+		t.Errorf("Record allocates %v times per sample, want 0", allocs)
+	}
+	if raceEnabled {
+		t.Skip("record-path timing is not meaningful under -race")
+	}
+	// Best of five timed loops, so one descheduled loop cannot fail it.
+	const n = 1 << 20
+	best := time.Duration(math.MaxInt64)
+	for round := 0; round < 5; round++ {
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			r.Record(time.Duration(i) & (1<<20 - 1))
+		}
+		best = min(best, time.Since(start))
+	}
+	if ns := float64(best.Nanoseconds()) / n; ns > maxRecordNs {
+		t.Errorf("Record costs %.1f ns/sample, want <= %d", ns, maxRecordNs)
+	}
+}

@@ -302,8 +302,8 @@ func TestErrorResponseDERInterned(t *testing.T) {
 		if err != nil || resp.RespStatus != status {
 			t.Errorf("%v: round trip %v, %v", status, resp, err)
 		}
-		if !bytes.Equal(a, CreateErrorResponse(status)) {
-			t.Errorf("%v: interned bytes diverge from CreateErrorResponse", status)
+		if !bytes.Equal(a, createErrorResponse(status)) {
+			t.Errorf("%v: interned bytes diverge from createErrorResponse", status)
 		}
 	}
 	// Uncommon statuses still encode.

@@ -43,7 +43,7 @@ func TestParsersNeverPanicOnMutations(t *testing.T) {
 
 func FuzzParseResponse(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(CreateErrorResponse(RespTryLater))
+	f.Add(createErrorResponse(RespTryLater))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ParseResponse(data)
 		ParseRequest(data)

@@ -406,20 +406,20 @@ func CreateResponse(tmpl *ResponseTemplate, signer *x509x.Certificate, key *ecds
 	), nil
 }
 
-// CreateErrorResponse builds an unsigned error response (tryLater,
+// createErrorResponse builds an unsigned error response (tryLater,
 // unauthorized, etc.). The encoding is pure — same status, same bytes —
 // so hot paths should prefer ErrorResponseDER, which interns the common
 // statuses instead of re-encoding per request.
-func CreateErrorResponse(status ResponseStatus) []byte {
+func createErrorResponse(status ResponseStatus) []byte {
 	return der.Sequence(der.Enumerated(int64(status)))
 }
 
 // Interned encodings of the error statuses responders emit on hot paths.
 var (
-	errorDERMalformed    = CreateErrorResponse(RespMalformedRequest)
-	errorDERInternal     = CreateErrorResponse(RespInternalError)
-	errorDERTryLater     = CreateErrorResponse(RespTryLater)
-	errorDERUnauthorized = CreateErrorResponse(RespUnauthorized)
+	errorDERMalformed    = createErrorResponse(RespMalformedRequest)
+	errorDERInternal     = createErrorResponse(RespInternalError)
+	errorDERTryLater     = createErrorResponse(RespTryLater)
+	errorDERUnauthorized = createErrorResponse(RespUnauthorized)
 )
 
 // ErrorResponseDER returns the pre-encoded DER for the common error
@@ -436,7 +436,7 @@ func ErrorResponseDER(status ResponseStatus) []byte {
 	case RespUnauthorized:
 		return errorDERUnauthorized
 	default:
-		return CreateErrorResponse(status)
+		return createErrorResponse(status)
 	}
 }
 

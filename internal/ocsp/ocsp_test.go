@@ -185,7 +185,7 @@ func TestRevokedWithoutReason(t *testing.T) {
 
 func TestErrorResponses(t *testing.T) {
 	for _, status := range []ResponseStatus{RespMalformedRequest, RespInternalError, RespTryLater, RespUnauthorized} {
-		raw := CreateErrorResponse(status)
+		raw := createErrorResponse(status)
 		resp, err := ParseResponse(raw)
 		if err != nil {
 			t.Fatalf("%v: %v", status, err)

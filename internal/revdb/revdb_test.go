@@ -193,3 +193,34 @@ func BenchmarkIngestSnapshotChanged(b *testing.B) {
 		db.IngestSnapshot(benchSnapshot(simtime.CrawlStart.AddDate(0, 0, i+1), 50, 200))
 	}
 }
+
+// TestIngestResignedAllocs gates the ingest of a re-signed CRL whose
+// entries are unchanged: a new *crl.CRL every day, so the store walks
+// every entry, and the interned per-URL serial index makes that walk
+// allocation-free.
+func TestIngestResignedAllocs(t *testing.T) {
+	// The recorded 4 per ingest (the day's snapshot map and CRL
+	// included), times two, plus eight.
+	const maxAllocs = 4*2 + 8
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const url = "http://crl.test/resigned.crl"
+	day := simtime.CrawlStart
+	entries := make([]crl.Entry, 5000)
+	for i := range entries {
+		entries[i] = crl.Entry{Serial: big.NewInt(int64(i)*2654435761 + 1000003).Bytes(),
+			RevokedAt: day.Add(-time.Duration(i%72) * time.Hour), Reason: crl.Reason(i%4 - 1)}
+	}
+	db := New()
+	db.IngestSnapshot(snap(day, url, entries...))
+	allocs := testing.AllocsPerRun(20, func() {
+		day = day.AddDate(0, 0, 1)
+		if added := db.IngestSnapshot(snap(day, url, entries...)); added != 0 {
+			t.Fatalf("re-signed ingest added %d entries", added)
+		}
+	})
+	if allocs > maxAllocs {
+		t.Errorf("ingesting %d unchanged entries allocated %.0f times, want <= %d", len(entries), allocs, maxAllocs)
+	}
+}

@@ -1,7 +1,9 @@
 package segdb
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
 	"os"
@@ -621,4 +623,76 @@ func activeWAL(t *testing.T, dir string) string {
 		}
 	}
 	return best
+}
+
+// appendCrawl generates the ingest-ratio fixture: a fixed URL population
+// where each day 1/changeEvery of the shards re-sign with perURL fresh
+// revocations appended, and the rest serve yesterday's CRL pointer (the
+// crawler's parse cache), so both the touch fast path and the append
+// path carry weight.
+func appendCrawl(urls, days, changeEvery, perURL int) []*crawler.Snapshot {
+	live := make([]*crl.CRL, urls)
+	out := make([]*crawler.Snapshot, days)
+	var next uint64
+	for d := range out {
+		day := simtime.CrawlStart.AddDate(0, 0, d)
+		snap := &crawler.Snapshot{Day: day, CRLs: make(map[string]*crl.CRL, urls)}
+		for u := range live {
+			if live[u] == nil || (u+d)%changeEvery == 0 {
+				var prev []crl.Entry
+				if live[u] != nil {
+					prev = live[u].Entries
+				}
+				entries := append(make([]crl.Entry, 0, len(prev)+perURL), prev...)
+				for n := 0; n < perURL; n++ {
+					next++
+					serial := make([]byte, 8)
+					binary.BigEndian.PutUint64(serial, next*0x9E3779B97F4A7C15)
+					entries = append(entries, crl.Entry{Serial: serial,
+						RevokedAt: day.Add(-time.Duration(next%48) * time.Hour), Reason: crl.Reason(next % 5)})
+				}
+				live[u] = &crl.CRL{Entries: entries}
+			}
+			snap.CRLs[fmt.Sprintf("http://crl%03d.bench.test/shard.crl", u)] = live[u]
+		}
+		out[d] = snap
+	}
+	return out
+}
+
+// TestDiskIngestKeepsPaceWithMem gates the disk store's ingest
+// throughput at half the in-memory store's or better, on an identical
+// crawl. The two sides alternate in one process and each keeps its best
+// of five rounds, so host load shared by both cancels out.
+func TestDiskIngestKeepsPaceWithMem(t *testing.T) {
+	if raceEnabled {
+		t.Skip("throughput ratios are not meaningful under the race detector")
+	}
+	const minRatio = 0.5
+	days := appendCrawl(32, 20, 4, 250)
+	ingest := func(s revdb.Store) (entries int, elapsed time.Duration) {
+		start := time.Now()
+		for _, d := range days {
+			entries += s.IngestSnapshot(d)
+		}
+		return entries, time.Since(start)
+	}
+	bestMem, bestDisk := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for round := 0; round < 5; round++ {
+		memN, memT := ingest(revdb.New())
+		s := openTest(t, t.TempDir(), nil)
+		diskN, diskT := ingest(s)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if memN != diskN || memN == 0 {
+			t.Fatalf("mem ingested %d entries, disk %d", memN, diskN)
+		}
+		bestMem, bestDisk = min(bestMem, memT), min(bestDisk, diskT)
+	}
+	ratio := bestMem.Seconds() / bestDisk.Seconds()
+	t.Logf("disk ingest at %.2fx of mem (mem %v, disk %v)", ratio, bestMem, bestDisk)
+	if ratio < minRatio {
+		t.Errorf("disk ingest runs at %.2fx of mem (mem %v, disk %v), want >= %.2f", ratio, bestMem, bestDisk, minRatio)
+	}
 }

@@ -16,8 +16,7 @@ import (
 // revocation of its popular head, a responder brownout, and a
 // convergence watch (§5.3's Heartbleed surge and §2.2's caching
 // windows, end to end). The zero value of any field selects the noted
-// default; the "heartbleed-1m" preset in cmd/scenario sets Clients to
-// one million.
+// default; Clients: 1 << 20 runs the million-client population.
 type HeartbleedConfig struct {
 	// Clients is the simulated browser population (default 2048).
 	Clients int

@@ -4,10 +4,18 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/browser"
+	"repro/internal/ca"
+	"repro/internal/crl"
+	"repro/internal/fleet"
+	"repro/internal/ocsp"
 	"repro/internal/simnet"
 	"repro/internal/simtime"
 )
@@ -208,47 +216,191 @@ func TestHeartbleedDeterminism(t *testing.T) {
 // TestHeartbleedShape checks the scenario tells the paper's story: a
 // full stale window right after the storm, hard-fail rejections under
 // brownout, convergence bounded by the 96h OCSP validity, and zero
-// stale-Good at the end.
+// stale-Good at the end. On the default virtual schedule the
+// convergence time is pinned exactly: it is a pure function of the
+// validity windows and the watch stride, so it must not move with the
+// population, the worker count or the host.
 func TestHeartbleedShape(t *testing.T) {
-	res, err := Heartbleed(quickHeartbleed(4))
+	for _, tc := range []struct {
+		name      string
+		cfg       HeartbleedConfig
+		wantHours float64 // 0: bounded only
+	}{
+		{"quick", quickHeartbleed(4), 0},
+		{"default-schedule", HeartbleedConfig{Clients: 4096, Certs: 512, EvalsPerClient: 2,
+			Workers: runtime.GOMAXPROCS(0), StampedeClients: 256, Seed: 1}, 97.8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Heartbleed(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.StormRevocations == 0 {
+				t.Fatal("storm revoked nothing")
+			}
+			if res.StaleWindowGood == 0 {
+				t.Error("no stale window: revoked chains should still be accepted on cached Good")
+			}
+			if res.StaleGoodFinal != 0 {
+				t.Errorf("stale-Good after convergence = %d, want 0", res.StaleGoodFinal)
+			}
+			// Convergence is bounded by the longest validity cached before
+			// the storm: OCSP responses carry 96h. The watch must finish
+			// after that expiry, within one step of slack past it.
+			if res.ConvergenceVirtualHours < 90 || res.ConvergenceVirtualHours > 120 {
+				t.Errorf("convergence at %.1f virtual hours, want within (90, 120]", res.ConvergenceVirtualHours)
+			}
+			if tc.wantHours != 0 && res.ConvergenceVirtualHours != tc.wantHours {
+				t.Errorf("converged after %v virtual hours, want exactly %v", res.ConvergenceVirtualHours, tc.wantHours)
+			}
+			if res.Stampede.Fetches != 1 {
+				t.Errorf("stampede fetches = %d, want singleflight collapse to 1", res.Stampede.Fetches)
+			}
+			warm := res.Report.Phase("baseline-warm")
+			if warm.NetRequests != 0 {
+				t.Errorf("warm fleet made %d network requests, want 0", warm.NetRequests)
+			}
+			if warm.Wall.Count == 0 || warm.Wall.P99Ns == 0 {
+				t.Errorf("warm wall histogram empty: %+v", warm.Wall)
+			}
+			brown := res.Report.Phase("brownout")
+			if brown.Wall.P999Ns == 0 {
+				t.Errorf("brownout p999 missing: %+v", brown.Wall)
+			}
+			if res.BrownoutRejects == 0 {
+				t.Error("brownout at 80% availability rejected nothing")
+			}
+			cold := res.Report.Phase("baseline-cold")
+			if cold.NetRequests == 0 || cold.Net.Count == 0 {
+				t.Error("cold fleet traffic not attributed to its phase")
+			}
+		})
+	}
+}
+
+// TestEngineFleetMatchesDirectRun: a fleet run bracketed by engine
+// phases produces exactly the digests and tallies a direct run of the
+// same world yields, and the phases carry one latency sample per
+// verdict.
+func TestEngineFleetMatchesDirectRun(t *testing.T) {
+	cfg := fleet.Config{Browsers: 32, Certs: 96, EvalsPerBrowser: 16,
+		RevokedFraction: 0.1, CRLOnlyFraction: 0.3, Seed: 7}
+	const workers = 2
+	w, err := fleet.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.StormRevocations == 0 {
-		t.Fatal("storm revoked nothing")
+	eng := New("fleet", cfg.Seed)
+	eng.Attach(w.Net, w.Clock)
+	viaEngine := make(map[string]fleet.Result)
+	store := browser.NewCache()
+	for _, name := range []string{"cold", "warm"} {
+		if _, err := eng.Phase(name, func(p *Phase) error {
+			res, err := w.Run(fleet.RunOptions{Workers: workers, Store: store, Latency: p.Sharded(workers)})
+			p.AddOps(res.Verdicts)
+			viaEngine[name] = res
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if res.StaleWindowGood == 0 {
-		t.Error("no stale window: revoked chains should still be accepted on cached Good")
+
+	direct, err := fleet.New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.StaleGoodFinal != 0 {
-		t.Errorf("stale-Good after convergence = %d, want 0", res.StaleGoodFinal)
+	directStore := browser.NewCache()
+	for _, name := range []string{"cold", "warm"} {
+		want, err := direct.Run(fleet.RunOptions{Workers: workers, Store: directStore})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := viaEngine[name]
+		if got.Digest != want.Digest || got.Verdicts != want.Verdicts ||
+			got.Rejects != want.Rejects || got.RevocationsDetected != want.RevocationsDetected {
+			t.Errorf("%s: engine run %x %d/%d/%d, direct %x %d/%d/%d", name,
+				got.Digest, got.Verdicts, got.Rejects, got.RevocationsDetected,
+				want.Digest, want.Verdicts, want.Rejects, want.RevocationsDetected)
+		}
+		p := eng.Report().Phase(name)
+		if p.Wall.Count != uint64(got.Verdicts) || p.Wall.P99Ns <= 0 {
+			t.Errorf("%s: wall histogram %+v, want one sample per verdict (%d)", name, p.Wall, got.Verdicts)
+		}
 	}
-	// Convergence is bounded by the longest validity cached before the
-	// storm: OCSP responses carry 96h. The watch must finish after that
-	// expiry, within one step of slack past it.
-	if res.ConvergenceVirtualHours < 90 || res.ConvergenceVirtualHours > 120 {
-		t.Errorf("convergence at %.1f virtual hours, want within (90, 120]", res.ConvergenceVirtualHours)
+	if n := viaEngine["warm"].NetRequests; n != 0 {
+		t.Errorf("warm engine run made %d network requests", n)
 	}
-	if res.Stampede.Fetches != 1 {
-		t.Errorf("stampede fetches = %d, want singleflight collapse to 1", res.Stampede.Fetches)
+}
+
+// TestEngineRunMatchesDirectReplay: bracketing an OCSP replay in an
+// engine phase leaves the caching responder's behaviour exactly as a
+// direct replay sees it (one signature per distinct serial, then pure
+// hits) and records one latency sample per request.
+func TestEngineRunMatchesDirectReplay(t *testing.T) {
+	clock := simtime.NewClock(simtime.Date(2015, time.March, 1))
+	authority, err := ca.NewRoot(ca.Config{Name: "LoadCA", CRLBaseURL: "http://crl.load.test/crl",
+		OCSPBaseURL: "http://ocsp.load.test/ocsp", Clock: clock.Now, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
 	}
-	warm := res.Report.Phase("baseline-warm")
-	if warm.NetRequests != 0 {
-		t.Errorf("warm fleet made %d network requests, want 0", warm.NetRequests)
+	const serials, requests = 16, 128
+	records := make([]*ca.Record, serials)
+	for i := range records {
+		records[i] = authority.IssueRecord(ca.IssueOptions{CommonName: fmt.Sprintf("load-%d.test", i),
+			NotBefore: clock.Now(), NotAfter: clock.Now().AddDate(1, 0, 0)})
 	}
-	if warm.Wall.Count == 0 || warm.Wall.P99Ns == 0 {
-		t.Errorf("warm wall histogram empty: %+v", warm.Wall)
+	clock.Advance(time.Hour)
+	if err := authority.Revoke(records[0].Serial, clock.Now(), crl.ReasonUnspecified); err != nil {
+		t.Fatal(err)
 	}
-	brown := res.Report.Phase("brownout")
-	if brown.Wall.P999Ns == 0 {
-		t.Errorf("brownout p999 missing: %+v", brown.Wall)
+	rng := rand.New(rand.NewSource(42))
+	zipf := rand.NewZipf(rng, 1.3, 1, serials-1)
+	seq := make([][]byte, requests)
+	for i := range seq {
+		id := ocsp.NewCertID(authority.Certificate(), records[zipf.Uint64()].Serial)
+		seq[i] = (&ocsp.Request{IDs: []ocsp.CertID{id}}).Marshal()
 	}
-	if res.BrownoutRejects == 0 {
-		t.Error("brownout at 80% availability rejected nothing")
+	replay := func(h http.Handler, i int) {
+		req := httptest.NewRequest(http.MethodPost, "http://ocsp.load.test/", bytes.NewReader(seq[i]))
+		req.Header.Set("Content-Type", "application/ocsp-request")
+		h.ServeHTTP(httptest.NewRecorder(), req)
 	}
-	cold := res.Report.Phase("baseline-cold")
-	if cold.NetRequests == 0 || cold.Net.Count == 0 {
-		t.Error("cold fleet traffic not attributed to its phase")
+
+	direct := authority.CachingResponder()
+	for pass := 0; pass < 2; pass++ {
+		for i := range seq {
+			replay(direct, i)
+		}
+	}
+
+	cached := authority.CachingResponder()
+	for i := range seq {
+		replay(cached, i)
+	}
+	before := cached.Stats()
+	eng := New("ocsp", 42)
+	warm, err := eng.Phase("warm", func(p *Phase) error {
+		for i := range seq {
+			t0 := time.Now()
+			replay(cached, i)
+			p.Record(time.Since(t0))
+		}
+		p.AddOps(len(seq))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := cached.Stats()
+	if after.Signs != direct.Stats().Signs {
+		t.Errorf("engine replay signed %d times, direct %d", after.Signs, direct.Stats().Signs)
+	}
+	if hits := after.Hits - before.Hits; hits != requests || after.Misses != before.Misses {
+		t.Errorf("warm phase: %d hits, %d misses, want %d hits and none missed",
+			hits, after.Misses-before.Misses, requests)
+	}
+	if warm.Ops != requests || warm.Wall.Count != requests || warm.Wall.P99Ns <= 0 {
+		t.Errorf("warm phase ops %d, wall %+v, want one sample per request (%d)", warm.Ops, warm.Wall, requests)
 	}
 }
 

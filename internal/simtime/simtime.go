@@ -113,11 +113,11 @@ func Daily(first, last time.Time) Schedule {
 	return every(first, n, 24*time.Hour)
 }
 
-// Span returns a schedule of n instants evenly covering [start, end]; the
+// span returns a schedule of n instants evenly covering [start, end]; the
 // first instant is start and the last is end. This matches the paper's
 // "roughly weekly" scan cadence, which drifts slightly so the 74th scan
 // lands on March 30, 2015.
-func Span(start, end time.Time, n int) Schedule {
+func span(start, end time.Time, n int) Schedule {
 	if n <= 0 {
 		return nil
 	}
@@ -145,7 +145,7 @@ func every(start time.Time, n int, step time.Duration) Schedule {
 }
 
 // ScanSchedule returns the study's 74-scan calendar.
-func ScanSchedule() Schedule { return Span(ScanStart, ScanEnd, NumScans) }
+func ScanSchedule() Schedule { return span(ScanStart, ScanEnd, NumScans) }
 
 // CrawlSchedule returns the study's daily CRL-crawl calendar
 // (October 2, 2014 through March 31, 2015).

@@ -165,14 +165,14 @@ func TestDailyEmptyAndSingle(t *testing.T) {
 }
 
 func TestSpanEdgeCases(t *testing.T) {
-	if Span(ScanStart, ScanEnd, 0) != nil {
+	if span(ScanStart, ScanEnd, 0) != nil {
 		t.Error("Span n=0 should be nil")
 	}
-	one := Span(ScanStart, ScanEnd, 1)
+	one := span(ScanStart, ScanEnd, 1)
 	if len(one) != 1 || !one[0].Equal(ScanStart) {
 		t.Errorf("Span n=1 = %v", one)
 	}
-	two := Span(ScanStart, ScanEnd, 2)
+	two := span(ScanStart, ScanEnd, 2)
 	if !two[0].Equal(ScanStart) || !two[1].Equal(ScanEnd) {
 		t.Errorf("Span n=2 = %v", two)
 	}
@@ -220,13 +220,13 @@ func TestMonths(t *testing.T) {
 	}
 }
 
-// Property: a Span schedule is always non-decreasing and bounded by its
+// Property: a span schedule is always non-decreasing and bounded by its
 // endpoints.
 func TestSpanMonotoneProperty(t *testing.T) {
 	f := func(days uint16, n uint8) bool {
 		start := ScanStart
 		end := start.Add(time.Duration(days) * 24 * time.Hour)
-		s := Span(start, end, int(n%100))
+		s := span(start, end, int(n%100))
 		for i, inst := range s {
 			if inst.Before(start) || inst.After(end) {
 				return false
