@@ -48,7 +48,7 @@ flake:
 # each played twice faulted and once clean, asserting determinism,
 # convergence, and no stale Good.
 chaos:
-	$(GO) run ./cmd/chaos -seeds 20150501,3,77,424242
+	$(GO) run ./cmd/rev chaos -seeds 20150501,3,77,424242
 
 # fuzz-short gives each fuzz target (the DER-facing parsers, the filter
 # and manifest decoders) a 10s budget — enough to exercise the corpus plus

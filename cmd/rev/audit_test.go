@@ -82,10 +82,10 @@ func newLiveFixture(t *testing.T) *liveFixture {
 	}
 }
 
-func TestRunGoodEndpoint(t *testing.T) {
+func TestAuditGoodEndpoint(t *testing.T) {
 	f := newLiveFixture(t)
 	var out, errOut bytes.Buffer
-	code := run([]string{"-roots", f.rootsPEM, f.tlsSrv.Addr()}, &out, &errOut)
+	code := run([]string{"audit", "-roots", f.rootsPEM, f.tlsSrv.Addr()}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr: %s\nstdout: %s", code, errOut.String(), out.String())
 	}
@@ -97,13 +97,13 @@ func TestRunGoodEndpoint(t *testing.T) {
 	}
 }
 
-func TestRunRevokedEndpoint(t *testing.T) {
+func TestAuditRevokedEndpoint(t *testing.T) {
 	f := newLiveFixture(t)
 	if err := f.authority.Revoke(f.rec.Serial, time.Now(), crl.ReasonKeyCompromise); err != nil {
 		t.Fatal(err)
 	}
 	var out, errOut bytes.Buffer
-	code := run([]string{f.tlsSrv.Addr()}, &out, &errOut)
+	code := run([]string{"audit", f.tlsSrv.Addr()}, &out, &errOut)
 	if code != 2 {
 		t.Fatalf("exit = %d, want 2 (revoked)\n%s", code, out.String())
 	}
@@ -112,25 +112,25 @@ func TestRunRevokedEndpoint(t *testing.T) {
 	}
 }
 
-func TestRunUnavailableInfrastructure(t *testing.T) {
+func TestAuditUnavailableInfrastructure(t *testing.T) {
 	f := newLiveFixture(t)
 	f.distSrv.Close() // revocation endpoints go dark
 	var out, errOut bytes.Buffer
-	code := run([]string{"-timeout", "2s", f.tlsSrv.Addr()}, &out, &errOut)
+	code := run([]string{"audit", "-timeout", "2s", f.tlsSrv.Addr()}, &out, &errOut)
 	if code != 3 {
 		t.Fatalf("exit = %d, want 3 (incomplete)\n%s", code, out.String())
 	}
 }
 
-func TestRunUsageErrors(t *testing.T) {
+func TestAuditUsageErrors(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run(nil, &out, &errOut); code != 1 {
+	if code := run([]string{"audit"}, &out, &errOut); code != 1 {
 		t.Errorf("no args: exit = %d", code)
 	}
-	if code := run([]string{"-roots", "/nonexistent.pem", "localhost:1"}, &out, &errOut); code != 1 {
+	if code := run([]string{"audit", "-roots", "/nonexistent.pem", "localhost:1"}, &out, &errOut); code != 1 {
 		t.Errorf("missing roots file: exit = %d", code)
 	}
-	if code := run([]string{fmt.Sprintf("127.0.0.1:%d", 1)}, &out, &errOut); code != 1 {
+	if code := run([]string{"audit", fmt.Sprintf("127.0.0.1:%d", 1)}, &out, &errOut); code != 1 {
 		t.Errorf("refused connection: exit = %d", code)
 	}
 }

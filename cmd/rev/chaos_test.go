@@ -8,7 +8,7 @@ import (
 
 func TestChaosSmoke(t *testing.T) {
 	var out, errBuf bytes.Buffer
-	if code := run([]string{"-seeds", "5", "-days", "4", "-tail", "2", "-certs", "8"}, &out, &errBuf); code != 0 {
+	if code := run([]string{"chaos", "-seeds", "5", "-days", "4", "-tail", "2", "-certs", "8"}, &out, &errBuf); code != 0 {
 		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errBuf.String())
 	}
 	s := out.String()
@@ -32,7 +32,7 @@ func TestChaosSmoke(t *testing.T) {
 
 func TestChaosBadSeed(t *testing.T) {
 	var out, errBuf bytes.Buffer
-	if code := run([]string{"-seeds", "pumpkin"}, &out, &errBuf); code != 2 {
+	if code := run([]string{"chaos", "-seeds", "pumpkin"}, &out, &errBuf); code != 2 {
 		t.Fatalf("exit %d for malformed seed, want 2", code)
 	}
 }

@@ -61,11 +61,11 @@ func writeFixture(t *testing.T, revokedPerShard []int) (dir, issuerPath string, 
 	return dir, issuerPath, authority
 }
 
-func TestRunGeneratesCRLSet(t *testing.T) {
+func TestCRLSetGeneratesCRLSet(t *testing.T) {
 	dir, issuerPath, _ := writeFixture(t, []int{5, 3})
 	outPath := filepath.Join(dir, "crlset.bin")
 	var out, errOut bytes.Buffer
-	code := run([]string{"-crls", dir, "-issuer", issuerPath, "-out", outPath}, &out, &errOut)
+	code := run([]string{"crlset", "-crls", dir, "-issuer", issuerPath, "-out", outPath}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit = %d\nstderr: %s", code, errOut.String())
 	}
@@ -85,10 +85,10 @@ func TestRunGeneratesCRLSet(t *testing.T) {
 	}
 }
 
-func TestRunDropsOversizedCRL(t *testing.T) {
+func TestCRLSetDropsOversizedCRL(t *testing.T) {
 	dir, issuerPath, _ := writeFixture(t, []int{12, 2})
 	var out, errOut bytes.Buffer
-	code := run([]string{"-crls", dir, "-issuer", issuerPath, "-maxentries", "5"}, &out, &errOut)
+	code := run([]string{"crlset", "-crls", dir, "-issuer", issuerPath, "-maxentries", "5"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit = %d: %s", code, errOut.String())
 	}
@@ -98,7 +98,7 @@ func TestRunDropsOversizedCRL(t *testing.T) {
 	}
 }
 
-func TestRunSkipsForeignCRLs(t *testing.T) {
+func TestCRLSetSkipsForeignCRLs(t *testing.T) {
 	dir, _, _ := writeFixture(t, []int{4})
 	// A second CA's PEM: the CRL signature check must skip the file.
 	other, err := ca.NewRoot(ca.Config{Name: "Other CA"})
@@ -110,7 +110,7 @@ func TestRunSkipsForeignCRLs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out, errOut bytes.Buffer
-	code := run([]string{"-crls", dir, "-issuer", otherPEM}, &out, &errOut)
+	code := run([]string{"crlset", "-crls", dir, "-issuer", otherPEM}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit = %d", code)
 	}
@@ -122,13 +122,13 @@ func TestRunSkipsForeignCRLs(t *testing.T) {
 	}
 }
 
-func TestRunUsageAndErrors(t *testing.T) {
+func TestCRLSetUsageAndErrors(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run(nil, &out, &errOut); code != 1 {
+	if code := run([]string{"crlset"}, &out, &errOut); code != 1 {
 		t.Errorf("missing flags: exit = %d", code)
 	}
 	dir := t.TempDir()
-	if code := run([]string{"-crls", dir, "-issuer", filepath.Join(dir, "missing.pem")}, &out, &errOut); code != 1 {
+	if code := run([]string{"crlset", "-crls", dir, "-issuer", filepath.Join(dir, "missing.pem")}, &out, &errOut); code != 1 {
 		t.Errorf("missing issuer: exit = %d", code)
 	}
 }

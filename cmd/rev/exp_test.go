@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-func TestRunTinyScaleSubset(t *testing.T) {
+func TestExpTinyScaleSubset(t *testing.T) {
 	var out, errOut bytes.Buffer
-	code := run([]string{"-scale", "0.0003", "-seed", "2", "-only", "fig11,ext-shortlived,sec3"}, &out, &errOut)
+	code := run([]string{"exp", "-scale", "0.0003", "-seed", "2", "-only", "fig11,ext-shortlived,sec3"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit = %d\nstderr: %s\nstdout: %s", code, errOut.String(), out.String())
 	}
@@ -24,22 +24,22 @@ func TestRunTinyScaleSubset(t *testing.T) {
 	}
 }
 
-func TestRunBadFlags(t *testing.T) {
+func TestExpBadFlags(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-scale", "x"}, &out, &errOut); code != 1 {
+	if code := run([]string{"exp", "-scale", "x"}, &out, &errOut); code != 1 {
 		t.Errorf("bad flag: exit = %d", code)
 	}
 	errOut.Reset()
-	if code := run([]string{"-scale", "0.0003", "-only", "fig1,nosuch"}, &out, &errOut); code != 1 ||
+	if code := run([]string{"exp", "-scale", "0.0003", "-only", "fig1,nosuch"}, &out, &errOut); code != 1 ||
 		!strings.Contains(errOut.String(), "nosuch") || out.Len() != 0 {
 		t.Errorf("unknown -only ID: exit = %d, stdout %d bytes, stderr: %s", code, out.Len(), errOut.String())
 	}
 }
 
-func TestRunWritesDatFiles(t *testing.T) {
+func TestExpWritesDatFiles(t *testing.T) {
 	dir := t.TempDir()
 	var out, errOut bytes.Buffer
-	code := run([]string{"-scale", "0.0003", "-seed", "2", "-only", "fig11", "-outdir", dir}, &out, &errOut)
+	code := run([]string{"exp", "-scale", "0.0003", "-seed", "2", "-only", "fig11", "-outdir", dir}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit = %d: %s", code, errOut.String())
 	}

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-func TestRunMatrix(t *testing.T) {
+func TestSuiteMatrix(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run(nil, &out, &errOut); code != 0 {
+	if code := run([]string{"suite"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit = %d\nstderr: %s", code, errOut.String())
 	}
 	for _, want := range []string{"Firefox 40", "OCSP leaf revoked", "Respect revoked staple", "legend:"} {
@@ -18,9 +18,9 @@ func TestRunMatrix(t *testing.T) {
 	}
 }
 
-func TestRunSingleProfile(t *testing.T) {
+func TestSuiteSingleProfile(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-profile", "iOS 6-8"}, &out, &errOut); code != 0 {
+	if code := run([]string{"suite", "-profile", "iOS 6-8"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit = %d", code)
 	}
 	// Every line of a mobile profile's report is an accept.
@@ -32,9 +32,9 @@ func TestRunSingleProfile(t *testing.T) {
 	}
 }
 
-func TestRunUnknownProfile(t *testing.T) {
+func TestSuiteUnknownProfile(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-profile", "Netscape 4"}, &out, &errOut); code != 1 {
+	if code := run([]string{"suite", "-profile", "Netscape 4"}, &out, &errOut); code != 1 {
 		t.Fatalf("exit = %d, want 1", code)
 	}
 	if !strings.Contains(errOut.String(), "available:") {

@@ -9,5 +9,5 @@
 // See README.md for a tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for paper-versus-measured results. The root package holds
 // only the repository-wide benchmark suite (bench_test.go); the library
-// lives under internal/ and the executables under cmd/.
+// lives under internal/ and the one command, rev, under cmd/rev.
 package repro

@@ -51,23 +51,6 @@ type crlSingleflighter interface {
 	fetchCRLOnce(url string, now time.Time, fetch func() (*crl.CRL, error)) (*crl.CRL, CRLSource, error)
 }
 
-// CacheConfig sizes a Cache.
-type CacheConfig struct {
-	// Shards is the number of lock shards; rounded up to a power of two.
-	// 0 means DefaultCacheShards. More shards cut contention when many
-	// clients hit the cache concurrently; each shard costs two small maps.
-	Shards int
-	// MaxEntries caps the total number of cached items (CRLs plus OCSP
-	// responses) across all shards. 0 means unbounded. When a shard
-	// exceeds its slice of the cap, expired entries are swept first and
-	// then the entries closest to expiry are evicted (they are the least
-	// valuable: about to be refetched anyway).
-	MaxEntries int
-}
-
-// DefaultCacheShards is the shard count used by NewCache.
-const DefaultCacheShards = 64
-
 // Cache is the sharded Store used by a fleet of clients sharing one
 // revocation cache, the way all tabs (and, via the OS verifier, all
 // processes) of one machine share a single CRL/OCSP cache. A lookup
@@ -75,18 +58,15 @@ const DefaultCacheShards = 64
 // shard's RLock, reads its map and adds to that shard's own hit/miss
 // counters, so clients checking different certificates mostly write
 // different cache lines. Reads never delete — an expired entry is reported as a
-// miss and left for the sweeper instead of being removed under an
-// exclusive lock on the read path. Construct with NewCache or
-// NewCacheWithConfig; one Cache is safe for concurrent use by many
-// clients. The zero value and nil are both usable as a disabled cache.
+// miss and left in place (the next Put of its key replaces it) instead
+// of being removed under an exclusive lock on the read path. Construct
+// with NewCache; one Cache is safe for concurrent use by many clients.
+// The zero value and nil are both usable as a disabled cache.
 type Cache struct {
 	shards []cacheShard
 	mask   uint32
-	// perShardCap is MaxEntries spread over the shards (0 = unbounded).
-	perShardCap int
 
-	// Counted once per download or eviction, never on a hit.
-	evictions   atomic.Int64
+	// Counted once per download, never on a hit.
 	crlFetches  atomic.Int64
 	dedupeJoins atomic.Int64
 }
@@ -114,29 +94,13 @@ type crlFlight struct {
 	err    error
 }
 
-// NewCache returns an empty cache with default sharding and no entry cap.
-func NewCache() *Cache {
-	return NewCacheWithConfig(CacheConfig{})
-}
+// NewCache returns an empty cache of 64 lock shards.
+func NewCache() *Cache { return newCache(64) }
 
-// NewCacheWithConfig returns an empty cache sized by cfg.
-func NewCacheWithConfig(cfg CacheConfig) *Cache {
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = DefaultCacheShards
-	}
-	// Round up to a power of two so the shard index is a mask.
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
+// newCache returns an empty cache of n lock shards; n must be a power of
+// two so the shard index is a mask.
+func newCache(n int) *Cache {
 	c := &Cache{shards: make([]cacheShard, n), mask: uint32(n - 1)}
-	if cfg.MaxEntries > 0 {
-		c.perShardCap = (cfg.MaxEntries + n - 1) / n
-		if c.perShardCap < 1 {
-			c.perShardCap = 1
-		}
-	}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.crls = make(map[string]*crl.CRL)
@@ -153,10 +117,8 @@ type CacheStats struct {
 	OCSPHits   int64
 	OCSPMisses int64
 	// Expired counts lookups that found an entry past its validity
-	// window (reported as misses; the entry stays for the sweeper).
+	// window (reported as misses; the entry stays resident).
 	Expired int64
-	// Evictions counts entries removed to enforce MaxEntries.
-	Evictions int64
 	// CRLFetches counts fetch closures actually run by DoCRL — the
 	// number of network downloads a fleet paid for.
 	CRLFetches int64
@@ -186,7 +148,6 @@ func (c *Cache) Stats() CacheStats {
 		return CacheStats{}
 	}
 	st := CacheStats{
-		Evictions:   c.evictions.Load(),
 		CRLFetches:  c.crlFetches.Load(),
 		DedupeJoins: c.dedupeJoins.Load(),
 	}
@@ -275,7 +236,6 @@ func (c *Cache) PutCRL(url string, parsed *crl.CRL) {
 	sh := c.crlShard(url)
 	sh.mu.Lock()
 	sh.crls[url] = parsed
-	c.enforceCapLocked(sh)
 	sh.mu.Unlock()
 }
 
@@ -316,7 +276,6 @@ func (c *Cache) PutOCSP(issuer, cert *x509x.Certificate, sr ocsp.SingleResponse)
 	sh := c.ocspShard(key)
 	sh.mu.Lock()
 	sh.ocsps[string(key)] = sr
-	c.enforceCapLocked(sh)
 	sh.mu.Unlock()
 }
 
@@ -372,79 +331,6 @@ func (c *Cache) fetchCRLOnce(url string, now time.Time, fetch func() (*crl.CRL, 
 	return parsed, SourceFetched, err
 }
 
-// enforceCapLocked evicts soonest-to-expire entries while the shard is
-// over its cap; the policy is deterministic for a given shard
-// population. Caller holds sh.mu.
-func (c *Cache) enforceCapLocked(sh *cacheShard) {
-	if c.perShardCap <= 0 {
-		return
-	}
-	for len(sh.crls)+len(sh.ocsps) > c.perShardCap {
-		if c.evictOneLocked(sh) == 0 {
-			return
-		}
-	}
-}
-
-// evictOneLocked removes the entry with the earliest nextUpdate (ties
-// broken by key order, so eviction is deterministic for a given shard
-// population). Returns the number of entries removed.
-func (c *Cache) evictOneLocked(sh *cacheShard) int {
-	var bestKey string
-	var bestAt time.Time
-	bestIsCRL := false
-	found := false
-	consider := func(key string, at time.Time, isCRL bool) {
-		if !found || at.Before(bestAt) || (at.Equal(bestAt) && key < bestKey) {
-			found, bestKey, bestAt, bestIsCRL = true, key, at, isCRL
-		}
-	}
-	for key, parsed := range sh.crls {
-		consider(key, parsed.NextUpdate, true)
-	}
-	for key, sr := range sh.ocsps {
-		consider(key, sr.NextUpdate, false)
-	}
-	if !found {
-		return 0
-	}
-	if bestIsCRL {
-		delete(sh.crls, bestKey)
-	} else {
-		delete(sh.ocsps, bestKey)
-	}
-	c.evictions.Add(1)
-	return 1
-}
-
-// Sweep removes every entry whose validity window has lapsed at now and
-// returns the number removed. Reads never delete, so a long-lived cache
-// should be swept periodically (the fleet driver sweeps between rounds).
-func (c *Cache) Sweep(now time.Time) int {
-	if c == nil {
-		return 0
-	}
-	removed := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for key, parsed := range sh.crls {
-			if !parsed.CurrentAt(now) {
-				delete(sh.crls, key)
-				removed++
-			}
-		}
-		for key, sr := range sh.ocsps {
-			if !sr.CurrentAt(now) {
-				delete(sh.ocsps, key)
-				removed++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return removed
-}
-
 // Len reports the number of cached CRLs and OCSP responses.
 func (c *Cache) Len() (crls, ocsps int) {
 	if c == nil {
@@ -458,12 +344,4 @@ func (c *Cache) Len() (crls, ocsps int) {
 		sh.mu.RUnlock()
 	}
 	return crls, ocsps
-}
-
-// NumShards reports the (rounded) shard count, for harness reporting.
-func (c *Cache) NumShards() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.shards)
 }

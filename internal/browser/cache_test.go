@@ -23,18 +23,6 @@ func testCRL(next time.Time) *crl.CRL {
 	}
 }
 
-func TestCacheShardRounding(t *testing.T) {
-	cases := []struct{ want, shards int }{
-		{DefaultCacheShards, 0}, {1, 1}, {4, 3}, {8, 8}, {64, 33},
-	}
-	for _, tc := range cases {
-		c := NewCacheWithConfig(CacheConfig{Shards: tc.shards})
-		if got := c.NumShards(); got != tc.want {
-			t.Errorf("Shards=%d: NumShards = %d, want %d", tc.shards, got, tc.want)
-		}
-	}
-}
-
 func TestCacheExpiryIsMissNotDelete(t *testing.T) {
 	c := NewCache()
 	now := time.Date(2015, time.March, 1, 0, 0, 0, 0, time.UTC)
@@ -43,7 +31,7 @@ func TestCacheExpiryIsMissNotDelete(t *testing.T) {
 	if _, ok := c.CRL("http://crl.test/1.crl", now); !ok {
 		t.Fatal("live entry missed")
 	}
-	// Past expiry the entry is a miss but stays resident for the sweeper.
+	// Past expiry the entry is a miss but stays resident.
 	late := now.Add(2 * time.Hour)
 	if _, ok := c.CRL("http://crl.test/1.crl", late); ok {
 		t.Fatal("expired entry served")
@@ -54,37 +42,6 @@ func TestCacheExpiryIsMissNotDelete(t *testing.T) {
 	st := c.Stats()
 	if st.CRLHits != 1 || st.CRLMisses != 1 || st.Expired != 1 {
 		t.Errorf("stats = %+v", st)
-	}
-	if got := c.Sweep(late); got != 1 {
-		t.Errorf("Sweep removed %d entries, want 1", got)
-	}
-	if crls, _ := c.Len(); crls != 0 {
-		t.Errorf("entries left after sweep: %d", crls)
-	}
-}
-
-func TestCacheCapEvictsSoonestToExpire(t *testing.T) {
-	// One shard so the cap applies to one deterministic population.
-	c := NewCacheWithConfig(CacheConfig{Shards: 1, MaxEntries: 3})
-	now := time.Date(2015, time.March, 1, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 4; i++ {
-		url := fmt.Sprintf("http://crl.test/%d.crl", i)
-		c.PutCRL(url, testCRL(now.Add(time.Duration(i+1)*time.Hour)))
-	}
-	if crls, _ := c.Len(); crls != 3 {
-		t.Fatalf("cap not enforced: len = %d", crls)
-	}
-	// The entry expiring first (index 0) must be the one evicted.
-	if _, ok := c.CRL("http://crl.test/0.crl", now); ok {
-		t.Error("soonest-to-expire entry survived eviction")
-	}
-	for i := 1; i < 4; i++ {
-		if _, ok := c.CRL(fmt.Sprintf("http://crl.test/%d.crl", i), now); !ok {
-			t.Errorf("entry %d wrongly evicted", i)
-		}
-	}
-	if got := c.Stats().Evictions; got != 1 {
-		t.Errorf("evictions = %d, want 1", got)
 	}
 }
 
@@ -351,8 +308,8 @@ func checkCacheTally(t *testing.T, cache *Cache, want cacheTally) {
 // answer alike, and the per-shard counters must add up to exactly the
 // lookups made.
 func TestCacheAgreesWithSingleLockCache(t *testing.T) {
-	for _, shards := range []int{1, 4, DefaultCacheShards} {
-		cache := NewCacheWithConfig(CacheConfig{Shards: shards})
+	for _, shards := range []int{1, 4, 64} {
+		cache := newCache(shards)
 		tally := runCacheScript(t, int64(shards), 6000, newCachePopulation(t, "serial"), cache, NewSingleLockCache())
 		checkCacheTally(t, cache, tally)
 	}
@@ -363,7 +320,7 @@ func TestCacheAgreesWithSingleLockCache(t *testing.T) {
 // answers do not depend on the interleaving; the shards, their locks and
 // their counters are shared.
 func TestCacheAgreesWithSingleLockCacheConcurrent(t *testing.T) {
-	cache, legacy := NewCacheWithConfig(CacheConfig{Shards: 4}), NewSingleLockCache()
+	cache, legacy := newCache(4), NewSingleLockCache()
 	const scripts = 8
 	pops := make([]*cachePopulation, scripts)
 	for g := range pops {

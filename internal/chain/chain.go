@@ -207,23 +207,6 @@ func DiscoverIntermediates(roots *Pool, candidates []*x509x.Certificate, opts Op
 	}
 }
 
-// BuildLeafSet filters a corpus of observed certificates down to the Leaf
-// Set: non-CA certificates with at least one valid chain (dates ignored,
-// matching the paper's OpenSSL configuration in §3.1).
-func BuildLeafSet(roots, intermediates *Pool, observed []*x509x.Certificate) []*x509x.Certificate {
-	verifier := &Verifier{Roots: roots, Intermediates: intermediates}
-	var leaves []*x509x.Certificate
-	for _, c := range observed {
-		if c.IsCA {
-			continue
-		}
-		if _, err := verifier.Verify(c, Options{IgnoreDates: true}); err == nil {
-			leaves = append(leaves, c)
-		}
-	}
-	return leaves
-}
-
 // satisfiesNameConstraints reports whether the leaf's DNS identities fall
 // inside the CA's permitted subtrees and outside its excluded ones
 // (RFC 5280 §4.2.1.10, restricted to dNSName constraints).

@@ -279,19 +279,6 @@ func TestDiscoverIntermediates(t *testing.T) {
 	}
 }
 
-func TestBuildLeafSet(t *testing.T) {
-	root := mkCA(t, "Root", nil, -1)
-	int1 := mkCA(t, "I1", root, -1)
-	good := mkLeaf(t, "good.example.com", int1, nil)
-	stranger := mkCA(t, "Stranger", nil, -1)
-	bad := mkLeaf(t, "bad.example.com", stranger, nil)
-
-	leaves := BuildLeafSet(NewPool(root.cert), NewPool(int1.cert), []*x509x.Certificate{good, bad, int1.cert})
-	if len(leaves) != 1 || leaves[0] != good {
-		t.Fatalf("leaf set = %d certs", len(leaves))
-	}
-}
-
 func TestPoolDeduplication(t *testing.T) {
 	root := mkCA(t, "Root", nil, -1)
 	p := NewPool(root.cert, root.cert)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/workload"
@@ -12,10 +11,9 @@ import (
 // replay the scan and crawl calendars, and expose the experiment runners —
 // the scan→crawl→analyse loop of §3 behind one call.
 type Pipeline struct {
-	// Runner exposes every per-figure/table experiment.
+	// Runner exposes every per-figure/table experiment and, through
+	// Runner.World, the simulated ecosystem they analyse.
 	Runner *experiments.Runner
-	// Elapsed is the wall-clock cost of building and running the world.
-	Elapsed time.Duration
 }
 
 // PipelineConfig parameterizes a study run.
@@ -23,8 +21,10 @@ type PipelineConfig struct {
 	// Scale is the population scale relative to the real internet
 	// (default 0.01 — the reference experiment scale).
 	Scale float64
-	// Seed drives all randomness; identical seeds reproduce identical
-	// studies byte for byte.
+	// Seed drives the simulation's randomness. Identical seeds reproduce
+	// the same counts, fractions and findings; byte sizes are not
+	// seed-stable, since CA keys and ECDSA signature nonces come from
+	// crypto/rand and a signature's DER length varies between runs.
 	Seed int64
 }
 
@@ -37,18 +37,9 @@ func RunStudy(cfg PipelineConfig) (*Pipeline, error) {
 	if cfg.Seed != 0 {
 		wcfg.Seed = cfg.Seed
 	}
-	start := time.Now()
 	runner, err := experiments.New(wcfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: study: %w", err)
 	}
-	return &Pipeline{Runner: runner, Elapsed: time.Since(start)}, nil
+	return &Pipeline{Runner: runner}, nil
 }
-
-// Results runs every experiment and returns them in paper order.
-func (p *Pipeline) Results() ([]*experiments.Result, error) {
-	return p.Runner.All()
-}
-
-// World exposes the underlying simulated ecosystem for custom analyses.
-func (p *Pipeline) World() *workload.World { return p.Runner.World }

@@ -9,14 +9,11 @@ func TestRunStudyEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Elapsed <= 0 {
-		t.Error("elapsed not recorded")
-	}
-	w := p.World()
+	w := p.Runner.World
 	if w == nil || w.Corpus.NumScans() != 74 {
 		t.Fatalf("world scans = %d", w.Corpus.NumScans())
 	}
-	results, err := p.Results()
+	results, err := p.Runner.All()
 	if err != nil {
 		t.Fatal(err)
 	}

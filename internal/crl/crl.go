@@ -134,9 +134,6 @@ type CRL struct {
 // NumEntries returns the number of revoked entries.
 func (c *CRL) NumEntries() int { return len(c.Entries) }
 
-// EntryAt returns entry i in CRL order.
-func (c *CRL) EntryAt(i int) Entry { return c.Entries[i] }
-
 // VisitEntries calls fn for each entry in CRL order until fn returns
 // false — iterator-style access without exposing the backing slice.
 func (c *CRL) VisitEntries(fn func(Entry) bool) {

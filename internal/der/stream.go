@@ -21,10 +21,6 @@ type Cursor struct {
 	off  int
 }
 
-// NewCursor returns a cursor over data, which must be a concatenation of
-// zero or more TLVs.
-func NewCursor(data []byte) Cursor { return Cursor{rest: data} }
-
 // SequenceCursor returns a cursor over the children of a SEQUENCE value.
 // Unlike Sequence it does not materialize a []Value.
 func (v Value) SequenceCursor() (Cursor, error) {

@@ -358,7 +358,6 @@ func subStats(after, before browser.CacheStats) browser.CacheStats {
 		OCSPHits:    after.OCSPHits - before.OCSPHits,
 		OCSPMisses:  after.OCSPMisses - before.OCSPMisses,
 		Expired:     after.Expired - before.Expired,
-		Evictions:   after.Evictions - before.Evictions,
 		CRLFetches:  after.CRLFetches - before.CRLFetches,
 		DedupeJoins: after.DedupeJoins - before.DedupeJoins,
 	}

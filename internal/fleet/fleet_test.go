@@ -70,7 +70,7 @@ func TestDeterminismSameWorld(t *testing.T) {
 // hammer one Cache and one Client through concurrent Evaluate calls.
 func TestFleetSharedCacheRace(t *testing.T) {
 	w := testWorld(t, Config{Browsers: 32, Certs: 32, EvalsPerBrowser: 6, Seed: 5})
-	cache := browser.NewCacheWithConfig(browser.CacheConfig{Shards: 4, MaxEntries: 64})
+	cache := browser.NewCache()
 	if _, err := w.Run(RunOptions{Workers: 16, Store: cache}); err != nil {
 		t.Fatal(err)
 	}

@@ -175,9 +175,6 @@ type PhaseResult struct {
 	virtualNS int64
 }
 
-// DigestValue returns the raw phase digest (0 when unset).
-func (r *PhaseResult) DigestValue() uint64 { return r.digest }
-
 // Phase runs fn as the named phase, bracketing it with wall, virtual,
 // and fabric measurements. The error from fn aborts the scenario run
 // (the partial result is still appended, so reports show where it

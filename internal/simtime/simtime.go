@@ -97,22 +97,6 @@ func (c *Clock) AdvanceTo(t time.Time) {
 // fires (scans, crawls, CRLSet fetches).
 type Schedule []time.Time
 
-// Weekly returns a schedule of n instants spaced exactly seven days apart,
-// starting at start.
-func Weekly(start time.Time, n int) Schedule {
-	return every(start, n, 7*24*time.Hour)
-}
-
-// Daily returns a schedule of one instant per day from first to last
-// inclusive.
-func Daily(first, last time.Time) Schedule {
-	n := DaysBetween(first, last) + 1
-	if n <= 0 {
-		return nil
-	}
-	return every(first, n, 24*time.Hour)
-}
-
 // span returns a schedule of n instants evenly covering [start, end]; the
 // first instant is start and the last is end. This matches the paper's
 // "roughly weekly" scan cadence, which drifts slightly so the 74th scan
@@ -133,23 +117,8 @@ func span(start, end time.Time, n int) Schedule {
 	return s
 }
 
-func every(start time.Time, n int, step time.Duration) Schedule {
-	if n <= 0 {
-		return nil
-	}
-	s := make(Schedule, n)
-	for i := range s {
-		s[i] = start.Add(time.Duration(i) * step)
-	}
-	return s
-}
-
 // ScanSchedule returns the study's 74-scan calendar.
 func ScanSchedule() Schedule { return span(ScanStart, ScanEnd, NumScans) }
-
-// CrawlSchedule returns the study's daily CRL-crawl calendar
-// (October 2, 2014 through March 31, 2015).
-func CrawlSchedule() Schedule { return Daily(CrawlStart, CrawlEnd) }
 
 // Between returns the sub-schedule of instants t with from <= t <= to.
 func (s Schedule) Between(from, to time.Time) Schedule {

@@ -130,40 +130,6 @@ func TestScanSchedule(t *testing.T) {
 	}
 }
 
-func TestCrawlSchedule(t *testing.T) {
-	s := CrawlSchedule()
-	// Oct 2 2014 .. Mar 31 2015 inclusive = 181 days.
-	if len(s) != 181 {
-		t.Fatalf("crawl days = %d, want 181", len(s))
-	}
-	if !s.First().Equal(CrawlStart) || !s.Last().Equal(CrawlEnd) {
-		t.Fatalf("crawl bounds [%v, %v]", s.First(), s.Last())
-	}
-}
-
-func TestWeekly(t *testing.T) {
-	s := Weekly(ScanStart, 3)
-	if len(s) != 3 {
-		t.Fatalf("len = %d", len(s))
-	}
-	if got := s[2].Sub(s[0]); got != 14*24*time.Hour {
-		t.Errorf("span = %v, want 14 days", got)
-	}
-	if Weekly(ScanStart, 0) != nil {
-		t.Error("Weekly(_, 0) should be nil")
-	}
-}
-
-func TestDailyEmptyAndSingle(t *testing.T) {
-	if s := Daily(CrawlEnd, CrawlStart); s != nil {
-		t.Errorf("reversed Daily = %v, want nil", s)
-	}
-	s := Daily(CrawlStart, CrawlStart)
-	if len(s) != 1 || !s[0].Equal(CrawlStart) {
-		t.Errorf("single-day Daily = %v", s)
-	}
-}
-
 func TestSpanEdgeCases(t *testing.T) {
 	if span(ScanStart, ScanEnd, 0) != nil {
 		t.Error("Span n=0 should be nil")

@@ -1,15 +1,12 @@
 // Package stats provides the small statistics toolkit shared by every
-// experiment: empirical CDFs (raw and weighted), quantiles, histograms,
-// least-squares fits, and time series. All of the paper's figures are
-// CDFs, scatters, or time series, so these few primitives cover the whole
-// evaluation.
+// experiment: empirical CDFs (raw and weighted), quantiles and
+// least-squares fits.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 )
 
 // CDF is an empirical cumulative distribution over float64 samples.
@@ -207,113 +204,4 @@ func LinearFit(pts []Point) Fit {
 		r2 = 1 - ssRes/syy
 	}
 	return Fit{Slope: slope, Intercept: intercept, R2: r2}
-}
-
-// Sample is one observation of a time series.
-type Sample struct {
-	Time  time.Time
-	Value float64
-}
-
-// TimeSeries is an append-only ordered sequence of timestamped values —
-// the representation behind Figures 2, 8, and 9.
-type TimeSeries struct {
-	Name    string
-	samples []Sample
-}
-
-// NewTimeSeries returns an empty named series.
-func NewTimeSeries(name string) *TimeSeries { return &TimeSeries{Name: name} }
-
-// Add appends an observation. Observations must be appended in
-// non-decreasing time order; Add panics otherwise.
-func (ts *TimeSeries) Add(t time.Time, v float64) {
-	if n := len(ts.samples); n > 0 && t.Before(ts.samples[n-1].Time) {
-		panic(fmt.Sprintf("stats: out-of-order sample %v for series %q", t, ts.Name))
-	}
-	ts.samples = append(ts.samples, Sample{Time: t, Value: v})
-}
-
-// Len returns the number of observations.
-func (ts *TimeSeries) Len() int { return len(ts.samples) }
-
-// Samples returns the observations in time order. The returned slice is
-// owned by the series and must not be modified.
-func (ts *TimeSeries) Samples() []Sample { return ts.samples }
-
-// At returns the value of the most recent observation at or before t, and
-// whether one exists.
-func (ts *TimeSeries) At(t time.Time) (float64, bool) {
-	i := sort.Search(len(ts.samples), func(i int) bool { return ts.samples[i].Time.After(t) })
-	if i == 0 {
-		return 0, false
-	}
-	return ts.samples[i-1].Value, true
-}
-
-// MaxValue returns the largest observed value and its time; ok is false for
-// an empty series.
-func (ts *TimeSeries) MaxValue() (v float64, at time.Time, ok bool) {
-	for i, s := range ts.samples {
-		if i == 0 || s.Value > v {
-			v, at = s.Value, s.Time
-		}
-	}
-	return v, at, len(ts.samples) > 0
-}
-
-// Last returns the final observation; ok is false for an empty series.
-func (ts *TimeSeries) Last() (Sample, bool) {
-	if len(ts.samples) == 0 {
-		return Sample{}, false
-	}
-	return ts.samples[len(ts.samples)-1], true
-}
-
-// Histogram counts occurrences in fixed-width buckets covering [lo, hi).
-// Values outside the range are clamped into the first or last bucket.
-type Histogram struct {
-	lo, hi float64
-	counts []int
-	n      int
-}
-
-// NewHistogram creates a histogram with the given bucket count. It panics
-// for a non-positive bucket count or an empty range.
-func NewHistogram(lo, hi float64, buckets int) *Histogram {
-	if buckets <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{lo: lo, hi: hi, counts: make([]int, buckets)}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	i := int((v - h.lo) / (h.hi - h.lo) * float64(len(h.counts)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.counts) {
-		i = len(h.counts) - 1
-	}
-	h.counts[i]++
-	h.n++
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int { return h.n }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int { return h.counts[i] }
-
-// Buckets returns the number of buckets.
-func (h *Histogram) Buckets() int { return len(h.counts) }
-
-// Fraction reports the fraction of observations falling in bucket i, or 0
-// when the histogram is empty.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.counts[i]) / float64(h.n)
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -191,84 +190,4 @@ func TestLinearFitNoisy(t *testing.T) {
 func TestLinearFitPanics(t *testing.T) {
 	mustPanic(t, "one point", func() { LinearFit([]Point{{1, 1}}) })
 	mustPanic(t, "constant x", func() { LinearFit([]Point{{1, 1}, {1, 2}}) })
-}
-
-func TestTimeSeries(t *testing.T) {
-	ts := NewTimeSeries("fresh-revoked")
-	base := time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 10; i++ {
-		ts.Add(base.AddDate(0, 0, i), float64(i)*0.01)
-	}
-	if ts.Len() != 10 {
-		t.Fatalf("Len = %d", ts.Len())
-	}
-	if v, ok := ts.At(base.AddDate(0, 0, 5)); !ok || v != 0.05 {
-		t.Errorf("At(+5d) = %v, %v", v, ok)
-	}
-	// Between samples: latest at-or-before wins.
-	if v, ok := ts.At(base.AddDate(0, 0, 5).Add(12 * time.Hour)); !ok || v != 0.05 {
-		t.Errorf("At(+5.5d) = %v, %v", v, ok)
-	}
-	if _, ok := ts.At(base.Add(-time.Hour)); ok {
-		t.Error("At before first sample should report !ok")
-	}
-	last, ok := ts.Last()
-	if !ok || last.Value != 0.09 {
-		t.Errorf("Last = %+v, %v", last, ok)
-	}
-	v, at, ok := ts.MaxValue()
-	if !ok || v != 0.09 || !at.Equal(base.AddDate(0, 0, 9)) {
-		t.Errorf("MaxValue = %v @ %v", v, at)
-	}
-}
-
-func TestTimeSeriesOrderEnforced(t *testing.T) {
-	ts := NewTimeSeries("x")
-	now := time.Now()
-	ts.Add(now, 1)
-	ts.Add(now, 2) // equal time allowed
-	mustPanic(t, "out of order", func() { ts.Add(now.Add(-time.Second), 3) })
-}
-
-func TestEmptyTimeSeries(t *testing.T) {
-	ts := NewTimeSeries("empty")
-	if _, ok := ts.Last(); ok {
-		t.Error("Last on empty should be !ok")
-	}
-	if _, _, ok := ts.MaxValue(); ok {
-		t.Error("MaxValue on empty should be !ok")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Observe(float64(i) + 0.5)
-	}
-	h.Observe(-5) // clamps to first bucket
-	h.Observe(50) // clamps to last bucket
-	if h.Count() != 12 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-	if h.Bucket(0) != 2 || h.Bucket(9) != 2 {
-		t.Errorf("clamped buckets: first=%d last=%d", h.Bucket(0), h.Bucket(9))
-	}
-	if got := h.Fraction(5); !approx(got, 1.0/12, 1e-12) {
-		t.Errorf("Fraction(5) = %v", got)
-	}
-	if h.Buckets() != 10 {
-		t.Errorf("Buckets = %d", h.Buckets())
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	mustPanic(t, "zero buckets", func() { NewHistogram(0, 1, 0) })
-	mustPanic(t, "empty range", func() { NewHistogram(1, 1, 5) })
-}
-
-func TestEmptyHistogramFraction(t *testing.T) {
-	h := NewHistogram(0, 1, 2)
-	if h.Fraction(0) != 0 {
-		t.Error("empty histogram Fraction should be 0")
-	}
 }

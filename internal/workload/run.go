@@ -297,6 +297,3 @@ func (w *World) appendSources(buf []crlset.SourceCRL, day time.Time) []crlset.So
 
 // LatestSet returns the most recent CRLSet snapshot.
 func (w *World) LatestSet() *crlset.Set { return w.lastSet }
-
-// ActiveCount reports the advertised-fresh-unrevoked population size.
-func (w *World) ActiveCount() int { return len(w.active) }

@@ -29,9 +29,9 @@ func digestAnalyze(h hash.Hash, w *World) {
 
 // TestStreamingDeterminism is the streaming engine's contract, mirroring
 // TestParallelDeterminism: the same seed built serially in memory,
-// in parallel in memory, and in parallel with a spill budget small
-// enough to force every scan segment to disk must produce identical
-// world digests AND identical analyze output digests.
+// in parallel in memory, and in parallel on disk (a segdb store, and a
+// spill budget small enough to force every scan segment out) must
+// produce identical world digests AND identical analyze output digests.
 func TestStreamingDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds three worlds")
@@ -41,7 +41,7 @@ func TestStreamingDeterminism(t *testing.T) {
 		cfg := Config{Scale: 0.0005, Seed: 7, Parallelism: parallelism}
 		if budget > 0 {
 			cfg.MemoryBudget = budget
-			cfg.CorpusDir = t.TempDir()
+			cfg.Dir = t.TempDir()
 		}
 		w, err := NewWorld(cfg)
 		if err != nil {

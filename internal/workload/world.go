@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"repro/internal/crlset"
 	"repro/internal/host"
 	"repro/internal/revdb"
+	"repro/internal/revdb/segdb"
 	"repro/internal/simnet"
 	"repro/internal/simtime"
 )
@@ -39,21 +41,20 @@ type Config struct {
 	// path. The built world is byte-for-byte identical at any setting:
 	// every random decision is drawn before work fans out.
 	Parallelism int
-	// OpenStore opens the revocation database backing World.RevDB. Nil
-	// means the in-memory revdb.New(). It is a factory, not an instance:
-	// experiment runners copy a Config to build several worlds, and each
-	// world needs its own store (for the disk backend, its own
-	// directory). Close the world to close the store.
-	OpenStore func() (revdb.Store, error)
+	// Dir puts the world on disk. Empty keeps it in memory: World.RevDB
+	// is revdb.New() and the corpus spills only past a non-zero
+	// MemoryBudget, into a temporary directory removed on Close. Set,
+	// each world built from the Config claims a fresh subdirectory of
+	// Dir (experiment runners build several) holding a segdb revocation
+	// store and the corpus spill, MemoryBudget defaults to 256 MiB, and
+	// the data stays after Close.
+	Dir string
 	// MemoryBudget caps the bytes of encoded corpus sighting runs kept
 	// resident during the build; sealed scan segments beyond it spill to
-	// CorpusDir and are read back via mmap during analysis. Zero keeps
-	// every sealed segment in memory (the runs are still compact
+	// disk and are read back via mmap during analysis. Zero without Dir
+	// keeps every sealed segment in memory (the runs are still compact
 	// delta-encoded bytes, just not spilled).
 	MemoryBudget int64
-	// CorpusDir receives spilled corpus segments. Empty with a non-zero
-	// MemoryBudget means a temporary directory, removed on Close.
-	CorpusDir string
 
 	// SteadyRevPerYear is the steady-state fraction of advertised fresh
 	// certificates revoked per year (the >1% pre-Heartbleed baseline).
@@ -252,8 +253,8 @@ type World struct {
 	// were decoded against how many were reused. Run fills it in.
 	CrawlStats crawler.FetchStats
 	// RevDB is the revocation database, fed by the daily crawl. The
-	// backend is chosen by Config.OpenStore: in-memory by default, or
-	// the disk-backed segdb store for worlds too large for RAM.
+	// backend is chosen by Config.Dir: in-memory by default, or the
+	// disk-backed segdb store for worlds too large for RAM.
 	RevDB    revdb.Store
 	Timeline *crlset.Timeline
 
@@ -290,39 +291,52 @@ func (w *World) Close() error {
 	return serr
 }
 
+// diskBudget is MemoryBudget's default for a world on disk: large
+// enough that seed-scale worlds never spill mid-build for nothing, small
+// enough that paper-scale corpora stream to disk.
+const diskBudget int64 = 256 << 20
+
+// openBackend opens a world's revocation store and corpus: both in
+// memory when cfg.Dir is empty, else a segdb store and a spilling corpus
+// in a fresh subdirectory of cfg.Dir.
+func openBackend(cfg Config) (revdb.Store, *corpus.Corpus, error) {
+	if cfg.Dir == "" {
+		corp, err := corpus.NewWithConfig(corpus.Config{SpillBudget: cfg.MemoryBudget})
+		if err != nil {
+			return nil, nil, fmt.Errorf("open corpus: %w", err)
+		}
+		return revdb.New(), corp, nil
+	}
+	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+		return nil, nil, err
+	}
+	dir, err := os.MkdirTemp(cfg.Dir, "world-")
+	if err != nil {
+		return nil, nil, err
+	}
+	store, err := segdb.Open(filepath.Join(dir, "revdb"), nil)
+	if err != nil {
+		return nil, nil, fmt.Errorf("open revocation store: %w", err)
+	}
+	budget := cfg.MemoryBudget
+	if budget == 0 {
+		budget = diskBudget
+	}
+	corp, err := corpus.NewWithConfig(corpus.Config{SpillBudget: budget, Dir: filepath.Join(dir, "corpus")})
+	if err != nil {
+		store.Close()
+		return nil, nil, fmt.Errorf("open corpus: %w", err)
+	}
+	return store, corp, nil
+}
+
 // NewWorld builds the initial ecosystem (CAs, backfilled certificate
 // population, hosts) without running the clock.
 func NewWorld(cfg Config) (*World, error) {
 	cfg.fillDefaults()
-	store := revdb.Store(nil)
-	if cfg.OpenStore != nil {
-		var err error
-		if store, err = cfg.OpenStore(); err != nil {
-			return nil, fmt.Errorf("open revocation store: %w", err)
-		}
-	} else {
-		store = revdb.New()
-	}
-	// Each world claims its own spill subdirectory: experiment runners
-	// build several worlds from one Config, and segment filenames are
-	// per-corpus.
-	corpusDir := cfg.CorpusDir
-	if corpusDir != "" {
-		if err := os.MkdirAll(corpusDir, 0o755); err != nil {
-			store.Close()
-			return nil, fmt.Errorf("open corpus: %w", err)
-		}
-		d, err := os.MkdirTemp(corpusDir, "world-")
-		if err != nil {
-			store.Close()
-			return nil, fmt.Errorf("open corpus: %w", err)
-		}
-		corpusDir = d
-	}
-	corp, err := corpus.NewWithConfig(corpus.Config{SpillBudget: cfg.MemoryBudget, Dir: corpusDir})
+	store, corp, err := openBackend(cfg)
 	if err != nil {
-		store.Close()
-		return nil, fmt.Errorf("open corpus: %w", err)
+		return nil, err
 	}
 	w := &World{
 		Cfg:      cfg,
