@@ -12,9 +12,11 @@ GO ?= go
 # world-build benchmark.
 check: vet build test race-hot race flake chaos fuzz-short bench-smoke
 
-# vet also fails on any file gofmt would rewrite, and names it.
+# vet also type-checks the !unix files (GOOS=windows), which no Linux
+# build compiles, and fails on any file gofmt would rewrite, naming it.
 vet:
 	$(GO) vet ./...
+	GOOS=windows $(GO) vet ./...
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 build:

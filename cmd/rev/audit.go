@@ -21,13 +21,13 @@ import (
 // not be fully determined.
 func auditCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 	roots := fs.String("roots", "", "PEM file of trusted roots (optional; skips path validation when absent)")
-	timeout := fs.Duration("timeout", 10*time.Second, "TLS dial timeout")
+	timeout := fs.Duration("timeout", 10*time.Second, "bound on the TLS handshake and on each CRL download and OCSP query")
 	return func(stdout, stderr io.Writer) error {
 		if fs.NArg() != 1 {
 			fs.Usage()
 			return exitStatus{code: 1}
 		}
-		auditor := &core.Auditor{DialTimeout: *timeout}
+		auditor := &core.Auditor{Timeout: *timeout}
 		if *roots != "" {
 			data, err := os.ReadFile(*roots)
 			if err != nil {

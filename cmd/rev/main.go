@@ -156,7 +156,7 @@ func startProfiles(cpuPath, memPath string) (func() error, error) {
 func worldFlags(fs *flag.FlagSet) func() workload.Config {
 	scale := fs.Float64("scale", 0.01, "population scale relative to the real internet")
 	seed := fs.Int64("seed", 1, "simulation seed")
-	dir := fs.String("disk", "", "keep the world on disk under this directory: a segdb revocation store and the corpus spill, one subdirectory per world (default: in memory)")
+	dir := fs.String("disk", "", "keep the revocation store on disk under this directory: one segdb store per world, each in its own subdirectory (default: in memory)")
 	return func() workload.Config {
 		cfg := workload.DefaultConfig()
 		cfg.Scale, cfg.Seed, cfg.Dir = *scale, *seed, *dir

@@ -35,7 +35,8 @@ func TestScanBadFlags(t *testing.T) {
 }
 
 // TestScanDisk: a world on disk prints what the same world in memory
-// prints, and leaves a segdb store and a corpus directory under -disk.
+// prints, and leaves one world under -disk holding a segdb store and
+// nothing else.
 func TestScanDisk(t *testing.T) {
 	args := []string{"scan", "-scale", "0.0003", "-seed", "5"}
 	var mem, disk, errOut bytes.Buffer
@@ -58,7 +59,7 @@ func TestScanDisk(t *testing.T) {
 	if len(wals)+len(snaps) == 0 {
 		t.Error("no segdb WAL or snapshot under -disk")
 	}
-	if st, err := os.Stat(filepath.Join(worlds[0], "corpus")); err != nil || !st.IsDir() {
-		t.Errorf("no corpus directory under -disk: %v", err)
+	if entries, err := os.ReadDir(worlds[0]); err != nil || len(entries) != 1 || entries[0].Name() != "revdb" {
+		t.Errorf("world directory holds %v (%v), want revdb alone", entries, err)
 	}
 }

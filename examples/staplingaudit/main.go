@@ -79,7 +79,7 @@ func main() {
 	fmt.Printf("TLS server with OCSP stapling on %s\n", srv.Addr())
 	fmt.Println("(the CA's responder URL is intentionally unreachable: the staple is the only source)")
 
-	auditor := &core.Auditor{Roots: chain.NewPool(authority.Certificate()), DialTimeout: 5 * time.Second}
+	auditor := &core.Auditor{Roots: chain.NewPool(authority.Certificate()), Timeout: 5 * time.Second}
 	report, err := auditor.Audit(srv.Addr())
 	if err != nil {
 		log.Fatal(err)

@@ -11,25 +11,7 @@ import (
 	"repro/internal/x509x"
 )
 
-// Store is the pluggable client-side revocation cache consulted by
-// Client: CRLs until their nextUpdate and OCSP single responses until
-// theirs (§2.2 — clients can cache CRLs, and OCSP responses are typically
-// cacheable for days, longer than most CRLs). A Store must be safe for
-// concurrent use by many clients; a nil Client.Cache disables caching.
-//
-// OCSP entries are keyed by (issuer, certificate) rather than a
-// pre-computed ocsp.CertID so each implementation can pick its own key
-// derivation: the sharded Cache lays the CertID's three parts out from
-// the certificates' memoised identity without allocating, while the
-// tests' SingleLockCache reproduces the seed's CertID.Key() string path.
-type Store interface {
-	CRL(url string, now time.Time) (*crl.CRL, bool)
-	PutCRL(url string, parsed *crl.CRL)
-	OCSP(issuer, cert *x509x.Certificate, now time.Time) (ocsp.SingleResponse, bool)
-	PutOCSP(issuer, cert *x509x.Certificate, sr ocsp.SingleResponse)
-}
-
-// CRLSource says how a CRL reached the caller of DoCRL.
+// CRLSource says how a CRL reached the client that asked for it.
 type CRLSource int
 
 // CRL sources.
@@ -43,16 +25,11 @@ const (
 	SourceJoined
 )
 
-// crlSingleflighter is implemented by stores that can collapse concurrent
-// same-URL CRL fetches into one download+parse. Client type-asserts for
-// it, after its own lookup missed, so a store without it (the tests'
-// seed-faithful SingleLockCache) keeps the seed's fetch behaviour.
-type crlSingleflighter interface {
-	fetchCRLOnce(url string, now time.Time, fetch func() (*crl.CRL, error)) (*crl.CRL, CRLSource, error)
-}
-
-// Cache is the sharded Store used by a fleet of clients sharing one
-// revocation cache, the way all tabs (and, via the OS verifier, all
+// Cache is the client-side revocation cache consulted by Client: CRLs
+// until their nextUpdate and OCSP single responses until theirs (§2.2 —
+// clients can cache CRLs, and OCSP responses are typically cacheable for
+// days, longer than most CRLs). It is sharded so that a fleet of clients
+// can share one, the way all tabs (and, via the OS verifier, all
 // processes) of one machine share a single CRL/OCSP cache. A lookup
 // writes to one shard and to nothing else of the Cache: it takes that
 // shard's RLock, reads its map and adds to that shard's own hit/miss
@@ -119,10 +96,10 @@ type CacheStats struct {
 	// Expired counts lookups that found an entry past its validity
 	// window (reported as misses; the entry stays resident).
 	Expired int64
-	// CRLFetches counts fetch closures actually run by DoCRL — the
-	// number of network downloads a fleet paid for.
+	// CRLFetches counts CRL downloads actually run — the number a
+	// fleet paid for.
 	CRLFetches int64
-	// DedupeJoins counts DoCRL callers that waited on another client's
+	// DedupeJoins counts lookups that waited on another client's
 	// in-flight fetch instead of starting their own.
 	DedupeJoins int64
 }
@@ -279,21 +256,12 @@ func (c *Cache) PutOCSP(issuer, cert *x509x.Certificate, sr ocsp.SingleResponse)
 	sh.mu.Unlock()
 }
 
-// DoCRL returns a current CRL for url, fetching at most once no matter
-// how many clients ask concurrently: the first miss runs fetch, every
-// concurrent caller for the same URL waits on that flight, and later
-// callers hit the cached result. A successful fetch is stored under the
-// usual PutCRL rules. With a nil receiver DoCRL degrades to calling
-// fetch directly.
-func (c *Cache) DoCRL(url string, now time.Time, fetch func() (*crl.CRL, error)) (*crl.CRL, CRLSource, error) {
-	if parsed, ok := c.CRL(url, now); ok {
-		return parsed, SourceCached, nil
-	}
-	return c.fetchCRLOnce(url, now, fetch)
-}
-
-// fetchCRLOnce is DoCRL after the lookup missed. Client calls it directly
-// so that it builds its fetch closure only once CRL has said no.
+// fetchCRLOnce returns a current CRL for url after a CRL lookup missed,
+// fetching at most once no matter how many clients ask concurrently: the
+// first caller runs fetch, every concurrent caller for the same URL
+// waits on that flight, and later callers hit the cached result. A
+// successful fetch is stored under the usual PutCRL rules. On a nil or
+// zero Cache it calls fetch directly.
 func (c *Cache) fetchCRLOnce(url string, now time.Time, fetch func() (*crl.CRL, error)) (*crl.CRL, CRLSource, error) {
 	if c == nil || len(c.shards) == 0 {
 		parsed, err := fetch()

@@ -68,7 +68,7 @@ func TestDoCRLSingleflight(t *testing.T) {
 	for i := 0; i < clients; i++ {
 		go func(i int) {
 			started.Done()
-			parsed, src, err := c.DoCRL("http://crl.test/big.crl", now, fetch)
+			parsed, src, err := c.fetchCRLOnce("http://crl.test/big.crl", now, fetch)
 			if err != nil || parsed == nil {
 				t.Errorf("client %d: %v", i, err)
 			}
@@ -102,11 +102,11 @@ func TestDoCRLSingleflight(t *testing.T) {
 	}
 
 	// A subsequent call is a plain cache hit, still one total fetch.
-	if _, src, err := c.DoCRL("http://crl.test/big.crl", now, fetch); err != nil || src != SourceCached {
-		t.Errorf("warm DoCRL = %v, %v", src, err)
+	if _, src, err := c.fetchCRLOnce("http://crl.test/big.crl", now, fetch); err != nil || src != SourceCached {
+		t.Errorf("warm fetch = %v, %v", src, err)
 	}
 	if c.Stats().CRLFetches != 1 {
-		t.Error("warm DoCRL refetched")
+		t.Error("warm fetch refetched")
 	}
 }
 
@@ -116,11 +116,11 @@ func TestDoCRLErrorNotCached(t *testing.T) {
 	boom := errors.New("down")
 	calls := 0
 	fetch := func() (*crl.CRL, error) { calls++; return nil, boom }
-	if _, _, err := c.DoCRL("http://crl.test/x.crl", now, fetch); !errors.Is(err, boom) {
+	if _, _, err := c.fetchCRLOnce("http://crl.test/x.crl", now, fetch); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	// Failures must not negative-cache: the next caller retries.
-	if _, _, err := c.DoCRL("http://crl.test/x.crl", now, fetch); !errors.Is(err, boom) {
+	if _, _, err := c.fetchCRLOnce("http://crl.test/x.crl", now, fetch); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	if calls != 2 {
@@ -131,11 +131,11 @@ func TestDoCRLErrorNotCached(t *testing.T) {
 func TestNilStoreDoCRL(t *testing.T) {
 	var c *Cache
 	now := time.Now()
-	parsed, src, err := c.DoCRL("http://crl.test/x.crl", now, func() (*crl.CRL, error) {
+	parsed, src, err := c.fetchCRLOnce("http://crl.test/x.crl", now, func() (*crl.CRL, error) {
 		return testCRL(now.Add(time.Hour)), nil
 	})
 	if err != nil || parsed == nil || src != SourceFetched {
-		t.Errorf("nil cache DoCRL = %v, %v, %v", parsed, src, err)
+		t.Errorf("nil cache fetch = %v, %v, %v", parsed, src, err)
 	}
 }
 

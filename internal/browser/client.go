@@ -147,13 +147,11 @@ type Client struct {
 	HTTP *http.Client
 	// Now is the validation time; time.Now when nil.
 	Now func() time.Time
-	// MaxCRLBytes caps CRL downloads (default 128 MiB).
-	MaxCRLBytes int64
 	// Cache, when non-nil, reuses CRLs and OCSP responses across
 	// evaluations until their validity windows lapse, as real browsers
-	// do (§2.2). A *Cache additionally collapses concurrent same-URL CRL
-	// downloads into one fetch (singleflight).
-	Cache Store
+	// do (§2.2), and collapses concurrent same-URL CRL downloads into one
+	// fetch (singleflight). One Cache may be shared by many clients.
+	Cache *Cache
 	// Cascade, when non-nil, is a CRLite-style filter cascade consulted
 	// before CRLSet and Bloom: for enrolled issuers and certs predating
 	// its snapshot cutoff it answers revoked-or-not exactly — an
@@ -185,6 +183,9 @@ type Client struct {
 	// instead of hanging the handshake. 0 means unbounded.
 	Timeout time.Duration
 }
+
+// maxCRLBytes caps CRL downloads.
+const maxCRLBytes = 128 << 20
 
 // fetchCtx returns the per-fetch context implied by Timeout.
 func (c *Client) fetchCtx() (context.Context, context.CancelFunc) {
@@ -582,18 +583,14 @@ func (c *Client) fetchCRL(v *Verdict, cert, issuer *x509x.Certificate, pos Posit
 	return stUnavailable
 }
 
-// obtainCRL produces a verified, current CRL for url through whichever
-// cache the client carries: the sharded Cache deduplicates concurrent
-// downloads per URL (singleflight), other stores follow the seed
-// lookup/download/store sequence, and no cache means a plain download.
-// The lookup comes first and the fetch closure (which the compiler puts
-// on the heap) is built only on a miss, so a cached CRL costs no
-// allocation.
+// obtainCRL produces a verified, current CRL for url through the
+// client's cache, which deduplicates concurrent downloads per URL
+// (singleflight); no cache means a plain download. The lookup comes
+// first and the fetch closure (which the compiler puts on the heap) is
+// built only on a miss, so a cached CRL costs no allocation.
 func (c *Client) obtainCRL(url string, issuer *x509x.Certificate, now time.Time) (*crl.CRL, CRLSource, error) {
-	if c.Cache != nil {
-		if parsed, ok := c.Cache.CRL(url, now); ok {
-			return parsed, SourceCached, nil
-		}
+	if parsed, ok := c.Cache.CRL(url, now); ok {
+		return parsed, SourceCached, nil
 	}
 	fetch := func() (*crl.CRL, error) {
 		parsed, err := c.downloadCRL(url)
@@ -608,17 +605,7 @@ func (c *Client) obtainCRL(url string, issuer *x509x.Certificate, now time.Time)
 		}
 		return parsed, nil
 	}
-	if sf, ok := c.Cache.(crlSingleflighter); ok {
-		return sf.fetchCRLOnce(url, now, fetch)
-	}
-	parsed, err := fetch()
-	if err != nil {
-		return nil, SourceFetched, err
-	}
-	if c.Cache != nil {
-		c.Cache.PutCRL(url, parsed)
-	}
-	return parsed, SourceFetched, nil
+	return c.Cache.fetchCRLOnce(url, now, fetch)
 }
 
 func (c *Client) downloadCRL(url string) (*crl.CRL, error) {
@@ -640,11 +627,7 @@ func (c *Client) downloadCRL(url string) (*crl.CRL, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("browser: CRL fetch: HTTP %d", resp.StatusCode)
 	}
-	limit := c.MaxCRLBytes
-	if limit <= 0 {
-		limit = 128 << 20
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxCRLBytes))
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,7 @@ import (
 // the reference half of the Cache differential tests: one global mutex
 // over two maps, an exclusive lock even for read hits, delete-on-read for
 // expired entries, and an ocsp.CertID key string built — twice — per
-// lookup. Cache is the production Store.
+// lookup. Cache is the production cache.
 type SingleLockCache struct {
 	mu    sync.Mutex
 	crls  map[string]*crl.CRL

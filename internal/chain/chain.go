@@ -84,9 +84,6 @@ type Options struct {
 	// pipeline sets this because its 17 months of scans necessarily
 	// contain certificates valid at *some* point but not "now" (§3.1).
 	IgnoreDates bool
-	// MaxDepth bounds the number of certificates in a chain, leaf and
-	// root included. Zero means 6 (root + up to 4 intermediates + leaf).
-	MaxDepth int
 	// EnforceNameConstraints rejects chains whose leaf DNS names fall
 	// outside a CA's Name Constraints extension. §2.1 notes the
 	// extension is rarely used and few clients support it; this
@@ -94,12 +91,9 @@ type Options struct {
 	EnforceNameConstraints bool
 }
 
-func (o Options) maxDepth() int {
-	if o.MaxDepth > 0 {
-		return o.MaxDepth
-	}
-	return 6
-}
+// maxDepth bounds the number of certificates in a chain, leaf and root
+// included: the root, up to four intermediates and the leaf.
+const maxDepth = 6
 
 // Verifier builds and checks chains.
 type Verifier struct {
@@ -136,7 +130,7 @@ func (v *Verifier) extend(current []*x509x.Certificate, seen map[string]bool, op
 		*out = append(*out, chain)
 		return
 	}
-	if len(current) >= opts.maxDepth() {
+	if len(current) >= maxDepth {
 		return
 	}
 	candidates := append([]*x509x.Certificate{}, v.Roots.FindBySubject(tip.RawIssuer)...)

@@ -10,6 +10,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -161,19 +162,28 @@ type Auditor struct {
 	Roots *chain.Pool
 	// HTTP performs CRL/OCSP fetches; http.DefaultClient when nil.
 	HTTP *http.Client
-	// DialTimeout bounds the TLS handshake (default 10s).
-	DialTimeout time.Duration
+	// Timeout bounds the TLS handshake and each CRL download and OCSP
+	// query (default 10s).
+	Timeout time.Duration
 	// Now supplies the validation time; time.Now when nil.
 	Now func() time.Time
-	// MaxCRLBytes caps CRL downloads (default 128 MiB).
-	MaxCRLBytes int64
 }
+
+// maxCRLBytes caps CRL downloads.
+const maxCRLBytes = 128 << 20
 
 func (a *Auditor) now() time.Time {
 	if a.Now != nil {
 		return a.Now()
 	}
 	return time.Now()
+}
+
+func (a *Auditor) timeout() time.Duration {
+	if a.Timeout > 0 {
+		return a.Timeout
+	}
+	return 10 * time.Second
 }
 
 func (a *Auditor) httpClient() *http.Client {
@@ -186,11 +196,7 @@ func (a *Auditor) httpClient() *http.Client {
 // Audit connects to addr (host:port), captures the chain and staple, and
 // checks every element's revocation status end to end.
 func (a *Auditor) Audit(addr string) (*Report, error) {
-	timeout := a.DialTimeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	grab, err := scan.Grab(addr, timeout)
+	grab, err := scan.Grab(addr, a.timeout())
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +307,9 @@ func (a *Auditor) checkOCSP(cert, issuer *x509x.Certificate, report *Report) Mec
 	client := &ocsp.Client{HTTP: a.httpClient()}
 	for _, url := range cert.OCSPServers {
 		res.Source = url
-		sr, err := client.Check(url, issuer, cert.SerialNumber)
+		ctx, cancel := context.WithTimeout(context.Background(), a.timeout())
+		sr, err := client.CheckContext(ctx, url, issuer, cert.SerialNumber)
+		cancel()
 		if err != nil {
 			res.Detail = err.Error()
 			continue
@@ -365,7 +373,13 @@ func (a *Auditor) checkStaple(leaf, issuer *x509x.Certificate, staple []byte) Me
 }
 
 func (a *Auditor) download(url string) ([]byte, error) {
-	resp, err := a.httpClient().Get(url)
+	ctx, cancel := context.WithTimeout(context.Background(), a.timeout())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := a.httpClient().Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -373,9 +387,5 @@ func (a *Auditor) download(url string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("HTTP %d", resp.StatusCode)
 	}
-	limit := a.MaxCRLBytes
-	if limit <= 0 {
-		limit = 128 << 20
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, limit))
+	return io.ReadAll(io.LimitReader(resp.Body, maxCRLBytes))
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/big"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -171,6 +172,39 @@ func TestAuditUnavailableInfrastructure(t *testing.T) {
 	}
 }
 
+// TestAuditTimeoutBoundsFetches: responders that accept a request and
+// then never answer cost the audit its Timeout per fetch, not forever,
+// and leave the leaf's mechanisms unavailable.
+func TestAuditTimeoutBoundsFetches(t *testing.T) {
+	w := newAuditWorld(t)
+	leaf, _ := w.issue(false)
+	silent := http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) { <-r.Context().Done() })
+	w.net.Register("crl.ainter.test", silent)
+	w.net.Register("ocsp.ainter.test", silent)
+	auditor := w.auditor()
+	auditor.Timeout = 100 * time.Millisecond
+	done := make(chan *Report, 1)
+	go func() {
+		report, err := auditor.AuditChain("silent.test", w.chainFor(leaf), nil)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- report
+	}()
+	select {
+	case report := <-done:
+		if report == nil {
+			return
+		}
+		leafAudit := report.Certs[0]
+		if leafAudit.CRL.Status != StatusUnavailable || leafAudit.OCSP.Status != StatusUnavailable {
+			t.Errorf("mechanisms: %s/%s", leafAudit.CRL.Status, leafAudit.OCSP.Status)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("audit still waiting on silent responders after 10s")
+	}
+}
+
 func TestAuditUntrustedChain(t *testing.T) {
 	w := newAuditWorld(t)
 	leaf, _ := w.issue(false)
@@ -277,7 +311,7 @@ func TestAuditEmptyChain(t *testing.T) {
 func TestAuditDialFailure(t *testing.T) {
 	w := newAuditWorld(t)
 	auditor := w.auditor()
-	auditor.DialTimeout = 300 * time.Millisecond
+	auditor.Timeout = 300 * time.Millisecond
 	if _, err := auditor.Audit("127.0.0.1:1"); err == nil {
 		t.Error("audit of closed port should fail")
 	}

@@ -171,9 +171,3 @@ func (ix *certIndex) grow(cols *columns) {
 		ix.slots[probe] = slot
 	}
 }
-
-// sizeBytes estimates the columns' resident footprint, for Stats.
-func (c *columns) sizeBytes() int64 {
-	per := int64(8 + 8 + 1 + 2 + 4 + 4 + 4 + 4 + 4 + 4 + 4 + 4)
-	return per*int64(c.n()) + int64(len(c.serialArena))
-}

@@ -1,7 +1,7 @@
 // Package corpus stores what the scans observed: for every certificate,
-// the scans at which it was advertised and by how many hosts. From those
-// observations it derives the paper's two per-certificate timelines (§3.3,
-// Figure 1):
+// the first and last scan that advertised it, how many scans did, and how
+// many hosts advertised and stapled it at the last. From those it derives
+// the paper's two per-certificate timelines (§3.3, Figure 1):
 //
 //   - fresh:  the validity window [NotBefore, NotAfter]
 //   - alive:  from the first scan that saw the certificate (birth) to the
@@ -11,86 +11,19 @@
 // revocation checks will accept a revoked-but-fresh certificate, which is
 // exactly the exposure Figure 2 quantifies.
 //
-// Corpus is the streaming engine: certificates get dense uint32 IDs at
-// first sighting, per-certificate attributes live in struct-of-arrays
-// columns (columns.go), and sighting histories are delta-encoded per-scan
-// runs sealed into segments that spill to disk once a byte budget is
-// exceeded (segment.go). Consumers walk it through the Visit/IterAlive/
-// VisitHistories cursors. Legacy (legacy.go) is the original pointer-keyed
-// in-memory engine, kept as the differential oracle and bench baseline.
+// Certificates get dense uint32 IDs at first sighting, and their
+// attributes live in struct-of-arrays columns (columns.go); no per-scan
+// sighting is kept once its scan is folded in. Consumers walk the corpus
+// through the Visit and IterAlive cursors.
 package corpus
 
 import (
-	"errors"
-	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/ca"
 )
-
-// Sighting records one scan's view of a certificate.
-type Sighting struct {
-	Scan time.Time
-	// Hosts is how many addresses advertised the certificate.
-	Hosts int
-	// StapledHosts is how many of those presented an OCSP staple.
-	StapledHosts int
-}
-
-// History is the observed lifetime of one certificate.
-//
-// Invariant: a History handed out by a Corpus or Legacy always has at
-// least one Sighting — a certificate enters the corpus only by being
-// observed. Histories built by hand may be empty; the timeline methods
-// treat an empty history as never observed (zero Birth/Death, alive at
-// no instant) instead of panicking.
-type History struct {
-	Record    *ca.Record
-	Sightings []Sighting
-}
-
-// Birth returns the first scan at which the certificate was seen, or the
-// zero time if it was never observed.
-func (h *History) Birth() time.Time {
-	if len(h.Sightings) == 0 {
-		return time.Time{}
-	}
-	return h.Sightings[0].Scan
-}
-
-// Death returns the last scan at which the certificate was seen, or the
-// zero time if it was never observed.
-func (h *History) Death() time.Time {
-	if len(h.Sightings) == 0 {
-		return time.Time{}
-	}
-	return h.Sightings[len(h.Sightings)-1].Scan
-}
-
-// AliveAt reports whether t falls inside [Birth, Death]. A certificate
-// missed by one scan but seen again later is still alive in between. A
-// never-observed certificate is alive at no instant.
-func (h *History) AliveAt(t time.Time) bool {
-	if len(h.Sightings) == 0 {
-		return false
-	}
-	return !t.Before(h.Birth()) && !t.After(h.Death())
-}
-
-// FreshAt reports whether t falls inside the validity window.
-func (h *History) FreshAt(t time.Time) bool { return h.Record.FreshAt(t) }
-
-// AdvertisedAfterExpiry reports whether the certificate was still being
-// served after NotAfter — the "atypical certificate" of Figure 1.
-func (h *History) AdvertisedAfterExpiry() bool {
-	if len(h.Sightings) == 0 {
-		return false
-	}
-	return h.Death().After(h.Record.NotAfter)
-}
 
 // Advertisement is one certificate's appearance in a single scan.
 type Advertisement struct {
@@ -99,22 +32,9 @@ type Advertisement struct {
 	StapledHosts int
 }
 
-// Config tunes the streaming corpus.
-type Config struct {
-	// SpillBudget caps the bytes of encoded sighting runs kept resident.
-	// Once exceeded, sealed segments spill to Dir and are read back via
-	// mmap. Zero means never spill (fully in-memory runs).
-	SpillBudget int64
-	// Dir receives spilled segments. Empty with a non-zero SpillBudget
-	// means a temporary directory is created at first spill and removed
-	// on Close.
-	Dir string
-}
-
 // Corpus accumulates scan results in the columnar streaming layout.
 type Corpus struct {
 	mu   sync.RWMutex
-	cfg  Config
 	cols *columns
 	idx  certIndex
 	// caSyms interns CA names (uint16 column), urlSyms CRL/OCSP URLs.
@@ -123,33 +43,10 @@ type Corpus struct {
 
 	scans     []time.Time
 	scansNano []int64
-
-	segs      []*segment
-	resident  int64 // encoded run bytes currently heap-resident
-	spilled   int64 // encoded run bytes on disk
-	sightings int64
-	tmpDir    string // created lazily when cfg.Dir is empty
-	spillErr  error
-
-	// mapMu serializes lazy segment mapping, which mutates segment state
-	// under the read lock.
-	mapMu sync.Mutex
-
-	triBuf []sightRec
 }
 
-// New returns an empty corpus that never spills.
-func New() *Corpus { c, _ := NewWithConfig(Config{}); return c }
-
-// NewWithConfig returns an empty corpus with the given spill policy.
-func NewWithConfig(cfg Config) (*Corpus, error) {
-	if cfg.Dir != "" {
-		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("corpus: create spill dir: %w", err)
-		}
-	}
-	return &Corpus{cfg: cfg, cols: newColumns()}, nil
-}
+// New returns an empty corpus.
+func New() *Corpus { return &Corpus{cols: newColumns()} }
 
 // RecordScan ingests one full scan. Scans must be ingested in
 // chronological order. Each certificate should appear at most once per
@@ -163,8 +60,6 @@ func (c *Corpus) RecordScan(at time.Time, ads []Advertisement) {
 	scanIdx := uint32(len(c.scans))
 	c.scans = append(c.scans, at)
 	c.scansNano = append(c.scansNano, at.UnixNano())
-
-	tri := c.triBuf[:0]
 	for i := range ads {
 		ad := &ads[i]
 		id := c.internLocked(ad.Record, scanIdx)
@@ -172,31 +67,7 @@ func (c *Corpus) RecordScan(at time.Time, ads []Advertisement) {
 		c.cols.nSight[id]++
 		c.cols.lastHosts[id] = uint32(ad.Hosts)
 		c.cols.lastStap[id] = uint32(ad.StapledHosts)
-		tri = append(tri, sightRec{id: id, hosts: uint32(ad.Hosts), stapled: uint32(ad.StapledHosts)})
 	}
-	c.triBuf = tri[:0]
-	if !sightRecsSorted(tri) {
-		sort.Slice(tri, func(i, j int) bool { return tri[i].id < tri[j].id })
-	}
-	data := encodeSegment(nil, tri)
-	c.segs = append(c.segs, &segment{scanIdx: int(scanIdx), count: len(tri), data: data})
-	c.resident += int64(len(data))
-	c.sightings += int64(len(tri))
-	if c.cfg.SpillBudget > 0 && c.resident > c.cfg.SpillBudget {
-		c.spillLocked()
-	}
-}
-
-// sightRecsSorted reports whether recs are already in ID order — the
-// common case, since IDs are assigned in first-seen order and scanners
-// walk hosts deterministically.
-func sightRecsSorted(recs []sightRec) bool {
-	for i := 1; i < len(recs); i++ {
-		if recs[i].id < recs[i-1].id {
-			return false
-		}
-	}
-	return true
 }
 
 // internLocked returns the ID for rec, assigning the next dense ID on
@@ -217,58 +88,6 @@ func (c *Corpus) internLocked(rec *ca.Record, scanIdx uint32) uint32 {
 	id := c.cols.add(rec, uint16(sym), crlSym, ocspSym, scanIdx)
 	c.idx.insert(c.cols, id)
 	return id
-}
-
-// spillLocked seals resident segments to disk oldest-first until the
-// resident run bytes drop back under budget. Spill failures are sticky:
-// the corpus keeps working in memory and Close reports the first error.
-func (c *Corpus) spillLocked() {
-	if c.spillErr != nil {
-		return
-	}
-	dir := c.cfg.Dir
-	if dir == "" {
-		if c.tmpDir == "" {
-			d, err := os.MkdirTemp("", "corpus-spill-")
-			if err != nil {
-				c.spillErr = fmt.Errorf("corpus: create spill dir: %w", err)
-				return
-			}
-			c.tmpDir = d
-		}
-		dir = c.tmpDir
-	}
-	for _, s := range c.segs {
-		if c.resident <= c.cfg.SpillBudget {
-			return
-		}
-		if s.data == nil {
-			continue
-		}
-		n := int64(len(s.data))
-		if err := s.spill(dir); err != nil {
-			c.spillErr = err
-			return
-		}
-		c.resident -= n
-		c.spilled += n
-	}
-}
-
-// Close unmaps spilled segments, removes any temporary spill directory,
-// and reports the first spill error, if any.
-func (c *Corpus) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, s := range c.segs {
-		s.close()
-	}
-	var err error
-	if c.tmpDir != "" {
-		err = os.RemoveAll(c.tmpDir)
-		c.tmpDir = ""
-	}
-	return errors.Join(c.spillErr, err)
 }
 
 // NumScans returns how many scans have been ingested.
@@ -299,59 +118,11 @@ func (c *Corpus) Size() int {
 func (c *Corpus) IDOf(rec *ca.Record) (uint32, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.idOfLocked(rec)
-}
-
-func (c *Corpus) idOfLocked(rec *ca.Record) (uint32, bool) {
 	sym, ok := c.caSyms.find(rec.CAName)
 	if !ok {
 		return 0, false
 	}
 	return c.idx.lookup(c.cols, uint16(sym), rec.SerialMagnitude())
-}
-
-// History materializes the sighting history for rec, if observed. It
-// decodes every segment and is intended for tests and spot lookups, not
-// bulk walks — use VisitHistories for those.
-func (c *Corpus) History(rec *ca.Record) (*History, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	id, ok := c.idOfLocked(rec)
-	if !ok {
-		return nil, false
-	}
-	h := &History{Record: rec}
-	for _, s := range c.segs {
-		payload, err := c.segPayload(s)
-		if err != nil {
-			panic(err)
-		}
-		cur := segCursor{data: payload, left: s.count, scanIdx: s.scanIdx}
-		for cur.next() {
-			if cur.id == id {
-				h.Sightings = append(h.Sightings, Sighting{
-					Scan:         c.scans[s.scanIdx],
-					Hosts:        int(cur.hosts),
-					StapledHosts: int(cur.stapled),
-				})
-				break
-			}
-			if cur.id > id {
-				break
-			}
-		}
-	}
-	return h, true
-}
-
-// segPayload fetches a segment's encoded run, serializing lazy mapping.
-func (c *Corpus) segPayload(s *segment) ([]byte, error) {
-	if s.data != nil {
-		return s.data, nil
-	}
-	c.mapMu.Lock()
-	defer c.mapMu.Unlock()
-	return s.payload()
 }
 
 // Population is a snapshot count at one instant.
@@ -401,37 +172,4 @@ func (c *Corpus) Lifetimes() []float64 {
 	}
 	sort.Float64s(out)
 	return out
-}
-
-// Stats reports the corpus's resident and spilled footprint.
-type Stats struct {
-	Certs            int
-	Scans            int
-	Sightings        int64
-	ColumnBytes      int64
-	ResidentRunBytes int64
-	SpilledRunBytes  int64
-	Segments         int
-	SpilledSegments  int
-}
-
-// Stats returns a snapshot of the corpus's size and spill state.
-func (c *Corpus) Stats() Stats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	st := Stats{
-		Certs:            c.cols.n(),
-		Scans:            len(c.scans),
-		Sightings:        c.sightings,
-		ColumnBytes:      c.cols.sizeBytes(),
-		ResidentRunBytes: c.resident,
-		SpilledRunBytes:  c.spilled,
-		Segments:         len(c.segs),
-	}
-	for _, s := range c.segs {
-		if s.path != "" {
-			st.SpilledSegments++
-		}
-	}
-	return st
 }

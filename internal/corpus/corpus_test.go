@@ -35,33 +35,40 @@ func TestLifetimesAndTimelines(t *testing.T) {
 	if c.NumScans() != 4 || c.Size() != 2 {
 		t.Fatalf("scans=%d size=%d", c.NumScans(), c.Size())
 	}
-	h1, ok := c.History(r1)
-	if !ok {
-		t.Fatal("missing history")
-	}
-	if !h1.Birth().Equal(day(0)) || !h1.Death().Equal(day(21)) {
-		t.Errorf("h1 lifetime [%v, %v]", h1.Birth(), h1.Death())
-	}
-	if len(h1.Sightings) != 4 || h1.Sightings[0].Hosts != 3 || h1.Sightings[3].Hosts != 1 {
-		t.Errorf("h1 sightings = %+v", h1.Sightings)
-	}
-	h2, _ := c.History(r2)
-	if !h2.Death().Equal(day(14)) {
-		t.Errorf("h2 death %v", h2.Death())
-	}
-	// r2 was missed at day 7 but is still alive there.
-	if !h2.AliveAt(day(7)) {
-		t.Error("gap in sightings should still be alive")
-	}
-	if h2.AliveAt(day(21)) {
-		t.Error("after death should not be alive")
-	}
-	// r2 expired at day 10 but advertised at day 14.
-	if !h2.AdvertisedAfterExpiry() {
-		t.Error("r2 should be the atypical certificate of Figure 1")
-	}
-	if h1.AdvertisedAfterExpiry() {
-		t.Error("r1 is within validity")
+	r1ID, _ := c.IDOf(r1)
+	var saw int
+	c.Visit(func(ct *Cert) bool {
+		saw++
+		if ct.ID() == r1ID {
+			if !ct.Birth().Equal(day(0)) || !ct.Death().Equal(day(21)) {
+				t.Errorf("r1 lifetime [%v, %v]", ct.Birth(), ct.Death())
+			}
+			if ct.Sightings() != 4 || ct.LastHosts() != 1 {
+				t.Errorf("r1 sightings = %d, last hosts = %d", ct.Sightings(), ct.LastHosts())
+			}
+			if ct.AdvertisedAfterExpiry() {
+				t.Error("r1 is within validity")
+			}
+			return true
+		}
+		if !ct.Death().Equal(day(14)) {
+			t.Errorf("r2 death %v", ct.Death())
+		}
+		// r2 was missed at day 7 but is still alive there.
+		if !ct.AliveAt(day(7)) {
+			t.Error("gap in sightings should still be alive")
+		}
+		if ct.AliveAt(day(21)) {
+			t.Error("after death should not be alive")
+		}
+		// r2 expired at day 10 but advertised at day 14.
+		if !ct.AdvertisedAfterExpiry() {
+			t.Error("r2 should be the atypical certificate of Figure 1")
+		}
+		return true
+	})
+	if saw != 2 {
+		t.Fatalf("visited %d certs", saw)
 	}
 }
 
@@ -178,12 +185,8 @@ func TestEmptyCorpus(t *testing.T) {
 	if len(c.Scans()) != 0 || c.Size() != 0 {
 		t.Error("empty corpus accessors")
 	}
-	if err := c.VisitHistories(func(*Cert, []Sighting) bool { t.Error("unexpected cert"); return false }); err != nil {
-		t.Errorf("VisitHistories: %v", err)
-	}
-	if err := c.Close(); err != nil {
-		t.Errorf("Close: %v", err)
-	}
+	c.Visit(func(*Cert) bool { t.Error("unexpected cert"); return false })
+	c.IterAlive(day(0), func(*Cert) bool { t.Error("unexpected alive cert"); return false })
 }
 
 func TestLegacyAccessors(t *testing.T) {
@@ -206,50 +209,5 @@ func TestLegacyAccessors(t *testing.T) {
 	}
 	if c.NumScans() != 2 || c.Size() != 2 || len(c.Histories()) != 2 {
 		t.Error("legacy accessors")
-	}
-}
-
-// TestSpillRoundTrip forces every segment to disk and checks the
-// read-back path (mmap, CRC, delta decode) reproduces the histories.
-func TestSpillRoundTrip(t *testing.T) {
-	c, err := NewWithConfig(Config{SpillBudget: 1, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	r1 := rec(1, day(0), day(100), false)
-	r2 := rec(2, day(0), day(100), false)
-	c.RecordScan(day(0), []Advertisement{{Record: r1, Hosts: 3}, {Record: r2, Hosts: 5}})
-	c.RecordScan(day(7), []Advertisement{{Record: r2, Hosts: 4, StapledHosts: 2}})
-
-	st := c.Stats()
-	if st.SpilledSegments == 0 || st.SpilledRunBytes == 0 {
-		t.Fatalf("expected spill, stats = %+v", st)
-	}
-
-	var got []Sighting
-	var ids []uint32
-	if err := c.VisitHistories(func(ct *Cert, s []Sighting) bool {
-		ids = append(ids, ct.ID())
-		if ct.ID() == 1 {
-			got = append(got, s...)
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 2 || ids[0] != 0 || ids[1] != 1 {
-		t.Fatalf("ids = %v", ids)
-	}
-	want := []Sighting{
-		{Scan: day(0), Hosts: 5},
-		{Scan: day(7), Hosts: 4, StapledHosts: 2},
-	}
-	if len(got) != 2 || !got[0].Scan.Equal(want[0].Scan) || got[0].Hosts != 5 ||
-		!got[1].Scan.Equal(want[1].Scan) || got[1].Hosts != 4 || got[1].StapledHosts != 2 {
-		t.Fatalf("r2 sightings = %+v", got)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

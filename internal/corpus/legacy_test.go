@@ -11,13 +11,73 @@ import (
 	"repro/internal/ca"
 )
 
+// Sighting records one scan's view of a certificate.
+type Sighting struct {
+	Scan time.Time
+	// Hosts is how many addresses advertised the certificate.
+	Hosts int
+	// StapledHosts is how many of those presented an OCSP staple.
+	StapledHosts int
+}
+
+// History is the observed lifetime of one certificate.
+//
+// Invariant: a History handed out by Legacy always has at least one
+// Sighting — a certificate enters only by being observed. Histories
+// built by hand may be empty; the timeline methods treat an empty
+// history as never observed (zero Birth/Death, alive at no instant)
+// instead of panicking.
+type History struct {
+	Record    *ca.Record
+	Sightings []Sighting
+}
+
+// Birth returns the first scan at which the certificate was seen, or the
+// zero time if it was never observed.
+func (h *History) Birth() time.Time {
+	if len(h.Sightings) == 0 {
+		return time.Time{}
+	}
+	return h.Sightings[0].Scan
+}
+
+// Death returns the last scan at which the certificate was seen, or the
+// zero time if it was never observed.
+func (h *History) Death() time.Time {
+	if len(h.Sightings) == 0 {
+		return time.Time{}
+	}
+	return h.Sightings[len(h.Sightings)-1].Scan
+}
+
+// AliveAt reports whether t falls inside [Birth, Death]. A certificate
+// missed by one scan but seen again later is still alive in between. A
+// never-observed certificate is alive at no instant.
+func (h *History) AliveAt(t time.Time) bool {
+	if len(h.Sightings) == 0 {
+		return false
+	}
+	return !t.Before(h.Birth()) && !t.After(h.Death())
+}
+
+// FreshAt reports whether t falls inside the validity window.
+func (h *History) FreshAt(t time.Time) bool { return h.Record.FreshAt(t) }
+
+// AdvertisedAfterExpiry reports whether the certificate was still being
+// served after NotAfter — the "atypical certificate" of Figure 1.
+func (h *History) AdvertisedAfterExpiry() bool {
+	if len(h.Sightings) == 0 {
+		return false
+	}
+	return h.Death().After(h.Record.NotAfter)
+}
+
 // Legacy is the original pointer-keyed, fully materialized corpus
 // engine: a map from record pointer to a History holding every Sighting
 // as live Go objects. Tests keep it as the differential oracle for the
 // streaming Corpus (their folds must agree exactly) and as the in-memory
-// baseline of the build-throughput gate. It cannot spill and its memory
-// footprint grows with total sightings, which is exactly the ceiling
-// the streaming engine removes.
+// baseline of the build-throughput gate. Its memory footprint grows with
+// total sightings; the streaming engine's grows with certificates only.
 type Legacy struct {
 	mu        sync.RWMutex
 	histories map[*ca.Record]*History
@@ -225,14 +285,7 @@ func TestStreamingBuildKeepsPaceWithLegacy(t *testing.T) {
 	bestLegacy, bestStream := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
 	for round := 0; round < 3; round++ {
 		legN, legT := build(NewLegacy())
-		c, err := NewWithConfig(Config{SpillBudget: 256 << 20, Dir: t.TempDir()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamN, streamT := build(c)
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
+		streamN, streamT := build(New())
 		if legN != streamN || legN == 0 {
 			t.Fatalf("legacy built %d certs, streaming %d", legN, streamN)
 		}

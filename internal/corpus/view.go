@@ -3,7 +3,7 @@ package corpus
 import "time"
 
 // Cert is a cursor over one certificate's columns. It is only valid for
-// the duration of the Visit/IterAlive/VisitHistories callback that
+// the duration of the Visit/IterAlive callback that
 // received it; callers must not retain it. Accessors read the columns
 // directly without re-locking — the iteration holds the read lock.
 type Cert struct {
@@ -111,48 +111,4 @@ func (c *Corpus) IterAlive(t time.Time, fn func(ct *Cert) bool) {
 			}
 		}
 	}
-}
-
-// VisitHistories streams every certificate's full sighting run in ID
-// order via a k-way merge across the per-scan segments. The sightings
-// slice is reused across calls; copy it to retain. Return false from fn
-// to stop early. Spilled segments are read through their mmap, so a
-// cold pass streams off the page cache rather than the heap.
-func (c *Corpus) VisitHistories(fn func(ct *Cert, sightings []Sighting) bool) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	heap := make(cursorHeap, 0, len(c.segs))
-	for _, s := range c.segs {
-		if s.count == 0 {
-			continue
-		}
-		payload, err := c.segPayload(s)
-		if err != nil {
-			return err
-		}
-		cur := &segCursor{data: payload, left: s.count, scanIdx: s.scanIdx}
-		cur.next()
-		heap = append(heap, cur)
-	}
-	heap.init()
-	ct := Cert{c: c}
-	scratch := make([]Sighting, 0, 16)
-	for len(heap) > 0 {
-		id := heap[0].id
-		scratch = scratch[:0]
-		for len(heap) > 0 && heap[0].id == id {
-			top := heap[0]
-			scratch = append(scratch, Sighting{
-				Scan:         c.scans[top.scanIdx],
-				Hosts:        int(top.hosts),
-				StapledHosts: int(top.stapled),
-			})
-			heap = heap.advance()
-		}
-		ct.id = id
-		if !fn(&ct, scratch) {
-			return nil
-		}
-	}
-	return nil
 }

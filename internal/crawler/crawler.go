@@ -146,15 +146,16 @@ type Snapshot struct {
 	Bytes int64
 }
 
+// maxCRLBytes caps a single CRL download (the paper saw CRLs up to
+// 76 MB).
+const maxCRLBytes = 128 << 20
+
 // Crawler downloads revocation data.
 type Crawler struct {
 	// Client performs the HTTP requests; http.DefaultClient when nil.
 	Client *http.Client
 	// Now supplies crawl timestamps; time.Now when nil.
 	Now func() time.Time
-	// MaxCRLBytes caps a single CRL download (default 128 MiB — the
-	// paper saw CRLs up to 76 MB).
-	MaxCRLBytes int64
 	// Verify, when set, maps a CRL URL to the issuer certificate whose
 	// signature the CRL must carry; unverifiable CRLs count as failures.
 	Verify map[string]*x509x.Certificate
@@ -475,19 +476,15 @@ func (c *Crawler) fetchAttempt(u string) (*crl.CRL, int64, *FetchError) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, 0, &FetchError{URL: u, Class: ClassHTTPStatus, Code: resp.StatusCode, Err: fmt.Errorf("HTTP %d", resp.StatusCode)}
 	}
-	limit := c.MaxCRLBytes
-	if limit <= 0 {
-		limit = 128 << 20
-	}
 	var body []byte
-	if n := resp.ContentLength; n > 0 && n <= limit {
+	if n := resp.ContentLength; n > 0 && n <= maxCRLBytes {
 		// Presize the read: CRLs run to tens of megabytes, and letting
 		// io.ReadAll grow its buffer doubles the copy traffic.
 		body = make([]byte, n)
 		if m, err := io.ReadFull(resp.Body, body); err != nil {
 			return nil, int64(m), &FetchError{URL: u, Class: ClassRead, Err: err}
 		}
-	} else if body, err = io.ReadAll(io.LimitReader(resp.Body, limit)); err != nil {
+	} else if body, err = io.ReadAll(io.LimitReader(resp.Body, maxCRLBytes)); err != nil {
 		return nil, int64(len(body)), &FetchError{URL: u, Class: ClassRead, Err: err}
 	}
 	issuer := c.Verify[u]

@@ -277,7 +277,7 @@ type RunOptions struct {
 	// (browser b is handled by worker b mod Workers). Default 1.
 	Workers int
 	// Store is the shared revocation cache; nil disables caching.
-	Store browser.Store
+	Store *browser.Cache
 	// CRLSet installs the world's CRLSet as the client's local fast path.
 	CRLSet bool
 	// Bloom installs the world's Bloom filter as the client's fast path.
@@ -330,8 +330,8 @@ type Result struct {
 	AllocsPerVerdict float64
 	BytesPerVerdict  float64
 
-	// Cache is the store's counter delta for this run (zero when the
-	// store is not a *browser.Cache).
+	// Cache is the store's counter delta for this run (zero without a
+	// store).
 	Cache browser.CacheStats
 	// FastPath sums the per-verdict CRLSet/Bloom attribution.
 	FastPath browser.FastPathStats
@@ -396,11 +396,7 @@ func (w *World) Run(opt RunOptions) (Result, error) {
 
 	aggs := make([]browserAgg, w.Cfg.Browsers)
 	netBefore := w.Net.TotalStats()
-	var cacheBefore browser.CacheStats
-	shardedStore, _ := opt.Store.(*browser.Cache)
-	if shardedStore != nil {
-		cacheBefore = shardedStore.Stats()
-	}
+	cacheBefore := opt.Store.Stats()
 
 	var latBefore *hist.Snapshot
 	if opt.Latency != nil {
@@ -502,9 +498,7 @@ func (w *World) Run(opt RunOptions) (Result, error) {
 	if opt.Latency != nil {
 		res.Latency = opt.Latency.Snapshot().Sub(latBefore).Summary()
 	}
-	if shardedStore != nil {
-		res.Cache = subStats(shardedStore.Stats(), cacheBefore)
-	}
+	res.Cache = subStats(opt.Store.Stats(), cacheBefore)
 	netAfter := w.Net.TotalStats()
 	res.NetRequests = int64(netAfter.Requests - netBefore.Requests)
 	res.NetBytes = int64(netAfter.BytesReceived - netBefore.BytesReceived)

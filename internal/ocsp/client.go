@@ -62,9 +62,10 @@ type Client struct {
 	HTTP *http.Client
 	// Transport selects GET or POST; default GET.
 	Transport Transport
-	// MaxResponseBytes caps the response body read (default 1 MiB).
-	MaxResponseBytes int64
 }
+
+// maxResponseBytes caps the response body read.
+const maxResponseBytes = 1 << 20
 
 func (c *Client) httpClient() *http.Client {
 	if c.HTTP != nil {
@@ -165,11 +166,7 @@ func (c *Client) FetchContext(ctx context.Context, responderURL string, req *Req
 	if httpResp.StatusCode != http.StatusOK {
 		return nil, &StatusError{Code: httpResp.StatusCode}
 	}
-	limit := c.MaxResponseBytes
-	if limit <= 0 {
-		limit = 1 << 20
-	}
-	body, err := io.ReadAll(io.LimitReader(httpResp.Body, limit))
+	body, err := io.ReadAll(io.LimitReader(httpResp.Body, maxResponseBytes))
 	if err != nil {
 		return nil, &TransportError{Err: fmt.Errorf("read response: %w", err)}
 	}

@@ -61,6 +61,7 @@ func TestScanIntoCorpus(t *testing.T) {
 	h.SetRecord(rec)
 	s := &Scanner{Hosts: []*host.SimHost{h}}
 	c := corpus.New()
+	first := clock.Now()
 	for i := 0; i < 3; i++ {
 		s.ScanInto(c, clock.Now())
 		clock.Advance(7 * 24 * time.Hour)
@@ -68,10 +69,15 @@ func TestScanIntoCorpus(t *testing.T) {
 	if c.NumScans() != 3 || c.Size() != 1 {
 		t.Errorf("corpus: scans=%d size=%d", c.NumScans(), c.Size())
 	}
-	hist, ok := c.History(rec)
-	if !ok || len(hist.Sightings) != 3 {
-		t.Fatalf("history sightings = %d", len(hist.Sightings))
-	}
+	c.Visit(func(ct *corpus.Cert) bool {
+		if ct.Sightings() != 3 || ct.LastHosts() != 1 || ct.LastStapledHosts() != 0 {
+			t.Errorf("sightings = %d, last hosts = %d/%d", ct.Sightings(), ct.LastHosts(), ct.LastStapledHosts())
+		}
+		if !ct.Birth().Equal(first) || !ct.Death().Equal(first.Add(14*24*time.Hour)) {
+			t.Errorf("lifetime [%v, %v]", ct.Birth(), ct.Death())
+		}
+		return true
+	})
 }
 
 func TestLiveGrab(t *testing.T) {

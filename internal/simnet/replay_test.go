@@ -140,12 +140,7 @@ func (w *replayWorld) fingerprint() string {
 		fmt.Fprintf(&sb, "%s: requests=%d bytes=%d modelled=%v latency=%+v\n", name, s.Requests, s.BytesReceived, s.ModelledTime, s.Latency)
 	}
 	stats("total", w.net.TotalStats())
-	for _, host := range []string{"cdn.test", "plain.test", "down.test"} {
-		stats(host, w.net.HostStats(host))
-		fmt.Fprintf(&sb, "%s latency digest=%016x\n", host, w.net.HostLatencySnapshot(host).Digest())
-	}
-	hit, miss := w.net.CDNLatencySnapshots()
-	fmt.Fprintf(&sb, "latency digests: all=%016x hit=%016x miss=%016x\n", w.net.LatencySnapshot().Digest(), hit.Digest(), miss.Digest())
+	fmt.Fprintf(&sb, "latency digest=%016x\n", w.net.LatencySnapshot().Digest())
 	fmt.Fprintf(&sb, "stream digest=%016x\n", w.net.StreamDigest())
 	fmt.Fprintf(&sb, "cdn=%+v\n", w.cdn.Stats())
 	return sb.String()
@@ -195,24 +190,12 @@ func replayScript(t *testing.T, workers int) (before, after string) {
 // defined by the multiset of requests, so 8 goroutines must leave the same.
 const (
 	replayPinnedBefore = `total: requests=180 bytes=91704 modelled=3.691704s latency={Count:180 MeanNs:2.0509466666666668e+07 P50Ns:10485760 P90Ns:60293120 P99Ns:60817408 P999Ns:60817408 MaxNs:61200000}
-cdn.test: requests=164 bytes=80504 modelled=3.520504s latency={Count:164 MeanNs:2.146648780487805e+07 P50Ns:10485760 P90Ns:60293120 P99Ns:60817408 P999Ns:60817408 MaxNs:61200000}
-cdn.test latency digest=468ab4caec3658b2
-plain.test: requests=16 bytes=11200 modelled=171.2ms latency={Count:16 MeanNs:1.07e+07 P50Ns:10616832 P90Ns:10616832 P99Ns:10616832 P999Ns:10616832 MaxNs:10700000}
-plain.test latency digest=0c92de86113402a0
-down.test: requests=0 bytes=0 modelled=0s latency={Count:0 MeanNs:0 P50Ns:0 P90Ns:0 P99Ns:0 P999Ns:0 MaxNs:0}
-down.test latency digest=88201fb960ff6465
-latency digests: all=d0f4b9f9677151fa hit=97296b478cda6f9a miss=dbae3756fcfcc1ae
+latency digest=d0f4b9f9677151fa
 stream digest=22001c992ead9068
 cdn={Hits:112 Misses:36 Bypasses:16 NotModified:16}
 `
 	replayPinnedAfter = `total: requests=16 bytes=4152 modelled=564.152ms latency={Count:16 MeanNs:3.52595e+07 P50Ns:10485760 P90Ns:59768832 P99Ns:59768832 P999Ns:59768832 MaxNs:60019000}
-cdn.test: requests=16 bytes=4152 modelled=564.152ms latency={Count:16 MeanNs:3.52595e+07 P50Ns:10485760 P90Ns:59768832 P99Ns:59768832 P999Ns:59768832 MaxNs:60019000}
-cdn.test latency digest=e24d2e13d1c17c15
-plain.test: requests=0 bytes=0 modelled=0s latency={Count:0 MeanNs:0 P50Ns:0 P90Ns:0 P99Ns:0 P999Ns:0 MaxNs:0}
-plain.test latency digest=88201fb960ff6465
-down.test: requests=0 bytes=0 modelled=0s latency={Count:0 MeanNs:0 P50Ns:0 P90Ns:0 P99Ns:0 P999Ns:0 MaxNs:0}
-down.test latency digest=88201fb960ff6465
-latency digests: all=e24d2e13d1c17c15 hit=f41e73f600fc28dc miss=1d5ab22f95e7a139
+latency digest=e24d2e13d1c17c15
 stream digest=e38b2e206d80b440
 cdn={Hits:120 Misses:44 Bypasses:16 NotModified:16}
 `

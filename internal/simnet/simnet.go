@@ -101,13 +101,6 @@ type Stats struct {
 	Latency hist.Summary
 }
 
-// hostRecord pairs one host's transfer counters with its service-time
-// histogram shard.
-type hostRecord struct {
-	stats Stats
-	lat   hist.Recorder
-}
-
 // route is what the fabric knows about one host name: who answers for it
 // (nil when the name does not resolve) and how it is currently failing.
 type route struct {
@@ -126,15 +119,10 @@ type Network struct {
 	// browser test suite registers 1,464 hosts on one fabric.)
 	routes sync.Map // string → route
 
-	mu      sync.Mutex
-	total   Stats
-	perHost map[string]*hostRecord
-	// lat is the all-hosts service-time histogram; latHit/latMiss split
-	// the requests a CDN tier answered (X-Cache: HIT) from those it
-	// forwarded to the origin (X-Cache: MISS).
-	lat     hist.Recorder
-	latHit  hist.Recorder
-	latMiss hist.Recorder
+	mu    sync.Mutex
+	total Stats
+	// lat is the all-hosts service-time histogram.
+	lat hist.Recorder
 	// streamSum is an order-independent sum of per-request hashes over
 	// (method, host, status, CDN disposition) — deliberately excluding
 	// response bytes, whose randomized ECDSA signatures make sizes
@@ -145,7 +133,7 @@ type Network struct {
 
 // New returns an empty network with the default cost model.
 func New() *Network {
-	return &Network{Cost: DefaultCostModel, perHost: make(map[string]*hostRecord)}
+	return &Network{Cost: DefaultCostModel}
 }
 
 // route returns what is known about host; the zero route when nothing is.
@@ -257,21 +245,6 @@ func (n *Network) RoundTrip(req *http.Request) (*http.Response, error) {
 	n.total.ModelledTime += cost
 	n.streamSum += sum
 	n.lat.Record(cost)
-	switch cdn {
-	case "HIT":
-		n.latHit.Record(cost)
-	case "MISS":
-		n.latMiss.Record(cost)
-	}
-	hs := n.perHost[host]
-	if hs == nil {
-		hs = &hostRecord{}
-		n.perHost[host] = hs
-	}
-	hs.stats.Requests++
-	hs.stats.BytesReceived += int64(size)
-	hs.stats.ModelledTime += cost
-	hs.lat.Record(cost)
 	n.mu.Unlock()
 	return &x.resp, nil
 }
@@ -334,18 +307,6 @@ func (n *Network) TotalStats() Stats {
 	return out
 }
 
-// HostStats returns transfer statistics for one host.
-func (n *Network) HostStats(host string) Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if hs := n.perHost[host]; hs != nil {
-		out := hs.stats
-		out.Latency = hs.lat.Snapshot().Summary()
-		return out
-	}
-	return Stats{}
-}
-
 // LatencySnapshot returns the full service-time histogram over every
 // request the fabric carried. The snapshot is mergeable and deltable
 // (Snapshot.Sub), which is how the scenario engine attributes virtual
@@ -354,26 +315,6 @@ func (n *Network) LatencySnapshot() *hist.Snapshot {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.lat.Snapshot()
-}
-
-// HostLatencySnapshot returns one host's service-time histogram (empty
-// snapshot for an unknown host).
-func (n *Network) HostLatencySnapshot(host string) *hist.Snapshot {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if hs := n.perHost[host]; hs != nil {
-		return hs.lat.Snapshot()
-	}
-	return &hist.Snapshot{}
-}
-
-// CDNLatencySnapshots returns the service-time histograms of requests a
-// CDN tier served from cache (hit) versus forwarded to its origin
-// (miss). Requests that never traversed a CDN appear in neither.
-func (n *Network) CDNLatencySnapshots() (hit, miss *hist.Snapshot) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.latHit.Snapshot(), n.latMiss.Snapshot()
 }
 
 // recorder is a minimal in-memory http.ResponseWriter. It replaces
@@ -456,9 +397,6 @@ func (n *Network) ResetStats() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.total = Stats{}
-	n.perHost = make(map[string]*hostRecord)
 	n.streamSum = 0
 	n.lat.Reset()
-	n.latHit.Reset()
-	n.latMiss.Reset()
 }

@@ -67,9 +67,7 @@ func (w *World) planCert(authority *Authority, issued time.Time, certIdx int) *c
 	} else if w.rng.Float64() < 0.03 {
 		p.omitOCSP = true
 	}
-	if !profile.CRLAdoption.IsZero() && issued.Before(profile.CRLAdoption) {
-		p.omitCRL = true
-	} else if w.rng.Float64() < 0.002 {
+	if w.rng.Float64() < 0.002 {
 		p.omitCRL = true
 		// Pointer omissions correlate: a CA sloppy enough to skip the
 		// CRL pointer often skips OCSP too, yielding the ~0.1% of

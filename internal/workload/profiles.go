@@ -41,8 +41,6 @@ type CAProfile struct {
 	// OCSP pointer (Figure 4's adoption curves; RapidSSL's is July
 	// 2012). Zero means always.
 	OCSPAdoption time.Time
-	// CRLAdoption is the same for CRL pointers. Zero means always.
-	CRLAdoption time.Time
 	// GoogleCrawled marks the CA's CRLs as visible to the CRLSet
 	// generator's crawler. Google's internal list covers only a small
 	// slice of the CRL universe, which is the single biggest driver of

@@ -29,18 +29,17 @@ func digestAnalyze(h hash.Hash, w *World) {
 
 // TestStreamingDeterminism is the streaming engine's contract, mirroring
 // TestParallelDeterminism: the same seed built serially in memory,
-// in parallel in memory, and in parallel on disk (a segdb store, and a
-// spill budget small enough to force every scan segment out) must
-// produce identical world digests AND identical analyze output digests.
+// in parallel in memory, and in parallel on disk (a segdb revocation
+// store) must produce identical world digests AND identical analyze
+// output digests.
 func TestStreamingDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds three worlds")
 	}
-	build := func(parallelism int, budget int64) *World {
+	build := func(parallelism int, disk bool) *World {
 		t.Helper()
 		cfg := Config{Scale: 0.0005, Seed: 7, Parallelism: parallelism}
-		if budget > 0 {
-			cfg.MemoryBudget = budget
+		if disk {
 			cfg.Dir = t.TempDir()
 		}
 		w, err := NewWorld(cfg)
@@ -63,22 +62,14 @@ func TestStreamingDeterminism(t *testing.T) {
 		return fmt.Sprintf("%x", h.Sum(nil))
 	}
 
-	mem := build(1, 0)
-	memDigest := digest(mem)
-
-	spilled := build(8, 1) // 1-byte budget: every sealed segment spills
-	if st := spilled.Corpus.Stats(); st.SpilledSegments == 0 {
-		t.Fatalf("expected spilled segments, stats = %+v", st)
-	}
-	spilledDigest := digest(spilled)
-
-	memPar := build(8, 0)
-	memParDigest := digest(memPar)
+	memDigest := digest(build(1, false))
+	diskDigest := digest(build(8, true))
+	memParDigest := digest(build(8, false))
 
 	if memDigest != memParDigest {
 		t.Errorf("parallel in-memory build diverged from serial:\n%s\n%s", memDigest, memParDigest)
 	}
-	if memDigest != spilledDigest {
-		t.Errorf("spilled build diverged from in-memory:\nmem   %s\ndisk  %s", memDigest, spilledDigest)
+	if memDigest != diskDigest {
+		t.Errorf("on-disk build diverged from in-memory:\nmem   %s\ndisk  %s", memDigest, diskDigest)
 	}
 }

@@ -41,20 +41,12 @@ type Config struct {
 	// path. The built world is byte-for-byte identical at any setting:
 	// every random decision is drawn before work fans out.
 	Parallelism int
-	// Dir puts the world on disk. Empty keeps it in memory: World.RevDB
-	// is revdb.New() and the corpus spills only past a non-zero
-	// MemoryBudget, into a temporary directory removed on Close. Set,
-	// each world built from the Config claims a fresh subdirectory of
-	// Dir (experiment runners build several) holding a segdb revocation
-	// store and the corpus spill, MemoryBudget defaults to 256 MiB, and
-	// the data stays after Close.
+	// Dir puts the world's revocation store on disk. Empty keeps it in
+	// memory (World.RevDB is revdb.New()). Set, each world built from
+	// the Config claims a fresh subdirectory of Dir (experiment runners
+	// build several) holding a segdb store, and the data stays after
+	// Close. The corpus is in memory either way.
 	Dir string
-	// MemoryBudget caps the bytes of encoded corpus sighting runs kept
-	// resident during the build; sealed scan segments beyond it spill to
-	// disk and are read back via mmap during analysis. Zero without Dir
-	// keeps every sealed segment in memory (the runs are still compact
-	// delta-encoded bytes, just not spilled).
-	MemoryBudget int64
 
 	// SteadyRevPerYear is the steady-state fraction of advertised fresh
 	// certificates revoked per year (the >1% pre-Heartbleed baseline).
@@ -279,62 +271,35 @@ type World struct {
 
 func dayKey(t time.Time) string { return t.Format("2006-01-02") }
 
-// Close releases the world's corpus (unmapping and removing any spilled
-// segments) and its revocation store — a no-op for the fully in-memory
-// backends. The world is not usable afterwards.
-func (w *World) Close() error {
-	cerr := w.Corpus.Close()
-	serr := w.RevDB.Close()
-	if cerr != nil {
-		return cerr
-	}
-	return serr
-}
+// Close releases the world's revocation store — a no-op for the
+// in-memory one. The world is not usable afterwards.
+func (w *World) Close() error { return w.RevDB.Close() }
 
-// diskBudget is MemoryBudget's default for a world on disk: large
-// enough that seed-scale worlds never spill mid-build for nothing, small
-// enough that paper-scale corpora stream to disk.
-const diskBudget int64 = 256 << 20
-
-// openBackend opens a world's revocation store and corpus: both in
-// memory when cfg.Dir is empty, else a segdb store and a spilling corpus
-// in a fresh subdirectory of cfg.Dir.
-func openBackend(cfg Config) (revdb.Store, *corpus.Corpus, error) {
+// openStore opens a world's revocation store: in memory when cfg.Dir is
+// empty, else a segdb store in a fresh subdirectory of cfg.Dir.
+func openStore(cfg Config) (revdb.Store, error) {
 	if cfg.Dir == "" {
-		corp, err := corpus.NewWithConfig(corpus.Config{SpillBudget: cfg.MemoryBudget})
-		if err != nil {
-			return nil, nil, fmt.Errorf("open corpus: %w", err)
-		}
-		return revdb.New(), corp, nil
+		return revdb.New(), nil
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	dir, err := os.MkdirTemp(cfg.Dir, "world-")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	store, err := segdb.Open(filepath.Join(dir, "revdb"), nil)
 	if err != nil {
-		return nil, nil, fmt.Errorf("open revocation store: %w", err)
+		return nil, fmt.Errorf("open revocation store: %w", err)
 	}
-	budget := cfg.MemoryBudget
-	if budget == 0 {
-		budget = diskBudget
-	}
-	corp, err := corpus.NewWithConfig(corpus.Config{SpillBudget: budget, Dir: filepath.Join(dir, "corpus")})
-	if err != nil {
-		store.Close()
-		return nil, nil, fmt.Errorf("open corpus: %w", err)
-	}
-	return store, corp, nil
+	return store, nil
 }
 
 // NewWorld builds the initial ecosystem (CAs, backfilled certificate
 // population, hosts) without running the clock.
 func NewWorld(cfg Config) (*World, error) {
 	cfg.fillDefaults()
-	store, corp, err := openBackend(cfg)
+	store, err := openStore(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -342,7 +307,7 @@ func NewWorld(cfg Config) (*World, error) {
 		Cfg:      cfg,
 		Clock:    simtime.NewClock(cfg.Start),
 		Net:      simnet.New(),
-		Corpus:   corp,
+		Corpus:   corpus.New(),
 		Archive:  crawler.NewArchive(),
 		RevDB:    store,
 		Timeline: crlset.NewTimeline(),
