@@ -67,9 +67,12 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzRibbonDecode -fuzztime=10s ./internal/ribbon
 
 # bench-smoke builds one world end to end under the benchmark harness —
-# enough to catch pipeline regressions without paying for stable timings.
+# enough to catch pipeline regressions without paying for stable timings —
+# and makes one warm verdict per local verdict source, with its
+# allocations.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkWorldBuild -benchtime=1x .
+	$(GO) test -run='^$$' -bench=BenchmarkWarmVerdict -benchtime=1x ./internal/browser
 
 # bench runs the repository's benchmark (bench/, declared by
 # BENCHMARK.json): all six workloads, end-to-end metrics.

@@ -9,50 +9,61 @@ import (
 	"repro/internal/x509x"
 )
 
-// TestWarmVerdictAllocatesNothing gates the five verdicts a fleet makes
-// by the million: an OCSP answer and a CRL out of the shared cache, and
-// the installed cascade, shard set and CRLSet answering offline. With a reused
-// Verdict each costs exactly zero allocations, on a three-element chain
+// warmCases are the five verdicts a fleet makes by the million: an OCSP
+// answer and a CRL out of the shared cache, and the installed cascade,
+// shard set and CRLSet answering offline, each on a three-element chain
 // (two checks per verdict).
+var warmCases = []struct {
+	name    string
+	mode    protoMode
+	install func(tb testing.TB, w *world, c *Client, chain []*x509x.Certificate)
+}{
+	{"ocsp-cache-hit", ocspOnly, func(_ testing.TB, w *world, c *Client, _ []*x509x.Certificate) { c.Cache = NewCache() }},
+	{"crl-cache-hit", crlOnly, func(_ testing.TB, w *world, c *Client, _ []*x509x.Certificate) { c.Cache = NewCache() }},
+	{"cascade", ocspOnly, func(tb testing.TB, w *world, c *Client, chain []*x509x.Certificate) {
+		c.Cascade = buildChainCascade(tb, [][]*x509x.Certificate{chain}, nil, cascade.BuildConfig{
+			Epoch: 1, BuiltAt: w.clock.Now(), MaxAge: 48 * time.Hour,
+		})
+	}},
+	{"cascade-shards", ocspOnly, func(tb testing.TB, w *world, c *Client, chain []*x509x.Certificate) {
+		c.CascadeShards = buildShardInstall(tb, [][]*x509x.Certificate{chain}, nil, w.clock.Now(), nil)
+	}},
+	{"crlset", ocspOnly, func(_ testing.TB, w *world, c *Client, chain []*x509x.Certificate) {
+		c.CRLSet = crlset.NewSet(1)
+		for _, p := range coveredParents(chain) {
+			c.CRLSet.AddParent(p)
+		}
+	}},
+}
+
+// warmVerdict builds warmCases[i]'s world and client and returns a warm
+// verdict: the call that returns it made the first one, which fills the
+// cache, the memos and the Events array.
+func warmVerdict(tb testing.TB, i int) (w *world, v *Verdict, evaluate func()) {
+	tc := warmCases[i]
+	w = newWorld(tb, tc.mode)
+	chain, _ := w.leaf(false)
+	client := w.client(Hardened())
+	tc.install(tb, w, client, chain)
+	v = &Verdict{}
+	evaluate = func() {
+		if err := client.EvaluateInto(v, chain, nil); err != nil || v.Outcome != OutcomeAccept {
+			tb.Fatalf("verdict %+v, err %v", v, err)
+		}
+	}
+	evaluate()
+	return w, v, evaluate
+}
+
+// TestWarmVerdictAllocatesNothing gates warmCases: with a reused Verdict
+// each costs exactly zero allocations and no network request.
 func TestWarmVerdictAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	cases := []struct {
-		name    string
-		mode    protoMode
-		install func(w *world, c *Client, chain []*x509x.Certificate)
-	}{
-		{"ocsp-cache-hit", ocspOnly, func(w *world, c *Client, _ []*x509x.Certificate) { c.Cache = NewCache() }},
-		{"crl-cache-hit", crlOnly, func(w *world, c *Client, _ []*x509x.Certificate) { c.Cache = NewCache() }},
-		{"cascade", ocspOnly, func(w *world, c *Client, chain []*x509x.Certificate) {
-			c.Cascade = buildChainCascade(t, [][]*x509x.Certificate{chain}, nil, cascade.BuildConfig{
-				Epoch: 1, BuiltAt: w.clock.Now(), MaxAge: 48 * time.Hour,
-			})
-		}},
-		{"cascade-shards", ocspOnly, func(w *world, c *Client, chain []*x509x.Certificate) {
-			c.CascadeShards = buildShardInstall(t, [][]*x509x.Certificate{chain}, nil, w.clock.Now(), nil)
-		}},
-		{"crlset", ocspOnly, func(w *world, c *Client, chain []*x509x.Certificate) {
-			c.CRLSet = crlset.NewSet(1)
-			for _, p := range coveredParents(chain) {
-				c.CRLSet.AddParent(p)
-			}
-		}},
-	}
-	for _, tc := range cases {
+	for i, tc := range warmCases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := newWorld(t, tc.mode)
-			chain, _ := w.leaf(false)
-			client := w.client(Hardened())
-			tc.install(w, client, chain)
-			var v Verdict
-			evaluate := func() {
-				if err := client.EvaluateInto(&v, chain, nil); err != nil || v.Outcome != OutcomeAccept {
-					t.Fatalf("verdict %+v, err %v", v, err)
-				}
-			}
-			evaluate() // fills the cache, the memos and the Events array
+			w, v, evaluate := warmVerdict(t, i)
 			before := w.net.TotalStats().Requests
 			// AllocsPerRun counts every goroutine's allocations, and the
 			// x509x key pool refills in the background after newWorld drew
@@ -71,6 +82,20 @@ func TestWarmVerdictAllocatesNothing(t *testing.T) {
 			}
 			if len(v.Events) != 2 {
 				t.Errorf("verdict checked %d elements, want 2: %+v", len(v.Events), v.Events)
+			}
+		})
+	}
+}
+
+// BenchmarkWarmVerdict times one warm verdict of each of warmCases.
+func BenchmarkWarmVerdict(b *testing.B) {
+	for i, tc := range warmCases {
+		b.Run(tc.name, func(b *testing.B) {
+			_, _, evaluate := warmVerdict(b, i)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				evaluate()
 			}
 		})
 	}

@@ -17,7 +17,7 @@ import (
 // world is a complete PKI reachable over a simnet fabric: root CA,
 // intermediate CA, and helpers to issue leaves and build chains.
 type world struct {
-	t     *testing.T
+	t     testing.TB
 	clock *simtime.Clock
 	net   *simnet.Network
 	root  *ca.CA
@@ -33,7 +33,7 @@ const (
 	bothProtos
 )
 
-func newWorld(t *testing.T, mode protoMode) *world {
+func newWorld(t testing.TB, mode protoMode) *world {
 	t.Helper()
 	clock := simtime.NewClock(simtime.Date(2015, time.March, 1))
 	net := simnet.New()

@@ -361,8 +361,10 @@ func (c *Client) EvaluateInto(v *Verdict, chainCerts []*x509x.Certificate, stapl
 // cascade, CRLSet, Bloom) for (cert, issuer). decided is true when they
 // answered the revocation question and no staple or network check should
 // run. Every artifact keys on BloomKey(issuer SPKI hash, serial); both
-// halves are read from the certificates' memoised identity, so a verdict
-// costs the probe and no hashing of its own.
+// halves are read from the certificates' memoised identity. A cascade is
+// probed at level 1 with the key's digest, which cert memoises under its
+// issuer (KeyDigest), so a warm cascade verdict hashes nothing unless
+// the key reaches a deeper level.
 func (c *Client) localFastPath(v *Verdict, cert, issuer *x509x.Certificate, pos Position) (status, bool) {
 	if c.Cascade == nil && c.CascadeShards == nil && c.CRLSet == nil && c.Bloom == nil {
 		return stUnavailable, false
@@ -387,7 +389,7 @@ func (c *Client) localFastPath(v *Verdict, cert, issuer *x509x.Certificate, pos 
 			c.log(v, cert, pos, "cascade-shard", "stale")
 		} else if sh.Covers(p, cert.NotBefore) {
 			v.FastPath.CascadeHits++
-			if sh.Revoked(key) {
+			if sh.RevokedDigest(key, cert.KeyDigest(issuer)) {
 				c.log(v, cert, pos, "cascade-shard", "revoked")
 				return stRevoked, true
 			}
@@ -406,7 +408,7 @@ func (c *Client) localFastPath(v *Verdict, cert, issuer *x509x.Certificate, pos 
 			// Enrolled and fresh: the cascade's answer is exact, not
 			// probabilistic — it is authoritative either way.
 			v.FastPath.CascadeHits++
-			if c.Cascade.Revoked(key) {
+			if c.Cascade.RevokedDigest(key, cert.KeyDigest(issuer)) {
 				c.log(v, cert, pos, "cascade", "revoked")
 				return stRevoked, true
 			}

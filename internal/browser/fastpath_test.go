@@ -3,6 +3,7 @@ package browser
 import (
 	"bytes"
 	"crypto/ed25519"
+	"sync"
 	"testing"
 	"time"
 
@@ -194,7 +195,7 @@ func visitUnder(keys [][]byte, parent cascade.Parent) func(fn func(key []byte) b
 // present (which share their issuers): every checked element is known,
 // the given serials under the leaf issuer are revoked, and a small
 // synthetic population pads the leaf issuer.
-func buildChainCascade(t *testing.T, chains [][]*x509x.Certificate, revokedSerials [][]byte, cfg cascade.BuildConfig) *cascade.Filter {
+func buildChainCascade(t testing.TB, chains [][]*x509x.Certificate, revokedSerials [][]byte, cfg cascade.BuildConfig) *cascade.Filter {
 	t.Helper()
 	var parents []cascade.Parent
 	for _, p := range coveredParents(chains[0]) {
@@ -320,7 +321,7 @@ func TestCascadeKeyMatchesBloomKey(t *testing.T) {
 // them all under a signed manifest, and installs only the shards the
 // trust predicate accepts — the full client-side path for a sharded
 // cascade (cascade.InstallShards).
-func buildShardInstall(t *testing.T, chains [][]*x509x.Certificate, revokedSerials [][]byte, now time.Time, trusted func(cascade.Parent) bool) *cascade.ShardSet {
+func buildShardInstall(t testing.TB, chains [][]*x509x.Certificate, revokedSerials [][]byte, now time.Time, trusted func(cascade.Parent) bool) *cascade.ShardSet {
 	t.Helper()
 	parents := coveredParents(chains[0])
 	order := make([]cascade.Parent, len(parents))
@@ -427,5 +428,68 @@ func TestCascadeShardsTrustFiltering(t *testing.T) {
 	}
 	if w.net.TotalStats().Requests == 0 {
 		t.Error("untrusted issuer's element should have hit the network")
+	}
+}
+
+// TestFirstVerdictRace: eight goroutines make the first verdict on one
+// freshly parsed chain together, through each cascade install (run under
+// -race by make race-hot). Each one fills or reads the certificates'
+// identity and the leaf's digest memo, and all must agree with the
+// verdict of a chain whose memos were filled beforehand.
+func TestFirstVerdictRace(t *testing.T) {
+	w := newWorld(t, ocspOnly)
+	revokedChain, rec := w.leaf(false)
+	if err := w.inter.Revoke(rec.Serial, w.clock.Now(), crl.ReasonKeyCompromise); err != nil {
+		t.Fatal(err)
+	}
+	goodChain, _ := w.leaf(false)
+	chains := [][]*x509x.Certificate{revokedChain, goodChain}
+	revoked := [][]byte{rec.Serial.Bytes()}
+	installs := map[string]func(c *Client){
+		"cascade": func(c *Client) {
+			c.Cascade = buildChainCascade(t, chains, revoked, cascade.BuildConfig{Epoch: 1, BuiltAt: w.clock.Now()})
+		},
+		"cascade-shards": func(c *Client) {
+			c.CascadeShards = buildShardInstall(t, chains, revoked, w.clock.Now(), nil)
+		},
+	}
+	for name, install := range installs {
+		client := w.client(Hardened())
+		install(client)
+		for ci, chain := range chains {
+			want := mustEval(t, client, chain).RevocationDetected
+			if want != (ci == 0) {
+				t.Fatalf("%s: chain %d revoked %v", name, ci, want)
+			}
+			fresh := make([]*x509x.Certificate, len(chain))
+			for i, c := range chain {
+				var err error
+				if fresh[i], err = x509x.Parse(c.Raw); err != nil {
+					t.Fatal(err)
+				}
+			}
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var v Verdict
+					<-start
+					if err := client.EvaluateInto(&v, fresh, nil); err != nil {
+						t.Error(err)
+						return
+					}
+					if v.RevocationDetected != want || v.FastPath.CascadeHits == 0 {
+						t.Errorf("%s: racing first verdict on chain %d: revoked %v (want %v), fast path %+v", name, ci, v.RevocationDetected, want, v.FastPath)
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+		}
+	}
+	if got := w.net.TotalStats().Requests; got != 0 {
+		t.Errorf("cascade verdicts made %d network requests", got)
 	}
 }

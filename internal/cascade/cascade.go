@@ -352,7 +352,20 @@ func (f *Filter) Covers(p Parent, notBefore time.Time) bool {
 // above, i.e. it is revoked. A key passing every level belongs to the
 // deepest level's population.
 func (f *Filter) Revoked(key []byte) bool {
-	for i := range f.levels {
+	return f.RevokedDigest(key, ribbon.Sum(0, key))
+}
+
+// RevokedDigest is Revoked for a key whose level-1 digest the caller
+// already holds: RevokedDigest(key, ribbon.Sum(0, key)) ≡ Revoked(key).
+// Level 1 is probed with d and hashes nothing; the deeper levels, which
+// only level-1 members and false positives reach, hash key at their own
+// salts. A browser keeps d with the certificate
+// (x509x.Certificate.KeyDigest). Zero allocations.
+func (f *Filter) RevokedDigest(key []byte, d ribbon.Digest) bool {
+	if len(f.levels) == 0 || !f.levels[0].containsDigest(d) {
+		return false // not in R
+	}
+	for i := 1; i < len(f.levels); i++ {
 		if !f.levels[i].contains(byte(i), key) {
 			return i%2 == 1
 		}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/testsuite"
 	"repro/internal/workload"
 )
 
@@ -222,5 +223,31 @@ func TestAvailabilityStandalone(t *testing.T) {
 	}
 	if len(first.Rows) != 7*5 {
 		t.Errorf("rows = %d, want 7 levels x 5 profiles", len(first.Rows))
+	}
+}
+
+// TestTable2SharedSuiteMatchesFresh: Table 2 runs on the process's one
+// browser suite, which AblationFailurePolicy runs too; after the
+// ablation, its rows and findings equal those of a suite built for the
+// call.
+func TestTable2SharedSuiteMatchesFresh(t *testing.T) {
+	suite, err := testsuite.Build(testsuite.Generate())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := table2(suite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AblationFailurePolicy(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Table2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Rows, want.Rows) || !reflect.DeepEqual(got.Findings, want.Findings) {
+		t.Errorf("Table 2 on the shared suite differs from a fresh one:\n--- shared ---\n%s\n--- fresh ---\n%s",
+			got.Render(), want.Render())
 	}
 }

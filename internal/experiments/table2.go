@@ -9,12 +9,17 @@ import (
 
 // Table2 runs the browser test suite against every profile and regenerates
 // the paper's revocation-checking matrix. The suite is independent of the
-// simulated world; it runs on its own fabric.
+// simulated world; it runs on its own fabric, the one suite the process
+// builds (buildSuite).
 func Table2() (*Result, error) {
-	suite, err := testsuite.Build(testsuite.Generate())
+	suite, err := buildSuite()
 	if err != nil {
 		return nil, err
 	}
+	return table2(suite)
+}
+
+func table2(suite *testsuite.Suite) (*Result, error) {
 	profiles := browser.All()
 	m, err := suite.Matrix(profiles)
 	if err != nil {

@@ -1,13 +1,17 @@
 package fleet
 
 import (
+	"math/big"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/browser"
+	"repro/internal/cascade"
 	"repro/internal/hist"
+	"repro/internal/ribbon"
+	"repro/internal/x509x"
 )
 
 func testWorld(t *testing.T, cfg Config) *World {
@@ -328,5 +332,128 @@ func TestPlansEqualSerialReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestKeyDigestProbeMatchesRevoked: the level-1 digest a leaf memoises
+// and the probe that takes it agree with Filter.Revoked(key) for every
+// leaf of a fleet world, on the monolithic cascade and on the shard set,
+// and so do the verdicts of clients holding either install. Every leaf
+// is checked under two issuers: the world's CA and a second one whose
+// shard revokes every third leaf instead of the world's tail. Odd leaves
+// meet the second issuer first, so their memo holds its digest when the
+// world's CA asks; a memo that ignored the issuer would answer with the
+// wrong key's digest.
+func TestKeyDigestProbeMatchesRevoked(t *testing.T) {
+	w := testWorld(t, Config{Browsers: 1, Certs: 384, EvalsPerBrowser: 1, Seed: 12})
+	key, err := x509x.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := w.Clock.Now()
+	tmpl := x509x.NewTemplate(big.NewInt(1), x509x.Name{CommonName: "Cross"}, now.AddDate(-1, 0, 0), now.AddDate(1, 0, 0))
+	tmpl.IsCA = true
+	raw, err := x509x.Create(tmpl, nil, key, &key.PublicKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cross, err := x509x.Parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	issuers := []*x509x.Certificate{w.CA.Certificate(), cross}
+	parents := []cascade.Parent{cascade.Parent(issuers[0].SPKIHash()), cascade.Parent(issuers[1].SPKIHash())}
+	revokedUnder := func(j, i int) bool {
+		if j == 0 {
+			return w.Revoked[i]
+		}
+		return i%3 == 0
+	}
+	keysUnder := func(j int, revokedOnly bool) [][]byte {
+		var keys [][]byte
+		for i, rec := range w.Records {
+			if !revokedOnly || revokedUnder(j, i) {
+				keys = append(keys, cascade.AppendKey(nil, parents[j], rec.Serial.Bytes()))
+			}
+		}
+		return keys
+	}
+	build := func(js ...int) *cascade.Filter {
+		var revoked, known [][]byte
+		var ps []cascade.Parent
+		for _, j := range js {
+			revoked = append(revoked, keysUnder(j, true)...)
+			known = append(known, keysUnder(j, false)...)
+			ps = append(ps, parents[j])
+		}
+		cascade.SortParents(ps)
+		visit := func(fn func(key []byte) bool) {
+			for _, k := range known {
+				if !fn(k) {
+					return
+				}
+			}
+		}
+		f, err := cascade.Build(revoked, visit, ps, cascade.BuildConfig{Epoch: 1, BuiltAt: now})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	mono := build(0, 1)
+	shards, err := cascade.NewShardSet([]*cascade.Filter{w.CascadeRibbon, build(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clients := []struct {
+		name string
+		c    *browser.Client
+	}{
+		{"cascade", &browser.Client{Profile: browser.Hardened(), HTTP: w.Net.Client(), Now: w.Clock.Now, Cascade: mono}},
+		{"cascade-shards", &browser.Client{Profile: browser.Hardened(), HTTP: w.Net.Client(), Now: w.Clock.Now, CascadeShards: shards}},
+	}
+	netBefore := w.Net.TotalStats().Requests
+	var v browser.Verdict
+	revokedSeen := [2]int{}
+	for i, chain := range w.Chains {
+		leaf := chain[0]
+		order := []int{0, 1}
+		if i%2 == 1 {
+			order = []int{1, 0}
+		}
+		for _, j := range order {
+			issuer := issuers[j]
+			key := cascade.AppendKey(nil, parents[j], leaf.SerialBytes())
+			d := leaf.KeyDigest(issuer)
+			if d != ribbon.Sum(0, key) {
+				t.Fatalf("leaf %d under issuer %d: memoised digest %x, want ribbon.Sum %x", i, j, d[:8], ribbon.Sum(0, key))
+			}
+			want := revokedUnder(j, i)
+			if want {
+				revokedSeen[j]++
+			}
+			for _, f := range []struct {
+				name string
+				f    *cascade.Filter
+			}{{"cascade", mono}, {"shard", shards.Shard(parents[j])}} {
+				if got, ref := f.f.RevokedDigest(key, d), f.f.Revoked(key); got != ref || got != want {
+					t.Errorf("leaf %d under issuer %d, %s: RevokedDigest %v, Revoked %v, want %v", i, j, f.name, got, ref, want)
+				}
+			}
+			for _, c := range clients {
+				if err := c.c.EvaluateInto(&v, []*x509x.Certificate{leaf, issuer}, nil); err != nil {
+					t.Fatal(err)
+				}
+				if v.RevocationDetected != want || v.FastPath.CascadeHits != 1 {
+					t.Errorf("leaf %d under issuer %d, %s client: revoked %v (want %v), fast path %+v", i, j, c.name, v.RevocationDetected, want, v.FastPath)
+				}
+			}
+		}
+	}
+	if revokedSeen[0] == 0 || revokedSeen[1] == 0 {
+		t.Fatalf("revoked leaves per issuer %v: the test needs some under each", revokedSeen)
+	}
+	if n := w.Net.TotalStats().Requests - netBefore; n != 0 {
+		t.Errorf("%d network requests, want 0", n)
 	}
 }

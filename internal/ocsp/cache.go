@@ -238,17 +238,15 @@ func (cr *CachingResponder) ServeHTTP(w http.ResponseWriter, httpReq *http.Reque
 }
 
 // transportKey returns the raw-bytes cache key for requests whose key is
-// available before reading anything: the GET path. POST bodies are keyed
-// by the caller after the read.
+// available before reading anything: the GET path, keyed by the base64
+// text it decodes (getPayload), so that escaped and raw spellings of one
+// request share an entry. POST bodies are keyed by the caller after the
+// read.
 func transportKey(httpReq *http.Request) (string, bool) {
 	if httpReq.Method != http.MethodGet {
 		return "", false
 	}
-	p := httpReq.URL.EscapedPath()
-	if len(p) > 0 && p[0] == '/' {
-		p = p[1:]
-	}
-	return p, true
+	return getPayload(httpReq.URL), true
 }
 
 // entryLive reports whether e is signed, healthy, still in the

@@ -370,6 +370,76 @@ func TestResponderGETAcceptsRawAndEscapedBase64(t *testing.T) {
 	}
 }
 
+// legacyGETDER is the GET decoding the responder used before it read
+// URL.Path: the unescaped escaped path, else the escaped path itself.
+func legacyGETDER(u *url.URL) ([]byte, error) {
+	seg := strings.TrimPrefix(u.EscapedPath(), "/")
+	if unescaped, err := url.PathUnescape(seg); err == nil {
+		if der, err := base64.StdEncoding.DecodeString(unescaped); err == nil {
+			return der, nil
+		}
+	}
+	return base64.StdEncoding.DecodeString(seg)
+}
+
+// TestTransportKeyDecidesDER: GET requests with one transport key decode
+// to one DER (or fail alike), over the spellings clients and hand-built
+// URLs give one request, and each decodes as the escaped-path decoder
+// did. "+/+/AQ==" holds every base64 character a path can escape.
+func TestTransportKeyDecidesDER(t *testing.T) {
+	const enc = "+/+/AQ=="
+	want := []byte{0xfb, 0xff, 0xbf, 0x01}
+	target := func(s string) *url.URL { return httptest.NewRequest(http.MethodGet, s, nil).URL }
+	cases := []struct {
+		name string
+		u    *url.URL
+		ok   bool // decodes to want
+	}{
+		{"raw", target("/" + enc), true},
+		{"path-escaped", target("/" + url.PathEscape(enc)), true},
+		{"all-escaped", target("/%2B%2F%2B%2FAQ%3D%3D"), true},
+		{"mixed", target("/%2B/+%2FAQ%3D="), true},
+		{"plus-as-%2B", target("/%2B/%2B/AQ=="), true},
+		{"rawpath-disagrees", &url.URL{Path: "/" + enc, RawPath: "/AAAA"}, true},
+		{"rawpath-invalid-escape", &url.URL{Path: "/" + enc, RawPath: "/%zz"}, true},
+		{"other-request", target("/AAAA"), false},
+		{"other-escaped", target("/%41AAA"), false},
+		{"no-padding", target("/+/+/AQ"), false},
+		{"invalid-escape-in-path", &url.URL{Path: "/+/+/AQ%zz"}, false},
+		{"space-for-plus", target("/%20/%20/AQ=="), false},
+		{"empty", target("/"), false},
+	}
+	type decoded struct {
+		name string
+		der  []byte
+		err  bool
+	}
+	byKey := make(map[string]decoded)
+	for _, c := range cases {
+		httpReq := &http.Request{Method: http.MethodGet, URL: c.u}
+		key, keyed := transportKey(httpReq)
+		if !keyed {
+			t.Fatalf("%s: GET not keyed", c.name)
+		}
+		der, err := requestDERFromHTTP(httpReq)
+		if got := err == nil && bytes.Equal(der, want); got != c.ok {
+			t.Errorf("%s: decoded %x (err %v), want the request: %v", c.name, der, err, c.ok)
+		}
+		old, oldErr := legacyGETDER(c.u)
+		if (err != nil) != (oldErr != nil) || !bytes.Equal(der, old) {
+			t.Errorf("%s: decoded %x (err %v), the escaped-path decoder %x (err %v)", c.name, der, err, old, oldErr)
+		}
+		d := decoded{name: c.name, der: der, err: err != nil}
+		if prev, seen := byKey[key]; seen && (prev.err != d.err || !bytes.Equal(prev.der, d.der)) {
+			t.Errorf("key %q: %s decodes to %x (err %v), %s to %x (err %v)", key, prev.name, prev.der, prev.err, d.name, d.der, d.err)
+		}
+		byKey[key] = d
+	}
+	if got := byKey[enc]; got.err || !bytes.Equal(got.der, want) {
+		t.Errorf("every spelling of the request should share key %q, found %+v", enc, got)
+	}
+}
+
 func TestCachingResponderConcurrentMixedSerials(t *testing.T) {
 	w := newCacheWorld(t, 0)
 	const goroutines = 32

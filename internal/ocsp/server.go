@@ -75,24 +75,33 @@ var errMethodNotAllowed = errors.New("ocsp: method not allowed")
 func requestDERFromHTTP(httpReq *http.Request) ([]byte, error) {
 	switch httpReq.Method {
 	case http.MethodGet:
-		// The base64 alphabet includes '/', so the encoding may span what
-		// looks like multiple path segments; take the whole escaped path
-		// rather than the last segment. Clients differ on whether they
-		// percent-escape the base64 (the RFC says to) or append it raw,
-		// '+' and '=' included; accept both by trying the unescaped form
-		// first and falling back to the raw path.
-		seg := strings.TrimPrefix(httpReq.URL.EscapedPath(), "/")
-		if unescaped, err := url.PathUnescape(seg); err == nil {
-			if reqDER, err := base64.StdEncoding.DecodeString(unescaped); err == nil {
-				return reqDER, nil
-			}
-		}
-		return base64.StdEncoding.DecodeString(seg)
+		return base64.StdEncoding.DecodeString(getPayload(httpReq.URL))
 	case http.MethodPost:
 		return io.ReadAll(io.LimitReader(httpReq.Body, 1<<20))
 	default:
 		return nil, errMethodNotAllowed
 	}
+}
+
+// getPayload returns the base64 text of a GET request: the whole URL path
+// after its leading '/' (the base64 alphabet includes '/', so the
+// encoding may span what looks like several path segments). Clients
+// differ on whether they percent-escape the base64, as the RFC says, or
+// append it raw, '+' and '=' included; URL.Path holds the unescaped text
+// of either. It is both the text requestDERFromHTTP decodes and the
+// CachingResponder's transport key, so requests with one key decode to
+// one DER.
+//
+// Decoding the escaped path, as this responder once did, reads the same
+// text for every request a server receives. EscapedPath is an escaping
+// of Path (RawPath when that is one, else Path escaped afresh) and both
+// begin with '/', so PathUnescape of the trimmed EscapedPath is the
+// trimmed Path. The old fallback to the escaped text itself succeeded
+// only when that text held no '%', and then it equals its unescaping.
+// Reading Path also spares the cache-hit path EscapedPath's validation
+// of RawPath, which allocates whenever the client escaped anything.
+func getPayload(u *url.URL) string {
+	return strings.TrimPrefix(u.Path, "/")
 }
 
 // decodeHTTPRequest pulls the DER request out of httpReq, writing the

@@ -115,8 +115,10 @@ type row struct {
 
 // Digest is sha256(salt‖key): the one preimage every filter level hashes,
 // ribbon and Bloom alike. A caller that probes the same key at the same
-// salt more than once (a publisher re-scanning a fixed population) keeps
-// the digest and skips the hash.
+// salt more than once keeps the digest and skips the hash: a certificate
+// keeps its cascade key's level-1 digest with its identity
+// (x509x.Certificate.KeyDigest), so a browser's repeat verdicts probe
+// with ProbeDigest (cascade.Filter.RevokedDigest).
 type Digest [sha256.Size]byte
 
 // Sum hashes a key under a level salt. Zero allocations for keys shorter

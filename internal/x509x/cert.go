@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/der"
+	"repro/internal/ribbon"
 )
 
 // KeyUsage is the X.509 key-usage bitmask (RFC 5280 §4.2.1.3). Bit i of
@@ -70,19 +71,40 @@ type Certificate struct {
 	PermittedDNSDomains []string
 	ExcludedDNSDomains  []string
 
-	// serial is SerialBytes where it sits in Raw, set by Parse; hashes is
-	// filled by the first call that needs one. Both are derived from the
-	// exported fields above, which must not change once they were read.
+	// serial is SerialBytes where it sits in Raw and ev is IsEV, both set
+	// by Parse; hashes is filled by the first call that needs one. All
+	// are derived from the exported fields above, which must not change
+	// once they were read.
 	serial []byte
+	ev     evFlag
 	hashes atomic.Pointer[certHashes]
 }
+
+// evFlag is IsEV as Parse settled it; evUnset for a Certificate that
+// Parse did not build.
+type evFlag uint8
+
+const (
+	evUnset evFlag = iota
+	evNo
+	evYes
+)
 
 // certHashes is the part of a certificate's revocation identity that
 // costs a SHA-256 to derive. A revocation check asks the issuer for all
 // of it on every verdict and most certificates are never an issuer, so
-// it hangs off the Certificate by a pointer filled on first use.
+// it hangs off the Certificate by a pointer filled on first use. digest
+// is the certificate's own half: the level-1 digest of its filter key
+// under the first issuer it was checked against (KeyDigest).
 type certHashes struct {
 	spki, name, key [32]byte
+	digest          atomic.Pointer[keyDigest]
+}
+
+// keyDigest is KeyDigest under the issuer whose SPKIHash is parent.
+type keyDigest struct {
+	parent [32]byte
+	sum    ribbon.Digest
 }
 
 func (c *Certificate) identity() *certHashes {
@@ -129,9 +151,38 @@ func (c *Certificate) SerialBytes() []byte {
 	return c.SerialNumber.Bytes()
 }
 
+// KeyDigest returns ribbon.Sum(0, key) for c's revocation-filter key
+// under issuer, key being issuer.SPKIHash() ‖ c.SerialBytes() (the
+// browser.BloomKey and cascade.AppendKey layout): the digest a cascade's
+// level 1 is probed with. The digest under the first issuer asked for is
+// memoised with c's identity and read back without hashing: atomic loads
+// and a comparison of the issuer's SPKIHash. A call under any other
+// issuer hashes again and keeps nothing. Zero allocations once memoised.
+func (c *Certificate) KeyDigest(issuer *Certificate) ribbon.Digest {
+	parent := issuer.SPKIHash()
+	h := c.identity()
+	if m := h.digest.Load(); m != nil && m.parent == parent {
+		return m.sum
+	}
+	var buf [64]byte
+	sum := ribbon.Sum(0, append(append(buf[:0], parent[:]...), c.SerialBytes()...))
+	// Racing first callers derive equal values; whichever lands is kept.
+	h.digest.CompareAndSwap(nil, &keyDigest{parent: parent, sum: sum})
+	return sum
+}
+
 // IsEV reports whether the certificate asserts one of the EV policy OIDs.
+// Parse settles it once; a Certificate that Parse did not build scans
+// PolicyOIDs on each call.
 func (c *Certificate) IsEV() bool {
-	for _, p := range c.PolicyOIDs {
+	if c.ev != evUnset {
+		return c.ev == evYes
+	}
+	return hasEVPolicy(c.PolicyOIDs)
+}
+
+func hasEVPolicy(policies []der.OID) bool {
+	for _, p := range policies {
 		for _, ev := range EVPolicyOIDs {
 			if p.Equal(ev) {
 				return true
@@ -452,6 +503,10 @@ func Parse(raw []byte) (*Certificate, error) {
 			}
 		}
 		// [1]/[2] issuerUniqueID/subjectUniqueID: obsolete, skipped.
+	}
+	c.ev = evNo
+	if hasEVPolicy(c.PolicyOIDs) {
+		c.ev = evYes
 	}
 	return c, nil
 }

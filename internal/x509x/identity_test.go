@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ribbon"
 	"repro/internal/testsuite"
 	"repro/internal/x509x"
 )
@@ -19,10 +20,36 @@ func pointHash(c *x509x.Certificate) [32]byte {
 	return sha256.Sum256(elliptic.Marshal(elliptic.P256(), c.PublicKey.X, c.PublicKey.Y))
 }
 
+// keyDigest is KeyDigest as a cascade probe used to derive it per
+// verdict: ribbon.Sum over salt 0 and the issuer's SPKI hash ‖ serial.
+func keyDigest(c, issuer *x509x.Certificate) ribbon.Digest {
+	spki := sha256.Sum256(issuer.RawSPKI)
+	return ribbon.Sum(0, append(spki[:], c.SerialNumber.Bytes()...))
+}
+
+// isEV is IsEV as a scan of the policy OIDs.
+func isEV(c *x509x.Certificate) bool {
+	for _, p := range c.PolicyOIDs {
+		for _, ev := range x509x.EVPolicyOIDs {
+			if p.Equal(ev) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // checkIdentity compares a certificate's memoised revocation identity
-// with the derivation every caller used to make for itself.
+// with the derivation every caller used to make for itself. The key
+// digest is asked for under the certificate itself, as its own issuer.
 func checkIdentity(t *testing.T, what string, c *x509x.Certificate) {
 	t.Helper()
+	if got, want := c.KeyDigest(c), keyDigest(c, c); got != want {
+		t.Errorf("%s: KeyDigest %x, want %x", what, got, want)
+	}
+	if got, want := c.IsEV(), isEV(c); got != want {
+		t.Errorf("%s: IsEV %v, want %v", what, got, want)
+	}
 	if got, want := c.SPKIHash(), sha256.Sum256(c.RawSPKI); got != want {
 		t.Errorf("%s: SPKIHash %x, want %x", what, got, want)
 	}
@@ -45,11 +72,21 @@ func TestIdentityMatchesDerivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
+	n, ev := 0, 0
 	for id, env := range s.Envs {
-		for _, c := range env.Chain {
+		for i, c := range env.Chain {
 			checkIdentity(t, id, c)
 			checkIdentity(t, id, c)
+			if c.IsEV() {
+				ev++
+			}
+			// Under its real issuer the memo, filled under c itself,
+			// is passed over and the digest derived afresh.
+			if i+1 < len(env.Chain) {
+				if got, want := c.KeyDigest(env.Chain[i+1]), keyDigest(c, env.Chain[i+1]); got != want {
+					t.Errorf("%s: KeyDigest under the issuer %x, want %x", id, got, want)
+				}
+			}
 			// A parsed serial points into Raw; it is not a copy.
 			if ser := c.SerialBytes(); len(ser) > 0 && !bytes.Contains(c.Raw, ser) {
 				t.Errorf("%s: SerialBytes is not a subslice of Raw", id)
@@ -57,8 +94,8 @@ func TestIdentityMatchesDerivation(t *testing.T) {
 			n++
 		}
 	}
-	if n == 0 {
-		t.Fatal("suite has no chains")
+	if n == 0 || ev == 0 {
+		t.Fatalf("suite has %d certificates, %d of them EV: want some of each", n, ev)
 	}
 }
 
@@ -87,6 +124,10 @@ func TestIdentityOfHandBuiltCertificate(t *testing.T) {
 		}
 		checkIdentity(t, serial.String(), c)
 		checkIdentity(t, serial.String(), c)
+	}
+	// Parse did not settle the EV flag: IsEV reads the policies.
+	if c := (&x509x.Certificate{PolicyOIDs: x509x.EVPolicyOIDs}); !c.IsEV() {
+		t.Error("hand-built EV certificate: IsEV false")
 	}
 	// No key at all: the two name-derived hashes still answer.
 	c := &x509x.Certificate{RawSubject: subject, RawSPKI: []byte{0x30, 0x00}}
@@ -142,8 +183,9 @@ func TestIdentityFirstReadRace(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					<-start
-					if c.SPKIHash() != sha256.Sum256(c.RawSPKI) || c.NameHash() != sha256.Sum256(c.RawSubject) ||
-						c.KeyHash() != pointHash(c) || !bytes.Equal(c.SerialBytes(), c.SerialNumber.Bytes()) {
+					if c.KeyDigest(read) != keyDigest(c, read) || c.SPKIHash() != sha256.Sum256(c.RawSPKI) ||
+						c.NameHash() != sha256.Sum256(c.RawSubject) || c.KeyHash() != pointHash(c) ||
+						!bytes.Equal(c.SerialBytes(), c.SerialNumber.Bytes()) {
 						t.Error("racing first read saw a wrong identity")
 					}
 				}()
