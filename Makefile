@@ -59,6 +59,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/der
 	$(GO) test -run='^$$' -fuzz='^FuzzParseCRL$$' -fuzztime=10s ./internal/crl
 	$(GO) test -run='^$$' -fuzz='^FuzzParseCRLFrom$$' -fuzztime=10s ./internal/crl
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeEntry$$' -fuzztime=10s ./internal/crl
 	$(GO) test -run='^$$' -fuzz=FuzzParseResponse -fuzztime=10s ./internal/ocsp
 	$(GO) test -run='^$$' -fuzz=FuzzParseCertificate -fuzztime=10s ./internal/x509x
 	$(GO) test -run='^$$' -fuzz=FuzzParseCRLSet -fuzztime=10s ./internal/crlset
@@ -68,11 +69,12 @@ fuzz-short:
 
 # bench-smoke builds one world end to end under the benchmark harness —
 # enough to catch pipeline regressions without paying for stable timings —
-# and makes one warm verdict per local verdict source, with its
-# allocations.
+# makes one warm verdict per local verdict source, with its allocations,
+# and one cold CRL verdict (parse, verify, look up) with its allocations.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkWorldBuild -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkWarmVerdict -benchtime=1x ./internal/browser
+	$(GO) test -run='^$$' -bench=BenchmarkColdCRLVerdict -benchtime=1x ./internal/crl
 
 # bench runs the repository's benchmark (bench/, declared by
 # BENCHMARK.json): all six workloads, end-to-end metrics.

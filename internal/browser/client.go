@@ -629,8 +629,15 @@ func (c *Client) downloadCRL(url string) (*crl.CRL, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("browser: CRL fetch: HTTP %d", resp.StatusCode)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxCRLBytes))
-	if err != nil {
+	var body []byte
+	if n := resp.ContentLength; n > 0 && n <= maxCRLBytes {
+		// Presize the read, as the crawler does: io.ReadAll would grow
+		// its buffer through several copies of the body.
+		body = make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, body); err != nil {
+			return nil, err
+		}
+	} else if body, err = io.ReadAll(io.LimitReader(resp.Body, maxCRLBytes)); err != nil {
 		return nil, err
 	}
 	return crl.Parse(body)

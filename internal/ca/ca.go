@@ -431,20 +431,30 @@ func (ca *CA) newSerialLocked() *big.Int {
 	}
 }
 
-// Issue registers and signs a real certificate.
+// Issue registers and signs a real certificate: IssueRecord, then
+// SignRecord.
 func (ca *CA) Issue(opts IssueOptions) (*x509x.Certificate, *Record, error) {
+	rec := ca.IssueRecord(opts)
+	cert, err := ca.SignRecord(rec, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return cert, rec, nil
+}
+
+// SignRecord builds, signs and parses the certificate for rec, a record
+// this CA issued from opts. It takes no lock and changes no CA state, so
+// any number of records may be signed concurrently, in any order, once
+// IssueRecord has fixed their serials and shards in order.
+func (ca *CA) SignRecord(rec *Record, opts IssueOptions) (*x509x.Certificate, error) {
 	pub := opts.PublicKey
 	if pub == nil {
 		key, err := x509x.PooledKey()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		pub = &key.PublicKey
 	}
-	ca.mu.Lock()
-	rec := ca.issueRecordLocked(opts)
-	ca.mu.Unlock()
-
 	tmpl := x509x.NewTemplate(rec.Serial, x509x.Name{CommonName: opts.CommonName}, opts.NotBefore, opts.NotAfter)
 	tmpl.KeyUsage = x509x.KeyUsageDigitalSignature | x509x.KeyUsageKeyEncipherment
 	tmpl.ExtKeyUsage = []x509x.OID{x509x.OIDEKUServerAuth}
@@ -460,13 +470,9 @@ func (ca *CA) Issue(opts IssueOptions) (*x509x.Certificate, *Record, error) {
 	}
 	raw, err := x509x.Create(tmpl, ca.cert, ca.key, pub)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	cert, err := x509x.Parse(raw)
-	if err != nil {
-		return nil, nil, err
-	}
-	return cert, rec, nil
+	return x509x.Parse(raw)
 }
 
 // OnRevoke registers fn to run after every successful Revoke, outside the

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/big"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/der"
@@ -125,8 +126,11 @@ type CRL struct {
 	// field is absent. ParseFrom walks it when this CRL is the hint.
 	entriesDER []byte
 
-	// indexOnce guards the lazy bySerial build: parsed CRLs are shared
-	// across snapshots (the crawler's parse cache) and goroutines.
+	// scanned is set by the first LookupSerial, which scans Entries;
+	// indexOnce guards the bySerial build the second one triggers:
+	// parsed CRLs are shared across snapshots (the crawler's parse
+	// cache) and goroutines.
+	scanned   atomic.Bool
 	indexOnce sync.Once
 	bySerial  map[string]int
 }
@@ -150,10 +154,20 @@ func (c *CRL) Lookup(serial *big.Int) (Entry, bool) {
 }
 
 // LookupSerial is Lookup keyed by the compact big-endian serial magnitude
-// (what Entry.Serial holds); it does not allocate once the index is
-// built, which is what keeps a warm browser-cache membership check off
-// the allocator entirely.
+// (what Entry.Serial holds). The first lookup on a CRL scans Entries: a
+// freshly fetched CRL that answers one check and is dropped never pays
+// for an index. The second builds a serial-keyed map that every later
+// lookup reads without allocating, which is what keeps a warm
+// browser-cache membership check off the allocator entirely.
 func (c *CRL) LookupSerial(serial []byte) (Entry, bool) {
+	if !c.scanned.Load() && c.scanned.CompareAndSwap(false, true) {
+		for _, e := range c.Entries {
+			if bytes.Equal(e.Serial, serial) {
+				return e, true
+			}
+		}
+		return Entry{}, false
+	}
 	c.indexOnce.Do(func() {
 		c.bySerial = make(map[string]int, len(c.Entries))
 		for i, e := range c.Entries {
@@ -690,9 +704,68 @@ func entrySerial(v der.Value) (der.Cursor, []byte, error) {
 	return cur, mag, nil
 }
 
-// parseEntry decodes one revoked-certificate SEQUENCE via the cursor —
-// zero allocations for well-formed entries.
+// parseEntry decodes one revoked-certificate SEQUENCE — zero
+// allocations for well-formed entries. The shape appendEntry emits takes
+// the one-pass path; every other entry takes the cursor.
 func parseEntry(v der.Value) (Entry, error) {
+	if e, ok := parseEntryCanonical(v); ok {
+		return e, nil
+	}
+	return parseEntryCursor(v)
+}
+
+// reasonExtPrefix is reasonExtDER[r] without its last byte, the
+// ENUMERATED's one content byte: the same for every one-byte code.
+var reasonExtPrefix = reasonExtDER[0][:len(reasonExtDER[0])-1]
+
+// parseEntryCanonical decodes, in one pass over v's content, the entry
+// shape every CA here emits: a short-form INTEGER serial that is positive
+// and minimal, a 13-byte UTCTime the fast time decoder reads, then either
+// nothing or exactly the encoder's reasonCode extension with a one-byte
+// code below 0x80. ok is false on any other byte, leaving the entry to
+// parseEntryCursor; on ok the Entry is the one parseEntryCursor returns,
+// serial aliasing the same bytes.
+func parseEntryCanonical(v der.Value) (Entry, bool) {
+	if v.Class != der.ClassUniversal || v.Tag != der.TagSequence || !v.Constructed {
+		return Entry{}, false
+	}
+	c := v.Content
+	if len(c) < 2 || c[0] != der.TagInteger || c[1] == 0 || c[1] >= 0x80 || len(c) < 2+int(c[1]) {
+		return Entry{}, false
+	}
+	mag := c[2 : 2+int(c[1])]
+	c = c[2+len(mag):]
+	if mag[0]&0x80 != 0 {
+		return Entry{}, false // negative
+	}
+	if mag[0] == 0 {
+		if len(mag) == 1 || mag[1]&0x80 == 0 {
+			return Entry{}, false // zero, or a non-minimal pad
+		}
+		mag = mag[1:]
+	}
+	if len(c) < 15 || c[0] != der.TagUTCTime || c[1] != 13 {
+		return Entry{}, false
+	}
+	at, ok := der.FastUTCTime(c[2:15])
+	if !ok {
+		return Entry{}, false
+	}
+	c = c[15:]
+	e := Entry{Serial: mag, RevokedAt: at, Reason: ReasonAbsent}
+	switch {
+	case len(c) == 0:
+	case len(c) == len(reasonExtPrefix)+1 && c[len(c)-1] < 0x80 && bytes.HasPrefix(c, reasonExtPrefix):
+		e.Reason = Reason(c[len(c)-1])
+	default:
+		return Entry{}, false
+	}
+	return e, true
+}
+
+// parseEntryCursor decodes any well-formed revoked-certificate SEQUENCE
+// field by field via the cursor.
+func parseEntryCursor(v der.Value) (Entry, error) {
 	cur, mag, err := entrySerial(v)
 	if err != nil {
 		return Entry{}, err

@@ -415,3 +415,38 @@ func TestEntriesRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkColdCRLVerdict is the per-check work of an uncached CRL
+// verdict without the network: parse a 150-entry shard CRL (the size of a
+// fleet shard after the Heartbleed storm), verify its signature against
+// the issuer, and look up one serial the list does not hold.
+func BenchmarkColdCRLVerdict(b *testing.B) {
+	issuer, key := newCA(b)
+	reasons := []Reason{ReasonKeyCompromise, ReasonAbsent, ReasonSuperseded, ReasonCessationOfOperation, ReasonUnspecified}
+	entries := make([]Entry, 150)
+	for i := range entries {
+		// Eight-byte serials with the top bits set as a CA draws them.
+		entries[i] = Entry{Serial: big.NewInt(0x4000_0000_0000_0000 + int64(i)*0x9e37_79b9_7f4a_7c1).Bytes(),
+			RevokedAt: thisUpdate.Add(-time.Duration(i) * time.Minute), Reason: reasons[i%len(reasons)]}
+	}
+	raw, err := Create(&Template{ThisUpdate: thisUpdate, NextUpdate: nextUpdate, Number: big.NewInt(3), Entries: entries}, issuer, key)
+	if err != nil {
+		b.Fatal(err)
+	}
+	probe := big.NewInt(0x4000_0000_0000_0001).Bytes()
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := Parse(raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.VerifySignature(issuer); err != nil {
+			b.Fatal(err)
+		}
+		if c.ContainsSerial(probe) {
+			b.Fatal("probe serial listed")
+		}
+	}
+}

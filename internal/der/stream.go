@@ -158,6 +158,13 @@ func (v Value) Time() (time.Time, error) {
 	return v.timeSlow()
 }
 
+// FastUTCTime decodes the content of a 13-byte YYMMDDHHMMSSZ UTCTime
+// through Value.Time's allocation-free fast path. ok is false for every
+// content that path would leave to the strict decoder, so a caller that
+// falls back to Value.Time on !ok accepts and rejects exactly what
+// Value.Time does.
+func FastUTCTime(c []byte) (t time.Time, ok bool) { return fastTime(c, true) }
+
 // fastTime decodes a fixed-width YYMMDDHHMMSSZ / YYYYMMDDHHMMSSZ
 // timestamp whose fields are all in range for a real instant: month 1-12,
 // day within that month of that year, hour below 24, minute and second

@@ -10,6 +10,7 @@ package fleet
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -155,29 +156,14 @@ func New(cfg Config) (*World, error) {
 		Clock:        clock,
 		Net:          net,
 		CA:           authority,
-		Chains:       make([][]*x509x.Certificate, 0, cfg.Certs),
+		Chains:       make([][]*x509x.Certificate, cfg.Certs),
 		Records:      make([]*ca.Record, 0, cfg.Certs),
 		Revoked:      make([]bool, cfg.Certs),
 		crlOnlyChain: -1,
 	}
 	caCert := authority.Certificate()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	for i := 0; i < cfg.Certs; i++ {
-		crlOnly := rng.Float64() < cfg.CRLOnlyFraction
-		cert, rec, err := authority.Issue(ca.IssueOptions{
-			CommonName: fmt.Sprintf("site-%05d.fleet.test", i),
-			NotBefore:  clock.Now().AddDate(0, -1, 0),
-			NotAfter:   clock.Now().AddDate(1, 0, 0),
-			OmitOCSP:   crlOnly,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if crlOnly && w.crlOnlyChain < 0 {
-			w.crlOnlyChain = i
-		}
-		w.Chains = append(w.Chains, []*x509x.Certificate{cert, caCert})
-		w.Records = append(w.Records, rec)
+	if err := w.issueLeaves(cfg, clock.Now()); err != nil {
+		return nil, err
 	}
 	if w.crlOnlyChain < 0 {
 		w.crlOnlyChain = 0 // no CRL-only leaf issued; stampede still works via fallback
@@ -226,6 +212,50 @@ func New(cfg Config) (*World, error) {
 
 	w.plans = buildPlans(cfg, runtime.GOMAXPROCS(0))
 	return w, nil
+}
+
+// issueLeaves issues the leaf population in two steps. First the records
+// are assigned in index order under the CA's lock, so every serial, shard
+// and pointer is what one sequential Issue per leaf would give. Then the
+// certificates (a key draw, a signature and a parse each: nearly all of
+// the cost) are made on GOMAXPROCS goroutines, leaf i on goroutine i mod
+// workers, each writing only its own Chains slots.
+func (w *World) issueLeaves(cfg Config, now time.Time) error {
+	caCert := w.CA.Certificate()
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	opts := make([]ca.IssueOptions, cfg.Certs)
+	for i := range opts {
+		crlOnly := rng.Float64() < cfg.CRLOnlyFraction
+		opts[i] = ca.IssueOptions{
+			CommonName: fmt.Sprintf("site-%05d.fleet.test", i),
+			NotBefore:  now.AddDate(0, -1, 0),
+			NotAfter:   now.AddDate(1, 0, 0),
+			OmitOCSP:   crlOnly,
+		}
+		if crlOnly && w.crlOnlyChain < 0 {
+			w.crlOnlyChain = i
+		}
+		w.Records = append(w.Records, w.CA.IssueRecord(opts[i]))
+	}
+	workers := min(runtime.GOMAXPROCS(0), cfg.Certs)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for wk := 0; wk < workers; wk++ {
+		wg.Add(1)
+		go func(wk int) {
+			defer wg.Done()
+			for i := wk; i < cfg.Certs; i += workers {
+				cert, err := w.CA.SignRecord(w.Records[i], opts[i])
+				if err != nil {
+					errs[wk] = err
+					return
+				}
+				w.Chains[i] = []*x509x.Certificate{cert, caCert}
+			}
+		}(wk)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // buildPlans draws every browser's chain-index sequence. Browser b's
@@ -295,10 +325,11 @@ type RunOptions struct {
 	Client *http.Client
 	// Latency, when non-nil, receives every verdict's wall-clock
 	// latency: worker wk records into Latency.Shard(wk), so the warm
-	// verdict path stays allocation-free (two monotonic clock reads and
-	// one bucket increment per verdict). Wall latencies are real time,
-	// not virtual — report them, never fold them into determinism
-	// digests.
+	// verdict path stays allocation-free. A verdict costs two
+	// monotonic-only clock reads, time.Since of the run's start taken
+	// before and after it (the wall clock is never read per verdict),
+	// and one bucket increment. Wall latencies are real time, not
+	// virtual — report them, never fold them into determinism digests.
 	Latency *hist.Sharded
 }
 
@@ -422,16 +453,16 @@ func (w *World) Run(opt RunOptions) (Result, error) {
 			for b := wk; b < w.Cfg.Browsers; b += workers {
 				agg := &aggs[b]
 				for _, ci := range w.plans[b] {
-					var t0 time.Time
+					var t0 time.Duration
 					if rec != nil {
-						t0 = time.Now()
+						t0 = time.Since(start)
 					}
 					if err := client.EvaluateInto(&v, w.Chains[ci], nil); err != nil {
 						errs[wk] = err
 						return
 					}
 					if rec != nil {
-						rec.Record(time.Since(t0))
+						rec.Record(time.Since(start) - t0)
 					}
 					switch v.Outcome {
 					case browser.OutcomeAccept:

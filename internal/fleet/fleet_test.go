@@ -4,6 +4,7 @@ import (
 	"math/big"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -455,5 +456,56 @@ func TestKeyDigestProbeMatchesRevoked(t *testing.T) {
 	}
 	if n := w.Net.TotalStats().Requests - netBefore; n != 0 {
 		t.Errorf("%d network requests, want 0", n)
+	}
+}
+
+// TestNewSameAcrossProcs pins parallel signing: New under one and under
+// four procs builds the same world, index by index — records assigned in
+// the same order, certificates carrying the same serials, names and
+// pointers — and the same Run digest. Only key material and signatures,
+// which come from crypto/rand, may differ.
+func TestNewSameAcrossProcs(t *testing.T) {
+	cfg := Config{Browsers: 16, Certs: 96, EvalsPerBrowser: 8, Seed: 5}
+	build := func(procs int) *World {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return testWorld(t, cfg)
+	}
+	one, four := build(1), build(4)
+	if len(one.Records) != cfg.Certs || len(four.Records) != cfg.Certs || len(one.Chains) != cfg.Certs || len(four.Chains) != cfg.Certs {
+		t.Fatalf("sizes: %d/%d records, %d/%d chains, want %d", len(one.Records), len(four.Records), len(one.Chains), len(four.Chains), cfg.Certs)
+	}
+	for i := range one.Records {
+		a, b := one.Records[i], four.Records[i]
+		if a.Serial.Cmp(b.Serial) != 0 || a.Shard != b.Shard || a.CRLURL != b.CRLURL || a.HasOCSP != b.HasOCSP {
+			t.Fatalf("record %d: serial %x shard %d crl %q ocsp %t under 1 proc; %x %d %q %t under 4",
+				i, a.Serial, a.Shard, a.CRLURL, a.HasOCSP, b.Serial, b.Shard, b.CRLURL, b.HasOCSP)
+		}
+		la, lb := one.Chains[i][0], four.Chains[i][0]
+		if la.SerialNumber.Cmp(a.Serial) != 0 || lb.SerialNumber.Cmp(b.Serial) != 0 {
+			t.Fatalf("leaf %d: serials %x and %x, records %x", i, la.SerialNumber, lb.SerialNumber, a.Serial)
+		}
+		if la.Subject != lb.Subject ||
+			!reflect.DeepEqual(la.CRLDistributionPoints, lb.CRLDistributionPoints) ||
+			!reflect.DeepEqual(la.OCSPServers, lb.OCSPServers) {
+			t.Fatalf("leaf %d: subject %v crldp %q ocsp %q under 1 proc; %v %q %q under 4",
+				i, la.Subject, la.CRLDistributionPoints, la.OCSPServers, lb.Subject, lb.CRLDistributionPoints, lb.OCSPServers)
+		}
+		if one.Chains[i][1] != one.CA.Certificate() || four.Chains[i][1] != four.CA.Certificate() {
+			t.Fatalf("chain %d does not end at its world's CA", i)
+		}
+	}
+	if one.crlOnlyChain != four.crlOnlyChain {
+		t.Errorf("CRL-only chain %d under 1 proc, %d under 4", one.crlOnlyChain, four.crlOnlyChain)
+	}
+	r1, err := one.Run(RunOptions{Workers: 2, Store: browser.NewCache()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r4, err := four.Run(RunOptions{Workers: 2, Store: browser.NewCache()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.Digest != r4.Digest || r1.Rejects == 0 {
+		t.Errorf("Run digest %x (%d rejects) under 1 proc, %x (%d rejects) under 4", r1.Digest, r1.Rejects, r4.Digest, r4.Rejects)
 	}
 }
