@@ -70,11 +70,13 @@ fuzz-short:
 # bench-smoke builds one world end to end under the benchmark harness —
 # enough to catch pipeline regressions without paying for stable timings —
 # makes one warm verdict per local verdict source, with its allocations,
-# and one cold CRL verdict (parse, verify, look up) with its allocations.
+# one cold CRL verdict (parse, verify, look up) with its allocations, and
+# draws the plans of the heartbleed and offline fleets once.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkWorldBuild -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkWarmVerdict -benchtime=1x ./internal/browser
 	$(GO) test -run='^$$' -bench=BenchmarkColdCRLVerdict -benchtime=1x ./internal/crl
+	$(GO) test -run='^$$' -bench=BenchmarkBuildPlans -benchtime=1x ./internal/fleet
 
 # bench runs the repository's benchmark (bench/, declared by
 # BENCHMARK.json): all six workloads, end-to-end metrics.

@@ -311,16 +311,26 @@ func Parse(data []byte) (Value, []byte, error) {
 	return v, data[used:], nil
 }
 
-// ParseAll decodes all TLVs in data, failing on trailing garbage.
+// ParseAll decodes all TLVs in data, failing on trailing garbage. A
+// first pass over the headers counts the TLVs (and meets any error), so
+// the result is allocated once at its final size.
 func ParseAll(data []byte) ([]Value, error) {
-	var out []Value
-	off := 0
-	for off < len(data) {
-		v, used, err := parseAt(data[off:], off)
+	n := 0
+	for off := 0; off < len(data); n++ {
+		_, used, err := parseAt(data[off:], off)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, v)
+		off += used
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]Value, n)
+	off := 0
+	for i := range out {
+		var used int
+		out[i], used, _ = parseAt(data[off:], off)
 		off += used
 	}
 	return out, nil

@@ -103,7 +103,9 @@ func appendBase128(dst []byte, v uint64) []byte {
 	return dst
 }
 
-// OID decodes an OBJECT IDENTIFIER value.
+// OID decodes an OBJECT IDENTIFIER value. Every arc ends on a byte with
+// the top bit clear, so counting those sizes the result before decoding
+// into it.
 func (v Value) OID() (OID, error) {
 	if err := v.expect(TagOID, false); err != nil {
 		return nil, err
@@ -112,7 +114,16 @@ func (v Value) OID() (OID, error) {
 	if len(c) == 0 {
 		return nil, errors.New("der: empty OID content")
 	}
-	var arcs []uint64
+	arcs := 0
+	for _, b := range c {
+		if b&0x80 == 0 {
+			arcs++
+		}
+	}
+	out := make(OID, 0, arcs+1)
+	// An arc past uint32 is reported only once the whole content has
+	// decoded, so a later malformed arc wins, as it always has.
+	wide := false
 	var cur uint64
 	started := false
 	for i, b := range c {
@@ -124,29 +135,28 @@ func (v Value) OID() (OID, error) {
 			return nil, errors.New("der: OID arc overflow")
 		}
 		cur = cur<<7 | uint64(b&0x7f)
-		if b&0x80 == 0 {
-			arcs = append(arcs, cur)
-			cur = 0
-			started = false
-		} else if i == len(c)-1 {
-			return nil, errors.New("der: truncated OID arc")
+		if b&0x80 != 0 {
+			if i == len(c)-1 {
+				return nil, errors.New("der: truncated OID arc")
+			}
+			continue
 		}
-	}
-	first := arcs[0]
-	out := make(OID, 0, len(arcs)+1)
-	switch {
-	case first < 40:
-		out = append(out, 0, uint32(first))
-	case first < 80:
-		out = append(out, 1, uint32(first-40))
-	default:
-		out = append(out, 2, uint32(first-80))
-	}
-	for _, a := range arcs[1:] {
-		if a > 1<<32-1 {
-			return nil, errors.New("der: OID arc out of uint32 range")
+		switch {
+		case len(out) > 0:
+			wide = wide || cur > 1<<32-1
+			out = append(out, uint32(cur))
+		case cur < 40:
+			out = append(out, 0, uint32(cur))
+		case cur < 80:
+			out = append(out, 1, uint32(cur-40))
+		default:
+			out = append(out, 2, uint32(cur-80))
 		}
-		out = append(out, uint32(a))
+		cur = 0
+		started = false
+	}
+	if wide {
+		return nil, errors.New("der: OID arc out of uint32 range")
 	}
 	return out, nil
 }

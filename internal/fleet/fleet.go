@@ -266,7 +266,8 @@ func (w *World) issueLeaves(cfg Config, now time.Time) error {
 // generator, re-seeded per browser: Seed leaves it in exactly the state
 // of a new source, and a Zipf holds parameters only, so the draws equal
 // those of a fresh Rand and Zipf per browser without allocating a
-// source for each.
+// source for each. The generator is a planSource, math/rand's stream
+// with a Seed that costs nothing until a word is drawn.
 func buildPlans(cfg Config, workers int) [][]int32 {
 	plans := make([][]int32, cfg.Browsers)
 	var wg sync.WaitGroup
@@ -274,7 +275,7 @@ func buildPlans(cfg Config, workers int) [][]int32 {
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			r := rand.New(rand.NewSource(0))
+			r := rand.New(&planSource{})
 			z := rand.NewZipf(r, cfg.ZipfS, 1, uint64(cfg.Certs-1))
 			for b := wk; b < cfg.Browsers; b += workers {
 				r.Seed(cfg.Seed + 1 + int64(b))

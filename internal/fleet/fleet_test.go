@@ -311,30 +311,47 @@ func TestShardedCascadeMatchesMonolithic(t *testing.T) {
 
 // TestPlansEqualSerialReference: buildPlans shares one re-seeded
 // generator per goroutine; the plans must equal, draw for draw, those of
-// the loop it replaced (a new source and a new Zipf for every browser),
-// however the browsers are split.
+// the loop it replaced (a new math/rand source and a new Zipf for every
+// browser), however the browsers are split. The long plans take more
+// than 607 draws per browser, so they read words the lagged-Fibonacci
+// step has already overwritten.
 func TestPlansEqualSerialReference(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
-		for _, browsers := range []int{1, 3, 1000} {
-			cfg := Config{Browsers: browsers, Certs: 300, EvalsPerBrowser: 17, Seed: seed}
+		for _, size := range []struct{ browsers, evals int }{{1, 17}, {3, 17}, {1000, 17}, {7, 700}} {
+			cfg := Config{Browsers: size.browsers, Certs: 300, EvalsPerBrowser: size.evals, Seed: seed}
 			cfg.fillDefaults()
-			want := make([][]int32, browsers)
+			want := make([][]int32, size.browsers)
+			maxDraws := 0
 			for b := range want {
-				r := rand.New(rand.NewSource(cfg.Seed + 1 + int64(b)))
-				z := rand.NewZipf(r, cfg.ZipfS, 1, uint64(cfg.Certs-1))
+				src := &countingSource{Source64: rand.NewSource(cfg.Seed + 1 + int64(b)).(rand.Source64)}
+				z := rand.NewZipf(rand.New(src), cfg.ZipfS, 1, uint64(cfg.Certs-1))
 				want[b] = make([]int32, cfg.EvalsPerBrowser)
 				for e := range want[b] {
 					want[b][e] = int32(z.Uint64())
 				}
+				maxDraws = max(maxDraws, src.draws)
+			}
+			if size.evals > 607 && maxDraws <= 607 {
+				t.Fatalf("seed %d, %d evaluations: at most %d draws per browser, want > 607", seed, size.evals, maxDraws)
 			}
 			for _, workers := range []int{1, 2, 5} {
 				if got := buildPlans(cfg, workers); !reflect.DeepEqual(got, want) {
-					t.Errorf("seed %d, %d browsers, %d workers: plans differ from the serial reference", seed, browsers, workers)
+					t.Errorf("seed %d, %d browsers x %d evaluations, %d workers: plans differ from the serial reference", seed, size.browsers, size.evals, workers)
 				}
 			}
 		}
 	}
 }
+
+// countingSource counts the draws taken from a math/rand source.
+type countingSource struct {
+	rand.Source64
+	draws int
+}
+
+func (c *countingSource) Int63() int64 { c.draws++; return c.Source64.Int63() }
+
+func (c *countingSource) Uint64() uint64 { c.draws++; return c.Source64.Uint64() }
 
 // TestKeyDigestProbeMatchesRevoked: the level-1 digest a leaf memoises
 // and the probe that takes it agree with Filter.Revoked(key) for every

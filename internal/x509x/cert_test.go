@@ -421,3 +421,24 @@ func TestKeyIDLengthAndStability(t *testing.T) {
 // Aliases so the stdlib-interop tests read cleanly.
 type asn1OID = asn1.ObjectIdentifier
 type pkixExtension = pkix.Extension
+
+// TestParseAllocs pins what Parse allocates for a leaf carrying every
+// extension the fleet's CA writes. Each decoded constructed value is one
+// allocation of its children and each OID one of its arcs; a decoder
+// that grew either slice by appending would add several per value.
+func TestParseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	root, rootKey := newTestCA(t)
+	leaf, _ := issueLeaf(t, root, rootKey, nil)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Parse(leaf.Raw); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const want = 79 // go1.24, amd64
+	if allocs > want {
+		t.Errorf("Parse allocated %.0f times, want at most %d", allocs, want)
+	}
+}
