@@ -31,7 +31,7 @@ race:
 # race-hot gives fast feedback on the packages where the serving-layer
 # and client-layer concurrency lives (pre-signed OCSP cache, the fabric's
 # lock-free routes and by-reference CDN hits, the CA's shared handler,
-# batched crawler pool and the hinted CRL decode it calls, fault injector,
+# batched crawler pool and its shared parse cache, fault injector,
 # sharded browser cache, fleet driver, revocation store backends, the
 # browser suite's parallel profile runs, lazily seeded hosts, the virtual
 # clock's lock-free read, a certificate's lazily filled identity).
@@ -58,7 +58,6 @@ chaos:
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/der
 	$(GO) test -run='^$$' -fuzz='^FuzzParseCRL$$' -fuzztime=10s ./internal/crl
-	$(GO) test -run='^$$' -fuzz='^FuzzParseCRLFrom$$' -fuzztime=10s ./internal/crl
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeEntry$$' -fuzztime=10s ./internal/crl
 	$(GO) test -run='^$$' -fuzz=FuzzParseResponse -fuzztime=10s ./internal/ocsp
 	$(GO) test -run='^$$' -fuzz=FuzzParseCertificate -fuzztime=10s ./internal/x509x

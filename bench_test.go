@@ -403,24 +403,6 @@ func BenchmarkCRLParseHeartbleedScale(b *testing.B) {
 	}
 }
 
-// BenchmarkCRLVisitHeartbleedScale streams the same list through the
-// visitor API without materializing the entry slice.
-func BenchmarkCRLVisitHeartbleedScale(b *testing.B) {
-	crlBenchSetup(b)
-	b.SetBytes(int64(len(crlBenchRaw)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		if err := crl.Visit(crlBenchRaw, func(crl.Entry) error { n++; return nil }); err != nil {
-			b.Fatal(err)
-		}
-		if n == 0 {
-			b.Fatal("no entries visited")
-		}
-	}
-}
-
 // BenchmarkCRLIncrementalResign measures a daily re-sign of a 100k-entry
 // shard whose entries are unchanged: the append-only encode cache reduces
 // it to header assembly plus one ECDSA signature.
@@ -434,7 +416,7 @@ func BenchmarkCRLIncrementalResign(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		entriesDER, err := ec.Extend(crlBenchList)
+		encoded, err := ec.Extend(crlBenchList)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -442,7 +424,7 @@ func BenchmarkCRLIncrementalResign(b *testing.B) {
 			ThisUpdate: crlBenchStart.AddDate(0, 0, i+1),
 			NextUpdate: crlBenchStart.AddDate(0, 0, i+2),
 			Number:     big.NewInt(int64(i) + 2),
-		}, entriesDER, issuer, key); err != nil {
+		}, encoded, issuer, key); err != nil {
 			b.Fatal(err)
 		}
 	}

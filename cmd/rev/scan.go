@@ -22,9 +22,7 @@ func scanCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 		s := world.Summary()
 		fmt.Fprintf(stdout, "scans ingested:        %d\n", world.Corpus.NumScans())
 		fmt.Fprintf(stdout, "crawl days:            %d\n", world.Archive.Len())
-		cs := world.CrawlStats
-		fmt.Fprintf(stdout, "crawl fetches:         %d (changed CRLs: %d entries reused, %d decoded)\n",
-			cs.Successes, cs.EntriesReused, cs.EntriesDecoded)
+		fmt.Fprintf(stdout, "crawl fetches:         %d\n", world.CrawlStats.Successes)
 		fmt.Fprintf(stdout, "certificates observed: %d (leaf set)\n", s.Observed)
 		fmt.Fprintf(stdout, "  with CRL pointer:    %d (%.2f%%)\n", s.WithCRL, pct(s.WithCRL, s.Observed))
 		fmt.Fprintf(stdout, "  with OCSP pointer:   %d (%.2f%%)\n", s.WithOCSP, pct(s.WithOCSP, s.Observed))

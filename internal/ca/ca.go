@@ -81,12 +81,6 @@ type Config struct {
 	// OCSP-signing certificate (id-kp-OCSPSigning EKU, RFC 6960
 	// §4.2.2.2) and sign responses with it instead of the CA key.
 	DelegatedOCSP bool
-	// CRLEncodeCacheMaxBytes caps the per-shard append-only encode cache
-	// that lets a daily re-sign DER-encode only the entries added since
-	// the previous signing. A shard whose encoded entries exceed the cap
-	// is re-encoded from scratch on every signing instead of staying
-	// resident. 0 means unlimited.
-	CRLEncodeCacheMaxBytes int
 	// PublishRevocationsImmediately makes the HTTP handler regenerate a
 	// shard's CRL as soon as a revocation lands in it, instead of
 	// serving the cached copy until its validity window lapses. Real
@@ -689,23 +683,19 @@ func (ca *CA) CRLBytes(shard int) ([]byte, error) {
 		ec.cache.Reset()
 		ec.resets = resets
 	}
-	entriesDER, encErr := ec.cache.Extend(entries)
-	if max := ca.cfg.CRLEncodeCacheMaxBytes; max > 0 && ec.cache.Size() > max {
-		// Oversized shard: don't keep the encoding resident. Reset drops
-		// the buffer without touching entriesDER.
-		ec.cache.Reset()
-	}
+	encoded, encErr := ec.cache.Extend(entries)
 	ca.mu.Unlock()
 	if encErr != nil {
 		return nil, encErr
 	}
-	// Signing happens outside the lock; entriesDER stays immutable even
-	// if concurrent signings extend or reset the shard's cache.
+	// Signing happens outside the lock; the encoded entries stay
+	// immutable even if concurrent signings extend or reset the shard's
+	// cache.
 	body, err := crl.CreateEncoded(&crl.Template{
 		ThisUpdate: now,
 		NextUpdate: now.Add(ca.cfg.CRLValidity),
 		Number:     big.NewInt(number),
-	}, entriesDER, ca.cert, ca.key)
+	}, encoded, ca.cert, ca.key)
 	if err != nil || !ca.cfg.ReuseUnchangedCRL {
 		return body, err
 	}

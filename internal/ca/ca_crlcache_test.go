@@ -137,34 +137,6 @@ func TestIncrementalCacheHonorsFutureRevocations(t *testing.T) {
 	}
 }
 
-// The size cap must bound cache memory while leaving output identical.
-func TestEncodeCacheSizeCap(t *testing.T) {
-	authority, clock := newTestCA(t, func(c *Config) {
-		c.NumCRLShards = 1
-		c.CRLEncodeCacheMaxBytes = 64 // far below one day's entries
-	})
-	var want [][]byte
-	for day := 0; day < 4; day++ {
-		for j := 0; j < 5; j++ {
-			rec := authority.IssueRecord(issueOpts(clock, fmt.Sprintf("cap%d-%d", day, j)))
-			if err := authority.Revoke(rec.Serial, clock.Now(), crl.ReasonUnspecified); err != nil {
-				t.Fatal(err)
-			}
-			want = append(want, rec.Serial.Bytes())
-		}
-		c := crlAt(t, authority, 0)
-		if len(c.Entries) != len(want) {
-			t.Fatalf("day %d: %d entries, want %d", day, len(c.Entries), len(want))
-		}
-		for i := range want {
-			if !bytes.Equal(c.Entries[i].Serial, want[i]) {
-				t.Fatalf("day %d entry %d mismatch", day, i)
-			}
-		}
-		clock.Advance(24 * time.Hour)
-	}
-}
-
 // Concurrent CRLBytes and Revoke on the same shard must stay race-free
 // and every produced CRL must parse and verify (run under -race via
 // make race / race-hot).

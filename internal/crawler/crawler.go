@@ -113,13 +113,6 @@ type FetchStats struct {
 	ParseErrors     int64
 	VerifyErrors    int64
 
-	// Per-entry decode accounting over the CRL bodies that missed the
-	// parse cache and parsed: EntriesReused were byte-identical to an
-	// entry of the URL's last good CRL and taken from it,
-	// EntriesDecoded went through the entry decoder.
-	EntriesReused  int64
-	EntriesDecoded int64
-
 	// OCSP-only check accounting. Transport failures ("the responder is
 	// unreachable") are attributed separately from well-formed OCSP
 	// error responses ("the responder is up but declined") and HTTP
@@ -198,8 +191,9 @@ type Crawler struct {
 	// contract — downstream delta ingestion relies on it.
 	cacheMu    sync.Mutex
 	parseCache map[[sha256.Size]byte]*parsedCRL
-	// lastGood maps URL to its most recent successfully fetched CRL,
-	// preserving parse-cache pointer identity for stale serving.
+	// lastGood maps URL to its most recent successfully fetched CRL:
+	// the copy ServeStale falls back to (parse-cache pointer identity
+	// preserved) and the size longestFirst orders the next crawl by.
 	lastGood map[string]*crl.CRL
 	// requests maps URL to the GET request built for it once; every
 	// attempt sends a shallow copy carrying that attempt's context, so
@@ -495,18 +489,11 @@ func (c *Crawler) fetchAttempt(u string) (*crl.CRL, int64, *FetchError) {
 		c.cacheMu.Unlock()
 		return hit.crl, int64(len(body)), nil
 	}
-	prev := c.lastGood[u]
 	c.cacheMu.Unlock()
-	// A changed body is mostly yesterday's entries: decode what is new
-	// and take the rest from the last good copy.
-	parsed, reused, err := crl.ParseFrom(body, prev)
+	parsed, err := crl.Parse(body)
 	if err != nil {
 		return nil, int64(len(body)), &FetchError{URL: u, Class: ClassParse, Err: err}
 	}
-	c.bump(func(s *FetchStats) {
-		s.EntriesReused += int64(reused)
-		s.EntriesDecoded += int64(parsed.NumEntries() - reused)
-	})
 	if issuer != nil {
 		if err := parsed.VerifySignature(issuer); err != nil {
 			return nil, int64(len(body)), &FetchError{URL: u, Class: ClassVerify, Err: err}

@@ -1,4 +1,4 @@
-// What the crawl's dispatch and the hinted decode may not change: the
+// What the crawl's dispatch and its parse cache may not change: the
 // snapshot. Three crawlers at Parallelism 1, 2 and 8 watch one CA whose
 // first shard is a hundred times the others, day after day, with and
 // without injected faults, and must report the same thing.
@@ -166,8 +166,8 @@ func TestDispatchCannotChangeSnapshot(t *testing.T) {
 		}
 	}
 	base := crawlers[0].Stats()
-	if unchanged < 3*20 || base.EntriesReused == 0 || base.EntriesDecoded == 0 {
-		t.Fatalf("fixture exercised too little: %d unchanged bodies, stats %+v", unchanged, base)
+	if misses := base.Successes - crawlers[0].ParseCacheHits; unchanged < 3*20 || misses <= skewedShards {
+		t.Fatalf("fixture exercised too little: %d unchanged bodies, %d parse-cache misses, stats %+v", unchanged, misses, base)
 	}
 	for i, cr := range crawlers[1:] {
 		if st := cr.Stats(); st != base {
@@ -219,22 +219,25 @@ func TestDispatchKeepsPerURLFailures(t *testing.T) {
 	}
 }
 
-// TestEntryReuseCounters pins what the two decode counters count: a cold
-// body is all decoded, an unchanged body counts nothing (it never reaches
-// the decoder), and a body that gained entries decodes those and reuses
-// the rest.
-func TestEntryReuseCounters(t *testing.T) {
+// TestParseCacheKeepsUnchangedBodies: a cold crawl parses every body, a
+// crawl of the same bodies parses none and hands back the same *crl.CRL,
+// and after revocations land only the changed lists are parsed anew.
+func TestParseCacheKeepsUnchangedBodies(t *testing.T) {
 	w := newSkewedWorld(t, 200)
 	cr := &crawler.Crawler{Client: w.net.Client(), Now: w.clock.Now, Verify: w.verify, Parallelism: 2}
 	w.clock.Advance(25 * time.Hour)
-	cr.CrawlCRLs(w.urls)
-	total := int64(200 + (skewedShards-1)*2)
-	if st := cr.Stats(); st.EntriesReused != 0 || st.EntriesDecoded != total {
-		t.Fatalf("cold crawl: reused %d, decoded %d; want 0 and %d", st.EntriesReused, st.EntriesDecoded, total)
+	cold := cr.CrawlCRLs(w.urls)
+	if cr.ParseCacheHits != 0 || len(cold.CRLs) != skewedShards {
+		t.Fatalf("cold crawl: %d cache hits, %d CRLs", cr.ParseCacheHits, len(cold.CRLs))
 	}
-	cr.CrawlCRLs(w.urls)
-	if st := cr.Stats(); st.EntriesReused != 0 || st.EntriesDecoded != total || cr.ParseCacheHits != skewedShards {
-		t.Fatalf("unchanged crawl: reused %d, decoded %d, %d cache hits", st.EntriesReused, st.EntriesDecoded, cr.ParseCacheHits)
+	same := cr.CrawlCRLs(w.urls)
+	if cr.ParseCacheHits != skewedShards {
+		t.Fatalf("unchanged crawl: %d cache hits, want %d", cr.ParseCacheHits, skewedShards)
+	}
+	for _, u := range w.urls {
+		if same.CRLs[u] != cold.CRLs[u] {
+			t.Fatalf("unchanged crawl parsed %s anew", u)
+		}
 	}
 	w.revoke(t, 0, 7)
 	w.revoke(t, 3, 1)
@@ -243,7 +246,12 @@ func TestEntryReuseCounters(t *testing.T) {
 	if n := snap.CRLs[w.urls[0]].NumEntries(); n != 207 {
 		t.Fatalf("big list has %d entries, want 207", n)
 	}
-	if st := cr.Stats(); st.EntriesReused != 200+2 || st.EntriesDecoded != total+7+1 {
-		t.Fatalf("after 7+1 revocations: reused %d, decoded %d; want %d and %d", st.EntriesReused, st.EntriesDecoded, 202, total+8)
+	if want := int64(2*skewedShards - 2); cr.ParseCacheHits != want {
+		t.Fatalf("after 7+1 revocations: %d cache hits, want %d", cr.ParseCacheHits, want)
+	}
+	for i, u := range w.urls {
+		if changed := i == 0 || i == 3; (snap.CRLs[u] != cold.CRLs[u]) != changed {
+			t.Fatalf("after 7+1 revocations: %s parsed anew %t, want %t", u, !changed, changed)
+		}
 	}
 }

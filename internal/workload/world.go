@@ -241,8 +241,7 @@ type World struct {
 	Corpus  *corpus.Corpus
 	Archive *crawler.Archive
 	// CrawlStats is the daily crawl's accounting over the whole study:
-	// fetches, failures by class, and how many entries of changed CRLs
-	// were decoded against how many were reused. Run fills it in.
+	// fetches, retries and failures by class. Run fills it in.
 	CrawlStats crawler.FetchStats
 	// RevDB is the revocation database, fed by the daily crawl. The
 	// backend is chosen by Config.Dir: in-memory by default, or the
