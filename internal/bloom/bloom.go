@@ -9,8 +9,6 @@ package bloom
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"math"
 )
 
@@ -87,15 +85,6 @@ func (f *Filter) Contains(item []byte) bool {
 	return true
 }
 
-// N returns the number of inserted elements.
-func (f *Filter) N() int { return f.n }
-
-// K returns the hash count.
-func (f *Filter) K() int { return f.k }
-
-// MBits returns the filter size in bits.
-func (f *Filter) MBits() uint64 { return f.m }
-
 // SizeBytes returns the serialized payload size (bit array only).
 func (f *Filter) SizeBytes() int { return len(f.bits) * 8 }
 
@@ -124,42 +113,4 @@ func CapacityAtFPR(mBits uint64, p float64) int {
 	// m/n = -log2(p)/ln2  =>  n = m·ln2²/(-ln p)
 	n := float64(mBits) * math.Ln2 * math.Ln2 / (-math.Log(p))
 	return int(n)
-}
-
-const filterMagic = "BLM1"
-
-// MarshalBinary serializes the filter.
-func (f *Filter) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, 4+8+4+4+len(f.bits)*8)
-	out = append(out, filterMagic...)
-	out = binary.BigEndian.AppendUint64(out, f.m)
-	out = binary.BigEndian.AppendUint32(out, uint32(f.k))
-	out = binary.BigEndian.AppendUint32(out, uint32(f.n))
-	for _, w := range f.bits {
-		out = binary.BigEndian.AppendUint64(out, w)
-	}
-	return out, nil
-}
-
-// UnmarshalBinary deserializes a filter produced by MarshalBinary.
-func (f *Filter) UnmarshalBinary(data []byte) error {
-	if len(data) < 20 || string(data[:4]) != filterMagic {
-		return errors.New("bloom: bad filter header")
-	}
-	m := binary.BigEndian.Uint64(data[4:12])
-	k := int(binary.BigEndian.Uint32(data[12:16]))
-	n := int(binary.BigEndian.Uint32(data[16:20]))
-	words := int((m + 63) / 64)
-	if len(data) != 20+words*8 {
-		return fmt.Errorf("bloom: filter body %d bytes, want %d", len(data)-20, words*8)
-	}
-	if m == 0 || k <= 0 {
-		return errors.New("bloom: invalid parameters")
-	}
-	f.m, f.k, f.n = m, k, n
-	f.bits = make([]uint64, words)
-	for i := range f.bits {
-		f.bits[i] = binary.BigEndian.Uint64(data[20+i*8:])
-	}
-	return nil
 }

@@ -19,8 +19,8 @@ func TestNoFalseNegatives(t *testing.T) {
 			t.Fatalf("false negative for %d", i)
 		}
 	}
-	if f.N() != 10000 {
-		t.Errorf("N = %d", f.N())
+	if f.n != 10000 {
+		t.Errorf("n = %d", f.n)
 	}
 }
 
@@ -90,40 +90,6 @@ func TestCapacityAtFPR(t *testing.T) {
 	CapacityAtFPR(8, 0)
 }
 
-func TestMarshalRoundTrip(t *testing.T) {
-	f := NewOptimal(1024, 500)
-	for i := 0; i < 500; i++ {
-		f.Add(item(i))
-	}
-	data, err := f.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var g Filter
-	if err := g.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if g.MBits() != f.MBits() || g.K() != f.K() || g.N() != f.N() {
-		t.Errorf("parameters differ after round trip")
-	}
-	for i := 0; i < 500; i++ {
-		if !g.Contains(item(i)) {
-			t.Fatalf("false negative after round trip: %d", i)
-		}
-	}
-	// Corrupted inputs.
-	for name, b := range map[string][]byte{
-		"short":     data[:10],
-		"bad magic": append([]byte("XXXX"), data[4:]...),
-		"truncated": data[:len(data)-8],
-	} {
-		var h Filter
-		if err := h.UnmarshalBinary(b); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
 func TestNewPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"zero bits": func() { New(0, 3) },
@@ -170,8 +136,8 @@ func TestGCSNoFalseNegatives(t *testing.T) {
 			t.Fatalf("GCS false negative for %d", i)
 		}
 	}
-	if g.N() != 5000 {
-		t.Errorf("N = %d", g.N())
+	if g.n != 5000 {
+		t.Errorf("n = %d", g.n)
 	}
 }
 

@@ -96,9 +96,6 @@ func (g *GCS) Contains(item []byte) bool {
 	return false
 }
 
-// N returns the number of encoded items.
-func (g *GCS) N() int { return int(g.n) }
-
 // SizeBytes returns the encoded payload size.
 func (g *GCS) SizeBytes() int { return len(g.data) }
 
