@@ -554,7 +554,7 @@ func TestCacheAvoidsRefetches(t *testing.T) {
 	if first == 0 {
 		t.Fatal("no fetches on cold cache")
 	}
-	if _, ocsps := cache.Len(); ocsps == 0 {
+	if _, ocsps := cache.count(); ocsps == 0 {
 		t.Fatal("OCSP cache not populated")
 	}
 	if v := mustEval(t, client, chain); v.Outcome != OutcomeAccept {
@@ -592,7 +592,7 @@ func TestCacheAvoidsRefetches(t *testing.T) {
 	crlClient.Cache = crlCache
 	mustEval(t, crlClient, chainCRL)
 	crlFirst := wc.net.TotalStats().Requests
-	if crls, _ := crlCache.Len(); crls == 0 {
+	if crls, _ := crlCache.count(); crls == 0 {
 		t.Fatal("CRL cache not populated")
 	}
 	mustEval(t, crlClient, chainCRL)
@@ -620,7 +620,7 @@ func TestNilCacheIsSafe(t *testing.T) {
 	}
 	c.PutCRL("x", &crl.CRL{})
 	c.PutOCSP(nil, nil, ocsp.SingleResponse{})
-	if a, b := c.Len(); a != 0 || b != 0 {
+	if a, b := c.count(); a != 0 || b != 0 {
 		t.Error("nil cache non-empty")
 	}
 }

@@ -298,18 +298,3 @@ func (c *Cache) fetchCRLOnce(url string, now time.Time, fetch func() (*crl.CRL, 
 	close(fl.ready)
 	return parsed, SourceFetched, err
 }
-
-// Len reports the number of cached CRLs and OCSP responses.
-func (c *Cache) Len() (crls, ocsps int) {
-	if c == nil {
-		return 0, 0
-	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		crls += len(sh.crls)
-		ocsps += len(sh.ocsps)
-		sh.mu.RUnlock()
-	}
-	return crls, ocsps
-}
