@@ -335,9 +335,6 @@ func (ca *CA) Certificate() *x509x.Certificate { return ca.cert }
 // need to countersign (e.g. delegated test-suite servers).
 func (ca *CA) Signer() (*x509x.Certificate, *ecdsa.PrivateKey) { return ca.cert, ca.key }
 
-// Name returns the CA's display name.
-func (ca *CA) Name() string { return ca.cfg.Name }
-
 // NumShards returns the number of CRL shards.
 func (ca *CA) NumShards() int { return ca.cfg.NumCRLShards }
 
@@ -531,28 +528,6 @@ func (ca *CA) Revocations() []*Revocation {
 	out := make([]*Revocation, len(ca.revokedSeq))
 	copy(out, ca.revokedSeq)
 	return out
-}
-
-// Records returns all issuance records in issuance order (copied slice,
-// shared records).
-func (ca *CA) Records() []*Record {
-	ca.mu.Lock()
-	defer ca.mu.Unlock()
-	out := make([]*Record, len(ca.issuedSeq))
-	copy(out, ca.issuedSeq)
-	return out
-}
-
-// ShardPopulation returns how many issued certificates are assigned to
-// each shard.
-func (ca *CA) ShardPopulation() []int {
-	ca.mu.Lock()
-	defer ca.mu.Unlock()
-	pop := make([]int, ca.cfg.NumCRLShards)
-	for _, rec := range ca.issuedSeq {
-		pop[rec.Shard]++
-	}
-	return pop
 }
 
 // CRLEntries returns the entries that belong on shard's CRL at time now.
