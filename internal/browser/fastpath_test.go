@@ -410,8 +410,10 @@ func TestCascadeShardsTrustFiltering(t *testing.T) {
 	client := w.client(Hardened())
 	client.CascadeShards = buildShardInstall(t, [][]*x509x.Certificate{chain}, nil, w.clock.Now(),
 		func(p cascade.Parent) bool { return p == leafIssuer })
-	if client.CascadeShards.NumShards() != 1 {
-		t.Fatalf("installed %d shards, want 1", client.CascadeShards.NumShards())
+	for _, p := range coveredParents(chain) {
+		if installed := client.CascadeShards.Shard(cascade.Parent(p)) != nil; installed != (cascade.Parent(p) == leafIssuer) {
+			t.Fatalf("parent %x: shard installed = %v, want only the leaf issuer's", p[:4], installed)
+		}
 	}
 
 	v := mustEval(t, client, chain)

@@ -302,12 +302,6 @@ type Filter struct {
 	levels   []level
 }
 
-// Epoch returns the snapshot's position in the publisher's chain.
-func (f *Filter) Epoch() uint32 { return f.epoch }
-
-// BuiltAt returns the snapshot's build time.
-func (f *Filter) BuiltAt() time.Time { return time.Unix(f.builtAt, 0).UTC() }
-
 // NumLevels returns the cascade depth.
 func (f *Filter) NumLevels() int { return len(f.levels) }
 

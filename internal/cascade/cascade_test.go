@@ -133,7 +133,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Epoch() != 7 || !g.BuiltAt().Equal(t0) || g.NumRevoked() != 300 ||
+	if g.epoch != 7 || g.builtAt != t0.Unix() || g.NumRevoked() != 300 ||
 		g.NumParents() != 4 || g.NumLevels() != f.NumLevels() {
 		t.Fatalf("decoded header drift: %+v", g)
 	}
@@ -410,8 +410,8 @@ func TestDeltaSizeTracksChurn(t *testing.T) {
 // the same parameters — the incremental path cannot drift.
 func TestPublisherMatchesBuild(t *testing.T) {
 	pub, snaps, _, w := runChain(t, 5, false)
-	if pub.StashLen() != 0 {
-		t.Fatalf("the last epoch stashed %d keys instead of re-freezing", pub.StashLen())
+	if len(pub.stashSet) != 0 {
+		t.Fatalf("the last epoch stashed %d keys instead of re-freezing", len(pub.stashSet))
 	}
 	f, err := Decode(snaps[len(snaps)-1])
 	if err != nil {
@@ -423,12 +423,12 @@ func TestPublisherMatchesBuild(t *testing.T) {
 			revoked = append(revoked, k)
 		}
 	}
-	if len(revoked) != pub.NumRevoked() {
-		t.Fatalf("verdict count %d != publisher set %d", len(revoked), pub.NumRevoked())
+	if len(revoked) != len(pub.revoked) {
+		t.Fatalf("verdict count %d != publisher set %d", len(revoked), len(pub.revoked))
 	}
 	fresh, err := Build(revoked, w.visit, w.parents, BuildConfig{
-		Epoch:   pub.Epoch(),
-		BuiltAt: f.BuiltAt(),
+		Epoch:   pub.epoch,
+		BuiltAt: time.Unix(f.builtAt, 0),
 		MaxAge:  72 * time.Hour,
 	})
 	if err != nil {

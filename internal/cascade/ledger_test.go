@@ -106,7 +106,7 @@ func (c *refChain) advance(t *testing.T, adds, removes [][]byte) (probed int) {
 		t.Fatal(err)
 	}
 	f, err := assemble(levels, len(c.model), c.parents, BuildConfig{
-		Epoch: c.pub.Epoch(), BuiltAt: now, MaxAge: 48 * time.Hour,
+		Epoch: c.pub.epoch, BuiltAt: now, MaxAge: 48 * time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +243,7 @@ func TestLedgerMatchesFromScratch(t *testing.T) {
 				// Plain churn across several level-1 replacements.
 				rng := rand.New(rand.NewSource(22))
 				redone, fullProbes := 0, 0
-				stash := c.pub.StashLen()
+				stash := len(c.pub.stashSet)
 				for i := 0; i < 25; i++ {
 					var adds, removes [][]byte
 					for len(adds) < size.perEpoch {
@@ -265,10 +265,10 @@ func TestLedgerMatchesFromScratch(t *testing.T) {
 					if c.advance(t, adds, removes) != 0 {
 						fullProbes++
 					}
-					if c.pub.StashLen() < stash {
+					if len(c.pub.stashSet) < stash {
 						redone++
 					}
-					stash = c.pub.StashLen()
+					stash = len(c.pub.stashSet)
 				}
 				if redone < 2 {
 					t.Fatalf("level 1 was replaced %d times in 25 epochs of churn, want several", redone)
@@ -372,7 +372,7 @@ func TestPublishedLevelsAreNotWritten(t *testing.T) {
 	if _, _, err := pub.Advance(t0.AddDate(0, 0, 1), w.keys[2500:2510], nil); err != nil {
 		t.Fatal(err)
 	}
-	held, err := assemble(pub.levels, pub.NumRevoked(), w.parents, BuildConfig{Epoch: 2, BuiltAt: t0})
+	held, err := assemble(pub.levels, len(pub.revoked), w.parents, BuildConfig{Epoch: 2, BuiltAt: t0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,20 +90,6 @@ func NewPublisher(cfg PublishConfig) *Publisher {
 	}
 }
 
-// Epoch returns the last published epoch (0 before the first Advance).
-func (p *Publisher) Epoch() uint32 { return p.epoch }
-
-// NumRevoked returns the current revoked-set size.
-func (p *Publisher) NumRevoked() int { return len(p.revoked) }
-
-// StashLen returns the chain's current stash size (0 right after a
-// freeze).
-func (p *Publisher) StashLen() int { return len(p.stashSet) }
-
-// Snapshot returns the last published snapshot bytes (nil before the
-// first Advance). Callers must not mutate it.
-func (p *Publisher) Snapshot() []byte { return p.prev }
-
 // Advance publishes the next epoch: adds and removes are the day's
 // revocation churn (cascade keys, AppendKey layout). It returns the
 // full snapshot and a delta from the previous epoch's snapshot (nil for

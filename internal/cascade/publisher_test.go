@@ -169,10 +169,10 @@ func TestPublisherMatchesStreamingRebuild(t *testing.T) {
 				t.Fatalf("day %d (net churn %v): snapshot differs from the streaming rebuild", c.day-1, changed)
 			}
 			c.checkVerdicts(t, snap)
-			if c.pub.StashLen() < stash {
+			if len(c.pub.stashSet) < stash {
 				level1Redone = true
 			}
-			stash = c.pub.StashLen()
+			stash = len(c.pub.stashSet)
 		}
 		if rebuilds < 10 || reused < 10 {
 			t.Fatalf("schedule has %d churn days and %d quiet days; want at least 10 of each", rebuilds, reused)
@@ -180,8 +180,8 @@ func TestPublisherMatchesStreamingRebuild(t *testing.T) {
 		if !level1Redone {
 			t.Fatal("chain never re-froze its level 1")
 		}
-		if c.pub.NumRevoked() != len(c.model) {
-			t.Fatalf("publisher holds %d revoked keys, model %d", c.pub.NumRevoked(), len(c.model))
+		if len(c.pub.revoked) != len(c.model) {
+			t.Fatalf("publisher holds %d revoked keys, model %d", len(c.pub.revoked), len(c.model))
 		}
 	})
 }

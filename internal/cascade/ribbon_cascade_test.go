@@ -59,7 +59,7 @@ func TestRibbonEncodeDecodeRoundTrip(t *testing.T) {
 	if n := len(g.levels[0].side) / 4; n < 21 || sideCapEntries(n, 0) == n {
 		t.Fatalf("level 1 carries %d side entries (capacity %d); want the stash, padded", n, sideCapEntries(n, 0))
 	}
-	if g.Epoch() != 2 || !g.BuiltAt().Equal(t0.AddDate(0, 0, 1)) || g.NumRevoked() != 321 || g.SizeBytes() != len(enc) {
+	if g.epoch != 2 || g.builtAt != t0.AddDate(0, 0, 1).Unix() || g.NumRevoked() != 321 || g.SizeBytes() != len(enc) {
 		t.Fatalf("decoded header drift: %+v", g)
 	}
 	for i, k := range w.keys {
@@ -113,13 +113,13 @@ func TestRibbonStashAndRefreeze(t *testing.T) {
 		if _, _, err := pub.Advance(t0.AddDate(0, 0, day), adds, nil); err != nil {
 			t.Fatal(err)
 		}
-		if pub.StashLen() > 0 {
+		if len(pub.stashSet) > 0 {
 			sawStash = true
 		}
-		if day > 0 && pub.StashLen() < prevStash {
+		if day > 0 && len(pub.stashSet) < prevStash {
 			sawRefreeze = true
 		}
-		prevStash = pub.StashLen()
+		prevStash = len(pub.stashSet)
 	}
 	if !sawStash {
 		t.Fatal("chain never stashed a key")
@@ -127,7 +127,7 @@ func TestRibbonStashAndRefreeze(t *testing.T) {
 	if !sawRefreeze {
 		t.Fatal("stash never triggered a re-freeze (budget too large for this churn?)")
 	}
-	f, err := Decode(pub.Snapshot())
+	f, err := Decode(pub.prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +153,8 @@ func TestRibbonRemovalFlipsVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pub.StashLen() != 1 {
-		t.Fatalf("stash holds %d keys after one post-freeze add", pub.StashLen())
+	if len(pub.stashSet) != 1 {
+		t.Fatalf("stash holds %d keys after one post-freeze add", len(pub.stashSet))
 	}
 	s2, _, err := pub.Advance(t0.AddDate(0, 0, 2), nil, [][]byte{victim})
 	if err != nil {
@@ -174,7 +174,7 @@ func TestRibbonRemovalFlipsVerdict(t *testing.T) {
 	if !f2.Revoked(w.keys[1]) {
 		t.Fatal("unrelated key lost")
 	}
-	if pub.StashLen() != 1 || !f2.levels[0].contains(0, victim) {
+	if len(pub.stashSet) != 1 || !f2.levels[0].contains(0, victim) {
 		t.Fatal("the removal dropped the stash entry")
 	}
 	offs := levelOffsets(f1)

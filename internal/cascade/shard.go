@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 )
 
 // ShardSet is a client-side collection of per-issuer cascade shards: one
@@ -19,10 +18,7 @@ import (
 //
 // A ShardSet is immutable and safe for concurrent use.
 type ShardSet struct {
-	shards   []*Filter
 	byParent map[Parent]*Filter
-	revoked  int
-	size     int
 }
 
 // NewShardSet assembles installed shards. Every shard must carry at
@@ -46,41 +42,14 @@ func NewShardSet(shards []*Filter) (*ShardSet, error) {
 			}
 			s.byParent[p] = f
 		}
-		s.shards = append(s.shards, f)
-		s.revoked += f.NumRevoked()
-		s.size += f.SizeBytes()
 	}
 	return s, nil
 }
-
-// NumShards returns the installed shard count.
-func (s *ShardSet) NumShards() int { return len(s.shards) }
-
-// NumRevoked returns the revoked keys across all installed shards.
-func (s *ShardSet) NumRevoked() int { return s.revoked }
-
-// SizeBytes returns the summed encoded size of the installed shards.
-func (s *ShardSet) SizeBytes() int { return s.size }
 
 // Shard returns the filter owning parent p, or nil if no installed
 // shard covers it (an untrusted or never-fetched issuer — the client
 // falls back to the network exactly as for an un-enrolled parent).
 func (s *ShardSet) Shard(p Parent) *Filter { return s.byParent[p] }
-
-// Covers reports whether some installed shard gives an authoritative
-// verdict for a certificate of parent p issued at notBefore.
-func (s *ShardSet) Covers(p Parent, notBefore time.Time) bool {
-	f := s.byParent[p]
-	return f != nil && f.Covers(p, notBefore)
-}
-
-// FreshAt reports whether parent p's shard is within its max-age.
-// Freshness is per shard: shards ship independently, so one stale
-// issuer must not poison verdicts for the others.
-func (s *ShardSet) FreshAt(p Parent, now time.Time) bool {
-	f := s.byParent[p]
-	return f != nil && f.FreshAt(now)
-}
 
 // Revoked routes the verdict to the shard owning the key's parent
 // prefix. Only meaningful for keys whose parent Covers — same contract
