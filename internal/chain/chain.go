@@ -58,10 +58,6 @@ func (p *Pool) FindBySubject(rawName []byte) []*x509x.Certificate {
 	return p.bySubject[string(rawName)]
 }
 
-// Certs returns all certificates in insertion order. The caller must not
-// modify the returned slice.
-func (p *Pool) Certs() []*x509x.Certificate { return p.certs }
-
 // Len returns the number of certificates in the pool.
 func (p *Pool) Len() int { return len(p.certs) }
 
