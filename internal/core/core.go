@@ -70,12 +70,6 @@ func (c *CertAudit) Revoked() bool {
 	return c.CRL.Status == StatusRevoked || c.OCSP.Status == StatusRevoked || c.Staple.Status == StatusRevoked
 }
 
-// Checkable reports whether the certificate advertises any revocation
-// mechanism at all (§3.2's unrevokable certificates do not).
-func (c *CertAudit) Checkable() bool {
-	return c.CRL.Status != StatusNoPointer || c.OCSP.Status != StatusNoPointer
-}
-
 // Report is a full endpoint audit.
 type Report struct {
 	Target    string

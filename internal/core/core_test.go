@@ -397,15 +397,15 @@ func TestCertAuditAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	leafAudit := report.Certs[0]
-	if !leafAudit.Checkable() {
-		t.Error("leaf with pointers should be checkable")
+	if leafAudit.CRL.Status == StatusNoPointer || leafAudit.OCSP.Status == StatusNoPointer {
+		t.Errorf("leaf with pointers audited as pointer-less: CRL %s, OCSP %s", leafAudit.CRL.Status, leafAudit.OCSP.Status)
 	}
 	if !leafAudit.EV {
 		t.Error("EV flag lost")
 	}
 	rootAudit := report.Certs[2]
-	if rootAudit.Checkable() {
-		t.Error("pointer-less root should not be checkable")
+	if rootAudit.CRL.Status != StatusNoPointer || rootAudit.OCSP.Status != StatusNoPointer {
+		t.Errorf("pointer-less root: CRL %s, OCSP %s", rootAudit.CRL.Status, rootAudit.OCSP.Status)
 	}
 	out := report.Render()
 	if !strings.Contains(out, "EV") || !strings.Contains(out, "CA") {
