@@ -43,19 +43,16 @@ func (s *symtab) get(id uint32) string { return s.strs[id] }
 // columns is the struct-of-arrays certificate store: one fixed-width
 // slot per certificate, indexed by the dense uint32 ID assigned at
 // first sighting. Validity bounds are fixed64 UnixNano timestamps,
-// birth/death are scan indices into Corpus.scans, issuer and pointer
-// URLs are symtab symbols, and serial magnitudes live back to back in a
+// birth/death are scan indices into Corpus.scans, the issuer name is a
+// symtab symbol, and serial magnitudes live back to back in a
 // shared byte arena addressed by the serialOff fence posts.
 type columns struct {
 	notBefore []int64
 	notAfter  []int64
 	flags     []uint8
 	caSym     []uint16
-	crlSym    []uint32
-	ocspSym   []uint32
 	birth     []uint32
 	death     []uint32
-	nSight    []uint32
 	lastHosts []uint32
 	lastStap  []uint32
 
@@ -72,7 +69,7 @@ func (c *columns) serial(id uint32) []byte {
 }
 
 // add appends one certificate's record columns and returns its ID.
-func (c *columns) add(rec *ca.Record, caSym uint16, crlSym, ocspSym uint32, scanIdx uint32) uint32 {
+func (c *columns) add(rec *ca.Record, caSym uint16, scanIdx uint32) uint32 {
 	id := uint32(c.n())
 	c.notBefore = append(c.notBefore, rec.NotBefore.UnixNano())
 	c.notAfter = append(c.notAfter, rec.NotAfter.UnixNano())
@@ -88,11 +85,8 @@ func (c *columns) add(rec *ca.Record, caSym uint16, crlSym, ocspSym uint32, scan
 	}
 	c.flags = append(c.flags, fl)
 	c.caSym = append(c.caSym, caSym)
-	c.crlSym = append(c.crlSym, crlSym)
-	c.ocspSym = append(c.ocspSym, ocspSym)
 	c.birth = append(c.birth, scanIdx)
 	c.death = append(c.death, scanIdx)
-	c.nSight = append(c.nSight, 0)
 	c.lastHosts = append(c.lastHosts, 0)
 	c.lastStap = append(c.lastStap, 0)
 	c.serialArena = append(c.serialArena, rec.SerialMagnitude()...)

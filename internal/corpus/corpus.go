@@ -18,7 +18,6 @@
 package corpus
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -37,9 +36,8 @@ type Corpus struct {
 	mu   sync.RWMutex
 	cols *columns
 	idx  certIndex
-	// caSyms interns CA names (uint16 column), urlSyms CRL/OCSP URLs.
-	caSyms  symtab
-	urlSyms symtab
+	// caSyms interns CA names (uint16 column).
+	caSyms symtab
 
 	scans     []time.Time
 	scansNano []int64
@@ -64,7 +62,6 @@ func (c *Corpus) RecordScan(at time.Time, ads []Advertisement) {
 		ad := &ads[i]
 		id := c.internLocked(ad.Record, scanIdx)
 		c.cols.death[id] = scanIdx
-		c.cols.nSight[id]++
 		c.cols.lastHosts[id] = uint32(ad.Hosts)
 		c.cols.lastStap[id] = uint32(ad.StapledHosts)
 	}
@@ -83,9 +80,7 @@ func (c *Corpus) internLocked(rec *ca.Record, scanIdx uint32) uint32 {
 	if sym > 0xffff {
 		panic("corpus: more than 65536 distinct CA names")
 	}
-	crlSym := c.urlSyms.intern(rec.CRLURL)
-	ocspSym := c.urlSyms.intern(rec.OCSPURL)
-	id := c.cols.add(rec, uint16(sym), crlSym, ocspSym, scanIdx)
+	id := c.cols.add(rec, uint16(sym), scanIdx)
 	c.idx.insert(c.cols, id)
 	return id
 }
@@ -123,53 +118,4 @@ func (c *Corpus) IDOf(rec *ca.Record) (uint32, bool) {
 		return 0, false
 	}
 	return c.idx.lookup(c.cols, uint16(sym), rec.SerialMagnitude())
-}
-
-// Population is a snapshot count at one instant.
-type Population struct {
-	Fresh   int // certificates inside their validity window
-	Alive   int // certificates inside their advertised lifetime
-	FreshEV int
-	AliveEV int
-}
-
-// PopulationAt counts fresh and alive certificates at t.
-func (c *Corpus) PopulationAt(t time.Time) Population {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	tn := t.UnixNano()
-	var p Population
-	for id := 0; id < c.cols.n(); id++ {
-		fresh := c.cols.notBefore[id] <= tn && tn <= c.cols.notAfter[id]
-		alive := c.scansNano[c.cols.birth[id]] <= tn && tn <= c.scansNano[c.cols.death[id]]
-		ev := c.cols.flags[id]&flagEV != 0
-		if fresh {
-			p.Fresh++
-			if ev {
-				p.FreshEV++
-			}
-		}
-		if alive {
-			p.Alive++
-			if ev {
-				p.AliveEV++
-			}
-		}
-	}
-	return p
-}
-
-// Lifetimes returns, for each certificate, the advertised lifetime in
-// days, sorted ascending — input for lifetime CDFs.
-func (c *Corpus) Lifetimes() []float64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]float64, 0, c.cols.n())
-	for id := 0; id < c.cols.n(); id++ {
-		birth := c.scans[c.cols.birth[id]]
-		death := c.scans[c.cols.death[id]]
-		out = append(out, death.Sub(birth).Hours()/24)
-	}
-	sort.Float64s(out)
-	return out
 }

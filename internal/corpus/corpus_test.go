@@ -43,8 +43,8 @@ func TestLifetimesAndTimelines(t *testing.T) {
 			if !ct.Birth().Equal(day(0)) || !ct.Death().Equal(day(21)) {
 				t.Errorf("r1 lifetime [%v, %v]", ct.Birth(), ct.Death())
 			}
-			if ct.Sightings() != 4 || ct.LastHosts() != 1 {
-				t.Errorf("r1 sightings = %d, last hosts = %d", ct.Sightings(), ct.LastHosts())
+			if ct.LastHosts() != 1 {
+				t.Errorf("r1 last hosts = %d", ct.LastHosts())
 			}
 			if ct.AdvertisedAfterExpiry() {
 				t.Error("r1 is within validity")
@@ -55,10 +55,10 @@ func TestLifetimesAndTimelines(t *testing.T) {
 			t.Errorf("r2 death %v", ct.Death())
 		}
 		// r2 was missed at day 7 but is still alive there.
-		if !ct.AliveAt(day(7)) {
+		if !aliveAt(ct, day(7)) {
 			t.Error("gap in sightings should still be alive")
 		}
-		if ct.AliveAt(day(21)) {
+		if aliveAt(ct, day(21)) {
 			t.Error("after death should not be alive")
 		}
 		// r2 expired at day 10 but advertised at day 14.
@@ -102,8 +102,8 @@ func TestCursorTimelines(t *testing.T) {
 		saw++
 		switch ct.ID() {
 		case 0:
-			if !ct.Birth().Equal(day(0)) || !ct.Death().Equal(day(14)) || ct.Sightings() != 3 {
-				t.Errorf("r1 cursor birth=%v death=%v n=%d", ct.Birth(), ct.Death(), ct.Sightings())
+			if !ct.Birth().Equal(day(0)) || !ct.Death().Equal(day(14)) {
+				t.Errorf("r1 cursor birth=%v death=%v", ct.Birth(), ct.Death())
 			}
 			if ct.LastHosts() != 2 || ct.LastStapledHosts() != 1 {
 				t.Errorf("r1 last sighting %d/%d", ct.LastHosts(), ct.LastStapledHosts())
@@ -113,7 +113,7 @@ func TestCursorTimelines(t *testing.T) {
 			}
 		case 1:
 			// Gap at day 7: still alive between sightings.
-			if !ct.AliveAt(day(7)) || ct.AliveAt(day(21)) {
+			if !aliveAt(ct, day(7)) || aliveAt(ct, day(21)) {
 				t.Error("r2 cursor alive window wrong")
 			}
 			if !ct.AdvertisedAfterExpiry() {
@@ -129,11 +129,36 @@ func TestCursorTimelines(t *testing.T) {
 		t.Fatalf("visited %d certs", saw)
 	}
 
-	alive := 0
-	c.IterAlive(day(10), func(ct *Cert) bool { alive++; return true })
-	if alive != 2 {
-		t.Errorf("alive at day 10 = %d", alive)
+	if p := population(c, day(10)); p.alive != 2 {
+		t.Errorf("alive at day 10 = %d", p.alive)
 	}
+}
+
+// aliveAt reports whether t falls inside the certificate's [Birth, Death].
+func aliveAt(ct *Cert, t time.Time) bool { return !t.Before(ct.Birth()) && !t.After(ct.Death()) }
+
+// census counts the certificates fresh and alive at one instant, as the
+// Figure 2 fold does.
+type census struct{ fresh, alive, freshEV, aliveEV int }
+
+func population(c *Corpus, t time.Time) census {
+	var p census
+	c.Visit(func(ct *Cert) bool {
+		if ct.FreshAt(t) {
+			p.fresh++
+			if ct.EV() {
+				p.freshEV++
+			}
+		}
+		if aliveAt(ct, t) {
+			p.alive++
+			if ct.EV() {
+				p.aliveEV++
+			}
+		}
+		return true
+	})
+	return p
 }
 
 func TestPopulationAt(t *testing.T) {
@@ -144,14 +169,14 @@ func TestPopulationAt(t *testing.T) {
 	c.RecordScan(day(0), []Advertisement{{Record: dv, Hosts: 1}, {Record: ev, Hosts: 1}, {Record: expired, Hosts: 1}})
 	c.RecordScan(day(7), []Advertisement{{Record: dv, Hosts: 1}, {Record: ev, Hosts: 1}})
 
-	p := c.PopulationAt(day(0))
-	if p.Fresh != 2 || p.Alive != 3 || p.FreshEV != 1 || p.AliveEV != 1 {
+	p := population(c, day(0))
+	if p.fresh != 2 || p.alive != 3 || p.freshEV != 1 || p.aliveEV != 1 {
 		t.Errorf("population = %+v", p)
 	}
 	// After death of expired cert.
-	p = c.PopulationAt(day(7))
-	if p.Alive != 2 {
-		t.Errorf("alive at day 7 = %d", p.Alive)
+	p = population(c, day(7))
+	if p.alive != 2 {
+		t.Errorf("alive at day 7 = %d", p.alive)
 	}
 }
 
@@ -160,8 +185,12 @@ func TestLifetimes(t *testing.T) {
 	r1 := rec(1, day(0), day(100), false)
 	c.RecordScan(day(0), []Advertisement{{Record: r1, Hosts: 1}})
 	c.RecordScan(day(14), []Advertisement{{Record: r1, Hosts: 1}})
-	lives := c.Lifetimes()
-	if len(lives) != 1 || lives[0] != 14 {
+	var lives []time.Duration
+	c.Visit(func(ct *Cert) bool {
+		lives = append(lives, ct.Death().Sub(ct.Birth()))
+		return true
+	})
+	if len(lives) != 1 || lives[0] != 14*24*time.Hour {
 		t.Errorf("lifetimes = %v", lives)
 	}
 }
@@ -179,14 +208,10 @@ func TestOutOfOrderScansPanic(t *testing.T) {
 
 func TestEmptyCorpus(t *testing.T) {
 	c := New()
-	if p := c.PopulationAt(day(0)); p.Fresh != 0 || p.Alive != 0 {
-		t.Errorf("empty population = %+v", p)
-	}
 	if len(c.Scans()) != 0 || c.Size() != 0 {
 		t.Error("empty corpus accessors")
 	}
 	c.Visit(func(*Cert) bool { t.Error("unexpected cert"); return false })
-	c.IterAlive(day(0), func(*Cert) bool { t.Error("unexpected alive cert"); return false })
 }
 
 func TestLegacyAccessors(t *testing.T) {

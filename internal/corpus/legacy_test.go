@@ -3,7 +3,6 @@ package corpus
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -150,30 +149,6 @@ func (c *Legacy) History(rec *ca.Record) (*History, bool) {
 	return h, ok
 }
 
-// PopulationAt counts fresh and alive certificates at t.
-func (c *Legacy) PopulationAt(t time.Time) Population {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var p Population
-	for _, h := range c.order {
-		fresh := h.Record.FreshAt(t)
-		alive := h.AliveAt(t)
-		if fresh {
-			p.Fresh++
-			if h.Record.EV {
-				p.FreshEV++
-			}
-		}
-		if alive {
-			p.Alive++
-			if h.Record.EV {
-				p.AliveEV++
-			}
-		}
-	}
-	return p
-}
-
 // AdvertisedAt returns the histories of certificates alive at t.
 func (c *Legacy) AdvertisedAt(t time.Time) []*History {
 	c.mu.RLock()
@@ -203,19 +178,6 @@ func (c *Legacy) LastScanAdvertisements() []*History {
 			out = append(out, h)
 		}
 	}
-	return out
-}
-
-// Lifetimes returns, for each certificate, the advertised lifetime in
-// days, sorted ascending — input for lifetime CDFs.
-func (c *Legacy) Lifetimes() []float64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]float64, 0, len(c.order))
-	for _, h := range c.order {
-		out = append(out, h.Death().Sub(h.Birth()).Hours()/24)
-	}
-	sort.Float64s(out)
 	return out
 }
 

@@ -3,8 +3,8 @@ package corpus
 import "time"
 
 // Cert is a cursor over one certificate's columns. It is only valid for
-// the duration of the Visit/IterAlive callback that
-// received it; callers must not retain it. Accessors read the columns
+// the duration of the Visit callback that received it; callers must not
+// retain it. Accessors read the columns
 // directly without re-locking — the iteration holds the read lock.
 type Cert struct {
 	c  *Corpus
@@ -20,12 +20,6 @@ func (ct *Cert) CAName() string { return ct.c.caSyms.get(uint32(ct.c.cols.caSym[
 // Serial returns the certificate serial's big-endian magnitude. Callers
 // must not mutate the returned slice.
 func (ct *Cert) Serial() []byte { return ct.c.cols.serial(ct.id) }
-
-// CRLURL returns the CRL distribution point URL ("" if none).
-func (ct *Cert) CRLURL() string { return ct.c.urlSyms.get(ct.c.cols.crlSym[ct.id]) }
-
-// OCSPURL returns the OCSP responder URL ("" if none).
-func (ct *Cert) OCSPURL() string { return ct.c.urlSyms.get(ct.c.cols.ocspSym[ct.id]) }
 
 // EV reports whether the certificate is extended-validation.
 func (ct *Cert) EV() bool { return ct.c.cols.flags[ct.id]&flagEV != 0 }
@@ -54,9 +48,6 @@ func (ct *Cert) Birth() time.Time { return ct.c.scans[ct.c.cols.birth[ct.id]] }
 // Death returns the last scan time at which the certificate was seen.
 func (ct *Cert) Death() time.Time { return ct.c.scans[ct.c.cols.death[ct.id]] }
 
-// Sightings returns how many scans observed the certificate.
-func (ct *Cert) Sightings() int { return int(ct.c.cols.nSight[ct.id]) }
-
 // LastHosts returns the host count from the certificate's final sighting.
 func (ct *Cert) LastHosts() int { return int(ct.c.cols.lastHosts[ct.id]) }
 
@@ -67,12 +58,6 @@ func (ct *Cert) LastStapledHosts() int { return int(ct.c.cols.lastStap[ct.id]) }
 func (ct *Cert) FreshAt(t time.Time) bool {
 	tn := t.UnixNano()
 	return ct.c.cols.notBefore[ct.id] <= tn && tn <= ct.c.cols.notAfter[ct.id]
-}
-
-// AliveAt reports whether t falls inside [Birth, Death].
-func (ct *Cert) AliveAt(t time.Time) bool {
-	tn := t.UnixNano()
-	return ct.c.scansNano[ct.c.cols.birth[ct.id]] <= tn && tn <= ct.c.scansNano[ct.c.cols.death[ct.id]]
 }
 
 // AdvertisedAfterExpiry reports whether the certificate was still being
@@ -92,23 +77,6 @@ func (c *Corpus) Visit(fn func(ct *Cert) bool) {
 		ct.id = uint32(id)
 		if !fn(&ct) {
 			return
-		}
-	}
-}
-
-// IterAlive walks the certificates alive at t in ID order. Return false
-// from fn to stop early.
-func (c *Corpus) IterAlive(t time.Time, fn func(ct *Cert) bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	tn := t.UnixNano()
-	ct := Cert{c: c}
-	for id := 0; id < c.cols.n(); id++ {
-		if c.scansNano[c.cols.birth[id]] <= tn && tn <= c.scansNano[c.cols.death[id]] {
-			ct.id = uint32(id)
-			if !fn(&ct) {
-				return
-			}
 		}
 	}
 }

@@ -70,8 +70,8 @@ func TestScanIntoCorpus(t *testing.T) {
 		t.Errorf("corpus: scans=%d size=%d", c.NumScans(), c.Size())
 	}
 	c.Visit(func(ct *corpus.Cert) bool {
-		if ct.Sightings() != 3 || ct.LastHosts() != 1 || ct.LastStapledHosts() != 0 {
-			t.Errorf("sightings = %d, last hosts = %d/%d", ct.Sightings(), ct.LastHosts(), ct.LastStapledHosts())
+		if ct.LastHosts() != 1 || ct.LastStapledHosts() != 0 {
+			t.Errorf("last hosts = %d/%d", ct.LastHosts(), ct.LastStapledHosts())
 		}
 		if !ct.Birth().Equal(first) || !ct.Death().Equal(first.Add(14*24*time.Hour)) {
 			t.Errorf("lifetime [%v, %v]", ct.Birth(), ct.Death())

@@ -6,6 +6,8 @@ import (
 	"hash"
 	"io"
 	"testing"
+
+	"repro/internal/corpus"
 )
 
 // digestWorld fingerprints everything downstream analyses read: the
@@ -33,9 +35,10 @@ func digestWorld(w *World) string {
 
 func digestCorpus(h hash.Hash, w *World) {
 	fmt.Fprintf(h, "corpus %d %d\n", w.Corpus.NumScans(), w.Corpus.Size())
-	for _, life := range w.Corpus.Lifetimes() {
-		fmt.Fprintf(h, "%g ", life)
-	}
+	w.Corpus.Visit(func(ct *corpus.Cert) bool {
+		fmt.Fprintf(h, "%d %d ", ct.BirthScan(), ct.DeathScan())
+		return true
+	})
 	io.WriteString(h, "\n")
 }
 

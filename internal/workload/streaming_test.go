@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"hash"
 	"testing"
+
+	"repro/internal/corpus"
 )
 
 // digestAnalyze fingerprints the analyze-layer outputs the experiments
 // consume from the corpus: the Figure 2 fraction series, the dataset
-// summary, the stapling snapshot, and the population/lifetime folds.
+// summary, the stapling snapshot, and each certificate's validity and lifetime
+// columns, which the population folds read.
 func digestAnalyze(h hash.Hash, w *World) {
 	rf := w.RevokedFractionSeries()
 	fmt.Fprintf(h, "rf %d\n", len(rf.Times))
@@ -19,12 +22,11 @@ func digestAnalyze(h hash.Hash, w *World) {
 	}
 	fmt.Fprintf(h, "summary %+v\n", w.Summary())
 	fmt.Fprintf(h, "stapling %+v\n", w.StaplingDeployment())
-	for _, t := range w.Corpus.Scans() {
-		fmt.Fprintf(h, "pop %+v\n", w.Corpus.PopulationAt(t))
-	}
-	for _, life := range w.Corpus.Lifetimes() {
-		fmt.Fprintf(h, "%g ", life)
-	}
+	w.Corpus.Visit(func(ct *corpus.Cert) bool {
+		fmt.Fprintf(h, "%x %d %d %d %d %t\n", ct.Serial(), ct.NotBefore().UnixNano(), ct.NotAfter().UnixNano(),
+			ct.BirthScan(), ct.DeathScan(), ct.EV())
+		return true
+	})
 }
 
 // TestStreamingDeterminism is the streaming engine's contract, mirroring
