@@ -24,7 +24,6 @@ import (
 	"math/big"
 	"net/http"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -715,17 +714,6 @@ func (a *Archive) Snapshots() []*Snapshot {
 	out := make([]*Snapshot, len(a.snaps))
 	copy(out, a.snaps)
 	return out
-}
-
-// At returns the most recent snapshot at or before t.
-func (a *Archive) At(t time.Time) (*Snapshot, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	i := sort.Search(len(a.snaps), func(i int) bool { return a.snaps[i].Day.After(t) })
-	if i == 0 {
-		return nil, false
-	}
-	return a.snaps[i-1], true
 }
 
 // Latest returns the most recent snapshot.

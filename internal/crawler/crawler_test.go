@@ -156,9 +156,6 @@ func TestArchiveOrderingAndLookup(t *testing.T) {
 	if _, ok := a.Latest(); ok {
 		t.Error("empty archive has Latest")
 	}
-	if _, ok := a.At(simtime.CrawlStart); ok {
-		t.Error("empty archive has At")
-	}
 	d0 := simtime.CrawlStart
 	for i := 0; i < 5; i++ {
 		a.Add(&Snapshot{Day: d0.AddDate(0, 0, i)})
@@ -166,12 +163,10 @@ func TestArchiveOrderingAndLookup(t *testing.T) {
 	if a.Len() != 5 {
 		t.Fatalf("len = %d", a.Len())
 	}
-	snap, ok := a.At(d0.AddDate(0, 0, 2).Add(6 * time.Hour))
-	if !ok || !snap.Day.Equal(d0.AddDate(0, 0, 2)) {
-		t.Errorf("At = %v", snap.Day)
-	}
-	if _, ok := a.At(d0.Add(-time.Hour)); ok {
-		t.Error("At before first snapshot")
+	for i, snap := range a.Snapshots() {
+		if !snap.Day.Equal(d0.AddDate(0, 0, i)) {
+			t.Errorf("snapshot %d: day %v", i, snap.Day)
+		}
 	}
 	latest, _ := a.Latest()
 	if !latest.Day.Equal(d0.AddDate(0, 0, 4)) {
