@@ -376,12 +376,16 @@ func crlBenchSetup(b *testing.B) *benchPKI {
 	crlBenchOnce.Do(func() {
 		issuer, key := p.authority.Signer()
 		crlBenchList = crlBenchEntries(100000)
-		crlBenchRaw, crlBenchErr = crl.Create(&crl.Template{
+		encoded, err := new(crl.EncodeCache).Extend(crlBenchEntries(500000))
+		if err != nil {
+			crlBenchErr = err
+			return
+		}
+		crlBenchRaw, crlBenchErr = crl.CreateEncoded(&crl.Template{
 			ThisUpdate: crlBenchStart,
 			NextUpdate: crlBenchStart.AddDate(0, 0, 1),
 			Number:     big.NewInt(1),
-			Entries:    crlBenchEntries(500000),
-		}, issuer, key)
+		}, encoded, issuer, key)
 	})
 	if crlBenchErr != nil {
 		b.Fatal(crlBenchErr)
@@ -461,7 +465,7 @@ func BenchmarkCRLLookup(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		parsed.Contains(p.leafRec.Serial)
+		parsed.ContainsSerial(p.leafRec.Serial.Bytes())
 	}
 }
 

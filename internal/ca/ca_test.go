@@ -340,7 +340,7 @@ func TestHandlerServesCRLAndOCSP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !parsed.Contains(rec.Serial) {
+	if !parsed.ContainsSerial(rec.Serial.Bytes()) {
 		t.Error("served CRL missing revocation")
 	}
 
@@ -391,7 +391,7 @@ func TestCRLCacheRespectsValidity(t *testing.T) {
 		t.Fatal(err)
 	}
 	second := fetch()
-	if second.Contains(rec.Serial) {
+	if second.ContainsSerial(rec.Serial.Bytes()) {
 		t.Error("cache regenerated CRL before expiry")
 	}
 	if !second.ThisUpdate.Equal(first.ThisUpdate) {
@@ -400,7 +400,7 @@ func TestCRLCacheRespectsValidity(t *testing.T) {
 	// After the validity window, a fresh CRL carries the revocation.
 	clock.Advance(24 * time.Hour)
 	third := fetch()
-	if !third.Contains(rec.Serial) {
+	if !third.ContainsSerial(rec.Serial.Bytes()) {
 		t.Error("regenerated CRL missing revocation")
 	}
 }
@@ -536,7 +536,7 @@ func TestPublishRevocationsImmediately(t *testing.T) {
 		return parsed
 	}
 	first := fetch()
-	if first.Contains(rec.Serial) {
+	if first.ContainsSerial(rec.Serial.Bytes()) {
 		t.Fatal("fresh CRL already contains the serial")
 	}
 	// Revoke well inside the validity window: the very next fetch must
@@ -546,7 +546,7 @@ func TestPublishRevocationsImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	second := fetch()
-	if !second.Contains(rec.Serial) {
+	if !second.ContainsSerial(rec.Serial.Bytes()) {
 		t.Error("revocation not published on next fetch despite PublishRevocationsImmediately")
 	}
 	// No further revocations: the regenerated copy is cached again.

@@ -83,7 +83,7 @@ func TestCrawlDownloadsAndParses(t *testing.T) {
 	if snap.Bytes <= 0 {
 		t.Error("no bytes accounted")
 	}
-	if !snap.CRLs[rec.CRLURL].Contains(rec.Serial) {
+	if !snap.CRLs[rec.CRLURL].ContainsSerial(rec.Serial.Bytes()) {
 		t.Error("revocation missing from crawled CRL")
 	}
 }
@@ -255,7 +255,7 @@ func TestParseCacheHitsAcrossCrawls(t *testing.T) {
 	if third.CRLs[rec2.CRLURL] == second.CRLs[rec2.CRLURL] {
 		t.Error("changed shard served the stale parsed CRL")
 	}
-	if !third.CRLs[rec2.CRLURL].Contains(rec2.Serial) {
+	if !third.CRLs[rec2.CRLURL].ContainsSerial(rec2.Serial.Bytes()) {
 		t.Error("new revocation missing after cache invalidation")
 	}
 }

@@ -131,16 +131,6 @@ type CRL struct {
 // NumEntries returns the number of revoked entries.
 func (c *CRL) NumEntries() int { return len(c.Entries) }
 
-// VisitEntries calls fn for each entry in CRL order until fn returns
-// false — iterator-style access without exposing the backing slice.
-func (c *CRL) VisitEntries(fn func(Entry) bool) {
-	for _, e := range c.Entries {
-		if !fn(e) {
-			return
-		}
-	}
-}
-
 // Lookup returns the entry for serial, if present.
 func (c *CRL) Lookup(serial *big.Int) (Entry, bool) {
 	return c.LookupSerial(serial.Bytes())
@@ -172,12 +162,6 @@ func (c *CRL) LookupSerial(serial []byte) (Entry, bool) {
 		return Entry{}, false
 	}
 	return c.Entries[i], true
-}
-
-// Contains reports whether serial is revoked by this CRL.
-func (c *CRL) Contains(serial *big.Int) bool {
-	_, ok := c.Lookup(serial)
-	return ok
 }
 
 // ContainsSerial is Contains keyed by the compact serial magnitude.
@@ -213,28 +197,11 @@ type Template struct {
 	Entries    []Entry
 }
 
-// Create builds and signs a CRL issued by the given CA certificate.
-func Create(tmpl *Template, issuer *x509x.Certificate, key *ecdsa.PrivateKey) ([]byte, error) {
-	var encoded []byte
-	if len(tmpl.Entries) > 0 {
-		b := der.GetBuilder()
-		defer der.PutBuilder(b)
-		for _, e := range tmpl.Entries {
-			if err := appendEntry(b, e); err != nil {
-				return nil, err
-			}
-		}
-		encoded = b.Bytes()
-	}
-	return CreateEncoded(tmpl, encoded, issuer, key)
-}
-
-// CreateEncoded is Create for callers that maintain the concatenated DER
-// encodings of the revoked entries themselves (see EncodeCache): tmpl
-// supplies everything except the entries, encoded supplies the entry
-// bytes (empty omits the revokedCertificates field), and tmpl.Entries is
-// ignored. The output is byte-identical to Create with the equivalent
-// entry slice.
+// CreateEncoded builds and signs a CRL issued by the given CA
+// certificate from the concatenated DER encodings of its revoked entries,
+// which the caller maintains (see EncodeCache): tmpl supplies everything
+// except the entries, encoded supplies the entry bytes (empty omits the
+// revokedCertificates field), and tmpl.Entries is ignored.
 func CreateEncoded(tmpl *Template, encoded []byte, issuer *x509x.Certificate, key *ecdsa.PrivateKey) ([]byte, error) {
 	if !tmpl.NextUpdate.IsZero() && tmpl.NextUpdate.Before(tmpl.ThisUpdate) {
 		return nil, fmt.Errorf("crl: nextUpdate %v precedes thisUpdate %v", tmpl.NextUpdate, tmpl.ThisUpdate)
@@ -334,10 +301,8 @@ type EncodeCache struct {
 // returned by earlier Extend calls remain valid.
 func (ec *EncodeCache) Reset() { *ec = EncodeCache{} }
 
-// Count returns the number of entries currently encoded.
-func (ec *EncodeCache) Count() int { return ec.count }
-
-// Extend appends encodings for entries[Count():] and returns the
+// Extend appends encodings for the entries past the ones already
+// encoded and returns the
 // concatenated DER of all entries, suitable for CreateEncoded.
 func (ec *EncodeCache) Extend(entries []Entry) ([]byte, error) {
 	if ec.count > len(entries) {
@@ -352,64 +317,6 @@ func (ec *EncodeCache) Extend(entries []Entry) ([]byte, error) {
 	}
 	ec.count = len(entries)
 	return ec.b.Bytes(), nil
-}
-
-// EntrySize returns the exact number of DER bytes the given entry occupies
-// in a CRL, computed arithmetically (no encoding). CA serial-number policy
-// (some CAs use serials of up to 49 decimal digits) drives per-entry size,
-// which is why Figure 5's linear fit shows variance between CAs; the paper
-// measures ~38 bytes per entry on average.
-func EntrySize(e Entry) int {
-	mag := e.Serial
-	for len(mag) > 0 && mag[0] == 0 {
-		mag = mag[1:]
-	}
-	if len(mag) == 0 {
-		return 0 // invalid entry, mirroring the encoder's rejection
-	}
-	intLen := len(mag)
-	if mag[0]&0x80 != 0 {
-		intLen++ // sign pad
-	}
-	content := tlvSize(intLen) + timeSize(e.RevokedAt)
-	if e.Reason != ReasonAbsent {
-		if ri := int(e.Reason); ri >= 0 && ri < len(reasonExtDER) {
-			content += len(reasonExtDER[ri])
-		} else {
-			content += len(genericReasonExt(e.Reason))
-		}
-	}
-	return tlvSize(content)
-}
-
-// tlvSize returns the encoded size of a TLV with the given content length.
-func tlvSize(contentLen int) int {
-	switch {
-	case contentLen < 0x80:
-		return 2 + contentLen
-	case contentLen < 0x100:
-		return 3 + contentLen
-	case contentLen < 0x10000:
-		return 4 + contentLen
-	case contentLen < 0x1000000:
-		return 5 + contentLen
-	default:
-		return 6 + contentLen
-	}
-}
-
-// timeSize returns the encoded size of der.Time(t).
-func timeSize(t time.Time) int {
-	y := t.UTC().Year()
-	switch {
-	case y >= 1950 && y < 2050:
-		return 2 + 13 // UTCTime
-	case y >= 0 && y <= 9999:
-		return 2 + 15 // GeneralizedTime
-	default:
-		// Out-of-range years format to a different width; measure.
-		return len(der.Time(t))
-	}
 }
 
 // --- Decoding ---

@@ -43,9 +43,29 @@ func newCA(t testing.TB) (*x509x.Certificate, *ecdsa.PrivateKey) {
 	return cert, key
 }
 
+// create builds and signs a CRL with tmpl.Entries through the encoder the
+// CA uses: EncodeCache.Extend, then CreateEncoded.
+func create(tmpl *Template, issuer *x509x.Certificate, key *ecdsa.PrivateKey) ([]byte, error) {
+	encoded, err := new(EncodeCache).Extend(tmpl.Entries)
+	if err != nil {
+		return nil, err
+	}
+	return CreateEncoded(tmpl, encoded, issuer, key)
+}
+
+// encodedSize is the number of DER bytes e occupies in a CRL, or 0 when
+// the encoder rejects it.
+func encodedSize(e Entry) int {
+	encoded, err := new(EncodeCache).Extend([]Entry{e})
+	if err != nil {
+		return 0
+	}
+	return len(encoded)
+}
+
 func build(t *testing.T, issuer *x509x.Certificate, key *ecdsa.PrivateKey, entries []Entry) *CRL {
 	t.Helper()
-	raw, err := Create(&Template{
+	raw, err := create(&Template{
 		ThisUpdate: thisUpdate,
 		NextUpdate: nextUpdate,
 		Number:     big.NewInt(17),
@@ -100,7 +120,7 @@ func TestLookupAndContains(t *testing.T) {
 	if !ok || e.SerialBig().Int64() != 21 {
 		t.Errorf("Lookup(21) = %+v, %v", e, ok)
 	}
-	if c.Contains(big.NewInt(22)) {
+	if c.ContainsSerial(big.NewInt(22).Bytes()) {
 		t.Error("Contains(22) should be false")
 	}
 }
@@ -111,7 +131,7 @@ func TestEmptyCRL(t *testing.T) {
 	if len(c.Entries) != 0 {
 		t.Errorf("entries = %d", len(c.Entries))
 	}
-	if c.Contains(big.NewInt(1)) {
+	if c.ContainsSerial(big.NewInt(1).Bytes()) {
 		t.Error("empty CRL contains something")
 	}
 	if err := c.VerifySignature(issuer); err != nil {
@@ -129,7 +149,7 @@ func TestCurrentAt(t *testing.T) {
 		t.Error("outside window should not be current")
 	}
 	// No nextUpdate: never expires.
-	raw, err := Create(&Template{ThisUpdate: thisUpdate}, issuer, key)
+	raw, err := create(&Template{ThisUpdate: thisUpdate}, issuer, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +180,11 @@ func TestSignatureRejectsWrongIssuer(t *testing.T) {
 
 func TestCreateValidation(t *testing.T) {
 	issuer, key := newCA(t)
-	_, err := Create(&Template{ThisUpdate: nextUpdate, NextUpdate: thisUpdate}, issuer, key)
+	_, err := create(&Template{ThisUpdate: nextUpdate, NextUpdate: thisUpdate}, issuer, key)
 	if err == nil {
 		t.Error("accepted inverted validity")
 	}
-	_, err = Create(&Template{ThisUpdate: thisUpdate, Entries: []Entry{{Serial: []byte{0}, RevokedAt: thisUpdate}}}, issuer, key)
+	_, err = create(&Template{ThisUpdate: thisUpdate, Entries: []Entry{{Serial: []byte{0}, RevokedAt: thisUpdate}}}, issuer, key)
 	if err == nil {
 		t.Error("accepted zero serial")
 	}
@@ -260,28 +280,31 @@ func TestWeParseStdlibCRL(t *testing.T) {
 }
 
 func TestEntrySizeMatchesEncoding(t *testing.T) {
-	// The per-entry size drives Figure 5; EntrySize must agree exactly
-	// with what Create emits.
+	// The per-entry size drives Figure 5: the encoded entry list is the
+	// sum of its entries' encodings, and a parsed entry re-encodes to the
+	// size it was created with.
 	issuer, key := newCA(t)
 	entries := []Entry{
 		{Serial: sb(1), RevokedAt: thisUpdate, Reason: ReasonAbsent},
 		{Serial: new(big.Int).Exp(big.NewInt(10), big.NewInt(48), nil).Bytes(), RevokedAt: thisUpdate, Reason: ReasonKeyCompromise},
 	}
 	both := build(t, issuer, key, entries)
-	// The revokedCertificates SEQUENCE content must be exactly the sum of
-	// the per-entry sizes. Re-encode each parsed entry and compare.
+	all, err := new(EncodeCache).Extend(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encodedSize(entries[0]) + encodedSize(entries[1])
+	if len(all) != want {
+		t.Errorf("entry list %d bytes, want the entries' sum %d", len(all), want)
+	}
 	var sum int
 	for _, e := range both.Entries {
-		sum += EntrySize(e)
+		sum += encodedSize(e)
 	}
-	want := EntrySize(entries[0]) + EntrySize(entries[1])
 	if sum != want {
-		t.Errorf("sum of entry sizes %d, want %d", sum, want)
+		t.Errorf("parsed entries re-encode to %d bytes, want %d", sum, want)
 	}
-	// And the whole CRL must shrink by exactly EntrySize when an entry is
-	// dropped, modulo DER length-field growth: verify via direct
-	// re-creation instead of byte arithmetic.
-	raw1, err := Create(&Template{ThisUpdate: thisUpdate, Entries: entries[:1]}, issuer, key)
+	raw1, err := create(&Template{ThisUpdate: thisUpdate, Entries: entries[:1]}, issuer, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,8 +312,8 @@ func TestEntrySizeMatchesEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := EntrySize(c1.Entries[0]); got != EntrySize(entries[0]) {
-		t.Errorf("round-tripped entry size %d, want %d", got, EntrySize(entries[0]))
+	if got := encodedSize(c1.Entries[0]); got != encodedSize(entries[0]) {
+		t.Errorf("round-tripped entry size %d, want %d", got, encodedSize(entries[0]))
 	}
 }
 
@@ -298,15 +321,15 @@ func TestEntrySizeScale(t *testing.T) {
 	// A typical small-serial entry with a reason code should be in the
 	// ballpark of the paper's 38-byte average.
 	e := Entry{Serial: sb(1 << 62), RevokedAt: thisUpdate, Reason: ReasonUnspecified}
-	size := EntrySize(e)
+	size := encodedSize(e)
 	if size < 25 || size > 50 {
-		t.Errorf("EntrySize = %d, expected ~38", size)
+		t.Errorf("entry encodes to %d bytes, expected ~38", size)
 	}
-	if EntrySize(Entry{Serial: nil, RevokedAt: thisUpdate}) != 0 {
-		t.Error("invalid entry should size to 0")
+	if encodedSize(Entry{Serial: nil, RevokedAt: thisUpdate}) != 0 {
+		t.Error("invalid entry encoded")
 	}
-	if EntrySize(Entry{Serial: []byte{0, 0}, RevokedAt: thisUpdate}) != 0 {
-		t.Error("zero serial should size to 0")
+	if encodedSize(Entry{Serial: []byte{0, 0}, RevokedAt: thisUpdate}) != 0 {
+		t.Error("zero serial encoded")
 	}
 }
 
@@ -395,7 +418,7 @@ func TestEntriesRoundTripProperty(t *testing.T) {
 			}
 			entries = append(entries, Entry{Serial: sb(int64(s)), RevokedAt: thisUpdate, Reason: r})
 		}
-		raw, err := Create(&Template{ThisUpdate: thisUpdate, NextUpdate: nextUpdate, Entries: entries}, issuer, key)
+		raw, err := create(&Template{ThisUpdate: thisUpdate, NextUpdate: nextUpdate, Entries: entries}, issuer, key)
 		if err != nil {
 			return false
 		}
@@ -429,7 +452,7 @@ func BenchmarkColdCRLVerdict(b *testing.B) {
 		entries[i] = Entry{Serial: big.NewInt(0x4000_0000_0000_0000 + int64(i)*0x9e37_79b9_7f4a_7c1).Bytes(),
 			RevokedAt: thisUpdate.Add(-time.Duration(i) * time.Minute), Reason: reasons[i%len(reasons)]}
 	}
-	raw, err := Create(&Template{ThisUpdate: thisUpdate, NextUpdate: nextUpdate, Number: big.NewInt(3), Entries: entries}, issuer, key)
+	raw, err := create(&Template{ThisUpdate: thisUpdate, NextUpdate: nextUpdate, Number: big.NewInt(3), Entries: entries}, issuer, key)
 	if err != nil {
 		b.Fatal(err)
 	}

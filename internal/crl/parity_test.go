@@ -440,7 +440,7 @@ func TestStreamingEncoderParity(t *testing.T) {
 		} {
 			tmpl := variant.tmpl
 			tmpl.Entries = toCompactEntries(entries)
-			raw, err := Create(&tmpl, issuer, key)
+			raw, err := create(&tmpl, issuer, key)
 			if err != nil {
 				t.Fatalf("corpus %d %s: Create: %v", ci, variant.name, err)
 			}
@@ -489,7 +489,7 @@ func TestStreamingEncoderParity(t *testing.T) {
 func TestStreamingEncoderRejectsBadSerials(t *testing.T) {
 	issuer, key := newCA(t)
 	for _, bad := range [][]byte{nil, {}, {0}, {0, 0, 0}} {
-		_, err := Create(&Template{ThisUpdate: thisUpdate,
+		_, err := create(&Template{ThisUpdate: thisUpdate,
 			Entries: []Entry{{Serial: bad, RevokedAt: thisUpdate}}}, issuer, key)
 		if err == nil {
 			t.Errorf("Create accepted serial %x", bad)
@@ -506,7 +506,7 @@ func TestStreamingEncoderRejectsBadSerials(t *testing.T) {
 func TestStreamingParserParityCorpus(t *testing.T) {
 	issuer, key := newCA(t)
 	for ci, entries := range parityCorpus() {
-		raw, err := Create(&Template{ThisUpdate: thisUpdate, NextUpdate: nextUpdate,
+		raw, err := create(&Template{ThisUpdate: thisUpdate, NextUpdate: nextUpdate,
 			Number: big.NewInt(int64(ci + 1)), Entries: toCompactEntries(entries)}, issuer, key)
 		if err != nil {
 			t.Fatal(err)
@@ -517,14 +517,15 @@ func TestStreamingParserParityCorpus(t *testing.T) {
 			t.Fatalf("corpus %d: legacy err %v, streaming err %v", ci, lerr, gerr)
 		}
 		assertSameCRL(t, want, got)
-		// EntrySize must agree with the legacy per-entry encoding length.
+		// The encoder must agree with the legacy per-entry encoding.
+		compact := toCompactEntries(entries)
 		for i, le := range entries {
 			enc, err := legacyEncodeEntry(le)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := EntrySize(toCompactEntries(entries)[i]); got != len(enc) {
-				t.Fatalf("corpus %d entry %d: EntrySize %d, legacy %d", ci, i, got, len(enc))
+			if got, err := new(EncodeCache).Extend(compact[i : i+1]); err != nil || !bytes.Equal(got, enc) {
+				t.Fatalf("corpus %d entry %d: encoded %x (%v), legacy %x", ci, i, got, err, enc)
 			}
 		}
 	}
@@ -537,7 +538,7 @@ func TestStreamingParserParityMutations(t *testing.T) {
 	issuer, key := newCA(t)
 	var seeds [][]byte
 	for ci, entries := range parityCorpus() {
-		raw, err := Create(&Template{ThisUpdate: thisUpdate, NextUpdate: nextUpdate,
+		raw, err := create(&Template{ThisUpdate: thisUpdate, NextUpdate: nextUpdate,
 			Number: big.NewInt(int64(ci + 1)), Entries: toCompactEntries(entries)}, issuer, key)
 		if err != nil {
 			t.Fatal(err)
@@ -593,7 +594,7 @@ func TestStreamingParserParityHeartbleedScale(t *testing.T) {
 			Reason:    Reason([]Reason{ReasonAbsent, ReasonUnspecified, ReasonKeyCompromise, ReasonSuperseded}[i%4]),
 		}
 	}
-	raw, err := Create(&Template{ThisUpdate: thisUpdate, NextUpdate: nextUpdate,
+	raw, err := create(&Template{ThisUpdate: thisUpdate, NextUpdate: nextUpdate,
 		Number: big.NewInt(7), Entries: entries}, issuer, key)
 	if err != nil {
 		t.Fatal(err)
@@ -654,7 +655,7 @@ func TestParseAllocsPerEntry(t *testing.T) {
 		entries[i] = Entry{Serial: big.NewInt(int64(i) + 5000).Bytes(),
 			RevokedAt: thisUpdate, Reason: ReasonKeyCompromise}
 	}
-	raw, err := Create(&Template{ThisUpdate: thisUpdate, NextUpdate: nextUpdate,
+	raw, err := create(&Template{ThisUpdate: thisUpdate, NextUpdate: nextUpdate,
 		Number: big.NewInt(1), Entries: entries}, issuer, key)
 	if err != nil {
 		t.Fatal(err)
