@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,7 +13,6 @@ import (
 
 	"repro/internal/ca"
 	"repro/internal/crl"
-	"repro/internal/crlset"
 	"repro/internal/x509x"
 )
 
@@ -76,12 +77,24 @@ func TestCRLSetGeneratesCRLSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := crlset.Parse(data)
-	if err != nil {
-		t.Fatalf("written CRLSet unparsable: %v", err)
+	// Chrome's layout: a uint16 LE header length, a JSON header, then the
+	// parent's 32-byte SPKI hash and its uint32 LE serial count.
+	if len(data) < 2 {
+		t.Fatalf("written CRLSet is %d bytes", len(data))
 	}
-	if set.NumEntries() != 8 || set.NumParents() != 1 {
-		t.Errorf("set entries=%d parents=%d", set.NumEntries(), set.NumParents())
+	headerLen := int(binary.LittleEndian.Uint16(data))
+	var header struct {
+		ContentType string
+		NumParents  int
+	}
+	if len(data) < 2+headerLen+36 || json.Unmarshal(data[2:2+headerLen], &header) != nil || header.ContentType != "CRLSet" {
+		t.Fatalf("written CRLSet has no CRLSet header: %q", data)
+	}
+	if header.NumParents != 1 {
+		t.Errorf("header lists %d parents, want 1", header.NumParents)
+	}
+	if n := binary.LittleEndian.Uint32(data[2+headerLen+32:]); n != 8 {
+		t.Errorf("first parent lists %d serials, want 8", n)
 	}
 }
 

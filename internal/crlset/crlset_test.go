@@ -35,8 +35,8 @@ func TestSetBasics(t *testing.T) {
 	if !s.HasParent(p1) || s.HasParent(parent(9)) {
 		t.Error("HasParent wrong")
 	}
-	if got := s.Serials(p1); len(got) != 2 || got[0].Int64() != 100 {
-		t.Errorf("Serials = %v", got)
+	if got := s.parents[p1]; len(got) != 2 || got[0] != string(big.NewInt(100).Bytes()) {
+		t.Errorf("serials under p1 = %x", got)
 	}
 }
 
@@ -98,7 +98,7 @@ func TestSerialCanonicalization(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			parsed, err := Parse(data)
+			parsed, err := parse(data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Parse(data)
+	got, err := parse(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestParseRejectsGarbage(t *testing.T) {
 		"truncated":    data[:len(data)-2],
 		"not json":     {2, 0, '{', 'x'},
 	} {
-		if _, err := Parse(b); err == nil {
+		if _, err := parse(b); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

@@ -1,6 +1,7 @@
 package crlset_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/big"
 
@@ -39,7 +40,10 @@ func ExampleSet_Marshal() {
 	var parent crlset.Parent
 	set.Add(parent, big.NewInt(7))
 	data, _ := set.Marshal()
-	parsed, _ := crlset.Parse(data)
-	fmt.Println(parsed.Sequence, parsed.NumEntries())
-	// Output: 42 1
+	headerLen := int(binary.LittleEndian.Uint16(data))
+	fmt.Printf("%s\n", data[2:2+headerLen])
+	fmt.Println(len(data), set.Size())
+	// Output:
+	// {"ContentType":"CRLSet","Sequence":42,"NumParents":1,"BlockedSPKIs":0}
+	// 110 110
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// Mutated CRLSet files must never panic Parse — Chrome fetches them over
+// Mutated CRLSet files must never panic parse — Chrome fetches them over
 // plain HTTP.
 func TestParseNeverPanicsOnMutations(t *testing.T) {
 	s := NewSet(9)
@@ -29,7 +29,7 @@ func TestParseNeverPanicsOnMutations(t *testing.T) {
 		if rng.Intn(5) == 0 {
 			data = data[:rng.Intn(len(data))]
 		}
-		if set, err := Parse(data); err == nil {
+		if set, err := parse(data); err == nil {
 			set.Covers(parent(1), big.NewInt(101))
 			set.NumEntries()
 		}
@@ -40,6 +40,6 @@ func FuzzParseCRLSet(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, '{', '}'})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		Parse(data)
+		parse(data)
 	})
 }
