@@ -47,21 +47,9 @@ func (b *Builder) Reset() {
 	b.marks = b.marks[:0]
 }
 
-// Len returns the number of bytes encoded so far.
-func (b *Builder) Len() int { return len(b.buf) }
-
 // Bytes returns the encoded bytes. The slice aliases the builder's buffer
 // and is invalidated by further appends, Reset, or PutBuilder.
 func (b *Builder) Bytes() []byte { return b.buf }
-
-// Take returns the encoded bytes and detaches them from the builder, which
-// is left empty with a fresh (nil) buffer.
-func (b *Builder) Take() []byte {
-	out := b.buf
-	b.buf = nil
-	b.marks = b.marks[:0]
-	return out
-}
 
 // Begin opens a TLV whose content is everything appended until the
 // matching End.
@@ -132,48 +120,6 @@ func (b *Builder) UnsignedInteger(mag []byte) {
 	b.buf = append(b.buf, mag...)
 }
 
-// appendInt64Content appends the minimal two's-complement encoding of v —
-// the int64 counterpart of integerContent.
-func appendInt64Content(dst []byte, v int64) []byte {
-	var tmp [8]byte
-	for i := 7; i >= 0; i-- {
-		tmp[i] = byte(v)
-		v >>= 8
-	}
-	i := 0
-	for i < 7 && ((tmp[i] == 0 && tmp[i+1]&0x80 == 0) || (tmp[i] == 0xff && tmp[i+1]&0x80 != 0)) {
-		i++
-	}
-	return append(dst, tmp[i:]...)
-}
-
-// int64ContentLen returns the byte length appendInt64Content would emit.
-func int64ContentLen(v int64) int {
-	n := 8
-	for n > 1 {
-		top := byte(v >> ((n - 1) * 8))
-		next := byte(v >> ((n - 2) * 8))
-		if (top == 0 && next&0x80 == 0) || (top == 0xff && next&0x80 != 0) {
-			n--
-			continue
-		}
-		break
-	}
-	return n
-}
-
-// Int appends an INTEGER from an int64.
-func (b *Builder) Int(v int64) {
-	b.primitive(TagInteger, int64ContentLen(v))
-	b.buf = appendInt64Content(b.buf, v)
-}
-
-// Enumerated appends an ENUMERATED from an int64.
-func (b *Builder) Enumerated(v int64) {
-	b.primitive(TagEnumerated, int64ContentLen(v))
-	b.buf = appendInt64Content(b.buf, v)
-}
-
 // Time appends a timestamp under X.509's rule: UTCTime for years in
 // [1950, 2049], GeneralizedTime otherwise.
 func (b *Builder) Time(t time.Time) {
@@ -188,10 +134,4 @@ func (b *Builder) Time(t time.Time) {
 	b.Begin(Header{Tag: TagGeneralizedTime})
 	b.buf = t.AppendFormat(b.buf, generalizedTimeFormat)
 	b.End()
-}
-
-// OctetString appends an OCTET STRING.
-func (b *Builder) OctetString(p []byte) {
-	b.primitive(TagOctetString, len(p))
-	b.buf = append(b.buf, p...)
 }

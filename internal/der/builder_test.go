@@ -20,31 +20,31 @@ func TestBuilderSequenceIdentity(t *testing.T) {
 		{"empty", Sequence(), func(b *Builder) { b.BeginSequence(); b.End() }},
 		{"flat", Sequence(Int(1), Int(2)), func(b *Builder) {
 			b.BeginSequence()
-			b.Int(1)
-			b.Int(2)
+			b.Raw(Int(1))
+			b.Raw(Int(2))
 			b.End()
 		}},
 		{"nested", Sequence(Sequence(Int(7)), OctetString([]byte("hi"))), func(b *Builder) {
 			b.BeginSequence()
 			b.BeginSequence()
-			b.Int(7)
+			b.Raw(Int(7))
 			b.End()
-			b.OctetString([]byte("hi"))
+			b.Raw(OctetString([]byte("hi")))
 			b.End()
 		}},
 		{"longform128", Sequence(OctetString(make([]byte, 128))), func(b *Builder) {
 			b.BeginSequence()
-			b.OctetString(make([]byte, 128))
+			b.Raw(OctetString(make([]byte, 128)))
 			b.End()
 		}},
 		{"longform300", Sequence(OctetString(make([]byte, 300))), func(b *Builder) {
 			b.BeginSequence()
-			b.OctetString(make([]byte, 300))
+			b.Raw(OctetString(make([]byte, 300)))
 			b.End()
 		}},
 		{"longform70k", Sequence(OctetString(make([]byte, 70000))), func(b *Builder) {
 			b.BeginSequence()
-			b.OctetString(make([]byte, 70000))
+			b.Raw(OctetString(make([]byte, 70000)))
 			b.End()
 		}},
 	}
@@ -65,38 +65,12 @@ func TestBuilderNestedLongForm(t *testing.T) {
 	b.BeginSequence()
 	b.BeginSequence()
 	b.BeginSequence()
-	b.OctetString(payload)
+	b.Raw(OctetString(payload))
 	b.End()
 	b.End()
 	b.End()
 	if !bytes.Equal(b.Bytes(), want) {
 		t.Fatal("nested long-form output differs")
-	}
-}
-
-func TestBuilderIntIdentityProperty(t *testing.T) {
-	f := func(v int64) bool {
-		var b Builder
-		b.Int(v)
-		if !bytes.Equal(b.Bytes(), Int(v)) {
-			return false
-		}
-		b.Reset()
-		b.Enumerated(v)
-		return bytes.Equal(b.Bytes(), Enumerated(v))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 4000}); err != nil {
-		t.Fatal(err)
-	}
-	// Boundary values around every content-length step.
-	for _, v := range []int64{0, 1, -1, 127, 128, -128, -129, 255, 256,
-		32767, 32768, -32768, -32769, 1<<31 - 1, 1 << 31, -1 << 31,
-		1<<63 - 1, -1 << 63} {
-		var b Builder
-		b.Int(v)
-		if !bytes.Equal(b.Bytes(), Int(v)) {
-			t.Errorf("Int(%d) differs from one-shot", v)
-		}
 	}
 }
 
@@ -139,22 +113,21 @@ func TestBuilderTimeIdentity(t *testing.T) {
 	}
 }
 
-func TestBuilderRawAndTake(t *testing.T) {
+func TestBuilderRawAndReset(t *testing.T) {
 	var b Builder
 	b.Raw(Int(5))
 	b.Raw(Int(6))
-	out := b.Take()
 	want := append(append([]byte{}, Int(5)...), Int(6)...)
-	if !bytes.Equal(out, want) {
-		t.Fatalf("Take = %x, want %x", out, want)
+	if !bytes.Equal(b.Bytes(), want) {
+		t.Fatalf("Bytes = %x, want %x", b.Bytes(), want)
 	}
-	if b.Len() != 0 {
-		t.Fatal("builder not empty after Take")
+	b.Reset()
+	if len(b.Bytes()) != 0 {
+		t.Fatal("builder not empty after Reset")
 	}
-	// The taken slice must survive further builder use.
-	b.Int(7)
-	if !bytes.Equal(out, want) {
-		t.Fatal("Take output corrupted by later appends")
+	b.Raw(Int(7))
+	if !bytes.Equal(b.Bytes(), Int(7)) {
+		t.Fatalf("Bytes after Reset = %x, want %x", b.Bytes(), Int(7))
 	}
 }
 
@@ -164,17 +137,17 @@ func TestBuilderPoolRetentionCap(t *testing.T) {
 	MaxPooledBuilderBytes = 64
 
 	big := GetBuilder()
-	big.OctetString(make([]byte, 1024))
+	big.Raw(OctetString(make([]byte, 1024)))
 	PutBuilder(big) // over the cap: must be dropped, not pooled
 
 	small := GetBuilder()
 	if small == big {
 		t.Fatal("oversized builder was retained in the pool")
 	}
-	small.Int(1)
+	small.Raw(Int(1))
 	PutBuilder(small)
 	reused := GetBuilder()
-	if reused.Len() != 0 {
+	if len(reused.Bytes()) != 0 {
 		t.Fatal("pooled builder not reset")
 	}
 	PutBuilder(reused)

@@ -249,11 +249,6 @@ func UTF8String(s string) []byte {
 	return universal(TagUTF8String, false, []byte(s))
 }
 
-// IA5String encodes an IA5String (used for URLs and DNS names).
-func IA5String(s string) []byte {
-	return universal(TagIA5String, false, []byte(s))
-}
-
 // Time encodes t using X.509's rule: UTCTime for years in [1950, 2049],
 // GeneralizedTime otherwise.
 func Time(t time.Time) []byte {

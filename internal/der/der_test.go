@@ -371,7 +371,7 @@ func TestStringTypes(t *testing.T) {
 	for _, enc := range [][]byte{
 		PrintableString("GoDaddy"),
 		UTF8String("GoDaddy™"),
-		IA5String("http://crl.example.com/ca.crl"),
+		universal(TagIA5String, false, []byte("http://crl.example.com/ca.crl")),
 	} {
 		v, _, err := Parse(enc)
 		if err != nil {
