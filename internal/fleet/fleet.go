@@ -291,17 +291,6 @@ func buildPlans(cfg Config, workers int) [][]int32 {
 	return plans
 }
 
-// NumRevoked reports how many leaves the world revoked.
-func (w *World) NumRevoked() int {
-	n := 0
-	for _, r := range w.Revoked {
-		if r {
-			n++
-		}
-	}
-	return n
-}
-
 // RunOptions selects how one fleet run executes against the World.
 type RunOptions struct {
 	// Workers is the number of goroutines sharing the browser population
