@@ -34,8 +34,6 @@
 package hist
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math/bits"
 	"time"
 )
@@ -51,10 +49,6 @@ const (
 	// histograms are always merge-compatible.
 	NumBuckets = (63-subBits)*SubCount + 2*SubCount
 )
-
-// ErrorBound is the documented relative error of Quantile: reported
-// quantiles are within this fraction below the exact sample quantile.
-const ErrorBound = 1.0 / SubCount
 
 // bucketIndex maps a non-negative value to its bucket.
 func bucketIndex(u uint64) int {
@@ -128,9 +122,6 @@ func NewSharded(n int) *Sharded {
 	return &Sharded{shards: make([]Recorder, n)}
 }
 
-// Shards returns the shard count.
-func (s *Sharded) Shards() int { return len(s.shards) }
-
 // Shard returns worker i's recorder (i wraps modulo the shard count).
 func (s *Sharded) Shard(i int) *Recorder {
 	if i < 0 {
@@ -155,13 +146,6 @@ func (s *Sharded) Snapshot() *Snapshot {
 		}
 	}
 	return out
-}
-
-// Reset clears every shard.
-func (s *Sharded) Reset() {
-	for i := range s.shards {
-		s.shards[i].Reset()
-	}
 }
 
 // Snapshot is an immutable merged histogram.
@@ -240,28 +224,6 @@ func (s *Snapshot) Mean() float64 {
 		return 0
 	}
 	return float64(s.Sum) / float64(s.Count)
-}
-
-// Digest fingerprints the bucket counts (FNV-64a over the non-empty
-// buckets plus Count and Sum). Two snapshots of the same sample
-// multiset digest identically regardless of sharding or merge order.
-// Max is excluded: it is exact, so it is already covered by the bucket
-// the maximum landed in; including it would add nothing.
-func (s *Snapshot) Digest() uint64 {
-	h := fnv.New64a()
-	var w [16]byte
-	binary.LittleEndian.PutUint64(w[:8], s.Count)
-	binary.LittleEndian.PutUint64(w[8:], uint64(s.Sum))
-	h.Write(w[:])
-	for i, c := range s.Counts {
-		if c == 0 {
-			continue
-		}
-		binary.LittleEndian.PutUint64(w[:8], uint64(i))
-		binary.LittleEndian.PutUint64(w[8:], c)
-		h.Write(w[:])
-	}
-	return h.Sum64()
 }
 
 // Summary reduces a snapshot to the tail-latency figures the scenario

@@ -3,8 +3,10 @@ package simnet
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"strings"
@@ -12,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hist"
 	"repro/internal/simtime"
 )
 
@@ -133,6 +136,25 @@ func (w *replayWorld) each(t *testing.T, workers, rounds int, reqs ...replayReq)
 	wg.Wait()
 }
 
+// latencyDigest fingerprints a latency histogram: FNV-64a over Count and
+// Sum, then the index and count of every non-empty bucket.
+func latencyDigest(s *hist.Snapshot) uint64 {
+	h := fnv.New64a()
+	var w [16]byte
+	binary.LittleEndian.PutUint64(w[:8], s.Count)
+	binary.LittleEndian.PutUint64(w[8:], uint64(s.Sum))
+	h.Write(w[:])
+	for i, c := range s.Counts {
+		if c == 0 {
+			continue
+		}
+		binary.LittleEndian.PutUint64(w[:8], uint64(i))
+		binary.LittleEndian.PutUint64(w[8:], c)
+		h.Write(w[:])
+	}
+	return h.Sum64()
+}
+
 // fingerprint renders everything the fabric and the CDN account.
 func (w *replayWorld) fingerprint() string {
 	var sb strings.Builder
@@ -140,7 +162,7 @@ func (w *replayWorld) fingerprint() string {
 		fmt.Fprintf(&sb, "%s: requests=%d bytes=%d modelled=%v latency=%+v\n", name, s.Requests, s.BytesReceived, s.ModelledTime, s.Latency)
 	}
 	stats("total", w.net.TotalStats())
-	fmt.Fprintf(&sb, "latency digest=%016x\n", w.net.LatencySnapshot().Digest())
+	fmt.Fprintf(&sb, "latency digest=%016x\n", latencyDigest(w.net.LatencySnapshot()))
 	fmt.Fprintf(&sb, "stream digest=%016x\n", w.net.StreamDigest())
 	fmt.Fprintf(&sb, "cdn=%+v\n", w.cdn.Stats())
 	return sb.String()
