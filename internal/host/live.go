@@ -84,8 +84,5 @@ func (ls *LiveServer) SetStaple(staple []byte) {
 // Addr returns the server's host:port.
 func (ls *LiveServer) Addr() string { return ls.listener.Addr().String() }
 
-// URL returns the server's https URL.
-func (ls *LiveServer) URL() string { return "https://" + ls.Addr() }
-
 // Close shuts the server down.
 func (ls *LiveServer) Close() error { return ls.server.Close() }
