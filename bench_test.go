@@ -13,6 +13,7 @@ package repro
 // the dedicated Build benchmarks rather than folded into every figure.
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"sync"
@@ -485,7 +486,7 @@ func BenchmarkOCSPRoundTrip(b *testing.B) {
 	client := &ocsp.Client{HTTP: p.net.Client()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sr, err := client.Check("http://ocsp.bench.test/ocsp", p.authority.Certificate(), p.leafRec.Serial)
+		sr, err := client.CheckContext(context.Background(), "http://ocsp.bench.test/ocsp", p.authority.Certificate(), p.leafRec.Serial)
 		if err != nil {
 			b.Fatal(err)
 		}

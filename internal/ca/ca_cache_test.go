@@ -1,6 +1,7 @@
 package ca
 
 import (
+	"context"
 	"encoding/base64"
 	"math/big"
 	"net/http"
@@ -24,7 +25,7 @@ func TestCachingResponderEvictsOnRevoke(t *testing.T) {
 	client := &ocsp.Client{}
 	check := func() ocsp.SingleResponse {
 		t.Helper()
-		sr, err := client.Check(srv.URL+"/ocsp", authority.Certificate(), rec.Serial)
+		sr, err := client.CheckContext(context.Background(), srv.URL+"/ocsp", authority.Certificate(), rec.Serial)
 		if err != nil {
 			t.Fatal(err)
 		}

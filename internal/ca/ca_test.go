@@ -1,6 +1,7 @@
 package ca
 
 import (
+	"context"
 	"io"
 	"math/big"
 	"net/http"
@@ -356,7 +357,7 @@ func TestHandlerServesCRLAndOCSP(t *testing.T) {
 
 	// OCSP via the mounted responder.
 	client := &ocsp.Client{}
-	sr, err := client.Check(srv.URL+"/ocsp", authority.Certificate(), rec.Serial)
+	sr, err := client.CheckContext(context.Background(), srv.URL+"/ocsp", authority.Certificate(), rec.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +447,7 @@ func TestDelegatedOCSPResponder(t *testing.T) {
 
 	// The client trusts the CA; the response arrives signed by the
 	// delegate with its certificate embedded.
-	sr, err := (&ocsp.Client{}).Check(srv.URL+"/ocsp", authority.Certificate(), rec.Serial)
+	sr, err := (&ocsp.Client{}).CheckContext(context.Background(), srv.URL+"/ocsp", authority.Certificate(), rec.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}

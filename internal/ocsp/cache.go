@@ -159,19 +159,6 @@ func (cr *CachingResponder) EvictCertID(id CertID) {
 	}
 }
 
-// Flush drops every cached entry (the transport tier unlinks lazily).
-func (cr *CachingResponder) Flush() {
-	for i := range cr.shards {
-		sh := &cr.shards[i]
-		sh.mu.Lock()
-		for key, e := range sh.entries {
-			e.dropped.Store(true)
-			delete(sh.entries, key)
-		}
-		sh.mu.Unlock()
-	}
-}
-
 // ServeHTTP implements http.Handler.
 func (cr *CachingResponder) ServeHTTP(w http.ResponseWriter, httpReq *http.Request) {
 	now := cr.now()

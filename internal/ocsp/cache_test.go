@@ -2,6 +2,7 @@ package ocsp
 
 import (
 	"bytes"
+	"context"
 	"crypto/ecdsa"
 	"encoding/base64"
 	"io"
@@ -212,11 +213,24 @@ func TestCachingResponderEvict(t *testing.T) {
 	}
 }
 
+// flush drops every cached entry (the transport tier unlinks lazily).
+func (cr *CachingResponder) flush() {
+	for i := range cr.shards {
+		sh := &cr.shards[i]
+		sh.mu.Lock()
+		for key, e := range sh.entries {
+			e.dropped.Store(true)
+			delete(sh.entries, key)
+		}
+		sh.mu.Unlock()
+	}
+}
+
 func TestCachingResponderFlush(t *testing.T) {
 	w := newCacheWorld(t, 0)
 	w.query(t, http.MethodGet, 1)
 	w.query(t, http.MethodGet, 2)
-	w.responder.Flush()
+	w.responder.flush()
 	w.query(t, http.MethodGet, 1)
 	if st := w.responder.Stats(); st.Signs != 3 {
 		t.Errorf("signs = %d after flush, want 3", st.Signs)
@@ -250,7 +264,7 @@ func TestCachingResponderMultiIDBypass(t *testing.T) {
 	defer srv.Close()
 	client := &Client{}
 	for i := 0; i < 2; i++ {
-		srs, err := client.CheckBatch(srv.URL, w.ca, []*big.Int{big.NewInt(1), big.NewInt(2)})
+		srs, err := client.CheckBatchContext(context.Background(), srv.URL, w.ca, []*big.Int{big.NewInt(1), big.NewInt(2)})
 		if err != nil {
 			t.Fatal(err)
 		}

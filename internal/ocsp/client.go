@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"time"
 
 	"repro/internal/x509x"
 )
@@ -21,11 +20,8 @@ import (
 // it); POST is the original RFC mechanism.
 type Transport int
 
-// Transports.
-const (
-	TransportGET Transport = iota
-	TransportPOST
-)
+// TransportPOST selects POST; the zero Transport is GET.
+const TransportPOST Transport = 1
 
 // TransportError wraps an HTTP-layer failure: the request never produced
 // an OCSP response at all (connection refused, timeout, DNS). Callers use
@@ -74,16 +70,11 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// Check asks the responder at responderURL for the status of the
-// certificate with the given serial, issued by issuer. It verifies the
-// response signature against the issuer before returning it.
-func (c *Client) Check(responderURL string, issuer *x509x.Certificate, serial *big.Int) (SingleResponse, error) {
-	return c.CheckContext(context.Background(), responderURL, issuer, serial)
-}
-
-// CheckContext is Check with a caller-supplied context; the context's
-// deadline bounds the HTTP exchange, so a hung responder cannot stall the
-// caller past its budget.
+// CheckContext asks the responder at responderURL for the status of the
+// certificate with the given serial, issued by issuer, and verifies the
+// response signature against the issuer before returning it. The
+// context's deadline bounds the HTTP exchange, so a hung responder cannot
+// stall the caller past its budget.
 func (c *Client) CheckContext(ctx context.Context, responderURL string, issuer *x509x.Certificate, serial *big.Int) (SingleResponse, error) {
 	srs, err := c.CheckBatchContext(ctx, responderURL, issuer, []*big.Int{serial})
 	if err != nil {
@@ -92,16 +83,11 @@ func (c *Client) CheckContext(ctx context.Context, responderURL string, issuer *
 	return srs[0], nil
 }
 
-// CheckBatch asks the responder for the status of several certificates
-// from the same issuer in one HTTP exchange — RFC 6960 allows a request
-// to carry multiple Request entries. The response signature is verified
-// once for the whole batch; statuses are returned in serials order. An
-// error is global to the batch.
-func (c *Client) CheckBatch(responderURL string, issuer *x509x.Certificate, serials []*big.Int) ([]SingleResponse, error) {
-	return c.CheckBatchContext(context.Background(), responderURL, issuer, serials)
-}
-
-// CheckBatchContext is CheckBatch with a caller-supplied context.
+// CheckBatchContext asks the responder for the status of several
+// certificates from the same issuer in one HTTP exchange — RFC 6960
+// allows a request to carry multiple Request entries. The response
+// signature is verified once for the whole batch; statuses are returned
+// in serials order. An error is global to the batch.
 func (c *Client) CheckBatchContext(ctx context.Context, responderURL string, issuer *x509x.Certificate, serials []*big.Int) ([]SingleResponse, error) {
 	ids := make([]CertID, len(serials))
 	for i, serial := range serials {
@@ -129,7 +115,7 @@ func (c *Client) CheckBatchContext(ctx context.Context, responderURL string, iss
 }
 
 // Fetch submits the request and parses the response without verifying
-// signatures; callers wanting verification use Check or call
+// signatures; callers wanting verification use CheckContext or call
 // Response.VerifySignature themselves.
 func (c *Client) Fetch(responderURL string, req *Request) (*Response, error) {
 	return c.FetchContext(context.Background(), responderURL, req)
@@ -171,13 +157,4 @@ func (c *Client) FetchContext(ctx context.Context, responderURL string, req *Req
 		return nil, &TransportError{Err: fmt.Errorf("read response: %w", err)}
 	}
 	return ParseResponse(body)
-}
-
-// ValidatedStatus is the common post-processing a checking client applies:
-// the single response must be current at now and must match the request.
-func ValidatedStatus(sr SingleResponse, now time.Time) (Status, error) {
-	if !sr.CurrentAt(now) {
-		return StatusUnknown, fmt.Errorf("ocsp: response not current at %v (window [%v, %v])", now, sr.ThisUpdate, sr.NextUpdate)
-	}
-	return sr.Status, nil
 }

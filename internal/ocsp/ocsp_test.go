@@ -2,6 +2,7 @@ package ocsp
 
 import (
 	"bytes"
+	"context"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/sha256"
@@ -230,12 +231,6 @@ func TestSingleResponseCurrentAt(t *testing.T) {
 	if !open.CurrentAt(testNow.AddDate(1, 0, 0)) {
 		t.Error("response without nextUpdate should not expire")
 	}
-	if _, err := ValidatedStatus(sr, testNow.Add(48*time.Hour)); err == nil {
-		t.Error("ValidatedStatus should reject stale response")
-	}
-	if st, err := ValidatedStatus(sr, testNow); err != nil || st != StatusGood {
-		t.Errorf("ValidatedStatus = %v, %v", st, err)
-	}
 }
 
 // revocationSource is a test Source backed by a set of revoked serials.
@@ -275,16 +270,17 @@ func TestResponderEndToEnd(t *testing.T) {
 	src := &revocationSource{ca: ca, revoked: map[int64]crl.Reason{666: crl.ReasonKeyCompromise}}
 	srv := newResponderServer(t, ca, key, src)
 
-	for _, transport := range []Transport{TransportGET, TransportPOST} {
+	// The zero Transport is GET.
+	for _, transport := range []Transport{0, TransportPOST} {
 		client := &Client{Transport: transport}
-		sr, err := client.Check(srv.URL, ca, big.NewInt(1))
+		sr, err := client.CheckContext(context.Background(), srv.URL, ca, big.NewInt(1))
 		if err != nil {
 			t.Fatalf("transport %v: %v", transport, err)
 		}
 		if sr.Status != StatusGood {
 			t.Errorf("transport %v: status = %v", transport, sr.Status)
 		}
-		sr, err = client.Check(srv.URL, ca, big.NewInt(666))
+		sr, err = client.CheckContext(context.Background(), srv.URL, ca, big.NewInt(666))
 		if err != nil {
 			t.Fatalf("transport %v: %v", transport, err)
 		}
@@ -310,7 +306,7 @@ func TestResponderForceUnknown(t *testing.T) {
 	srv := httptest.NewServer(responder)
 	defer srv.Close()
 	client := &Client{}
-	sr, err := client.Check(srv.URL, ca, big.NewInt(1))
+	sr, err := client.CheckContext(context.Background(), srv.URL, ca, big.NewInt(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +363,7 @@ func TestClientRejectsHTTPErrors(t *testing.T) {
 	}))
 	defer srv.Close()
 	client := &Client{}
-	if _, err := client.Check(srv.URL, ca, big.NewInt(1)); err == nil {
+	if _, err := client.CheckContext(context.Background(), srv.URL, ca, big.NewInt(1)); err == nil {
 		t.Error("client accepted a 404 responder")
 	}
 }
@@ -527,7 +523,7 @@ func TestDelegatedResponderOverHTTP(t *testing.T) {
 	defer srv.Close()
 	// The client verifies against the CA; the delegate rides along in
 	// the response.
-	sr, err := (&Client{}).Check(srv.URL, caCert, big.NewInt(123))
+	sr, err := (&Client{}).CheckContext(context.Background(), srv.URL, caCert, big.NewInt(123))
 	if err != nil {
 		t.Fatal(err)
 	}
