@@ -166,29 +166,6 @@ func (db *DB) Lookup(crlURL string, serial *big.Int) (*Entry, bool) {
 	return db.lookupLocked(crlURL, serial.Bytes())
 }
 
-// LookupSerial is Lookup keyed by the compact serial magnitude (what
-// crl.Entry.Serial holds).
-func (db *DB) LookupSerial(crlURL string, serial []byte) (*Entry, bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.flushLocked()
-	return db.lookupLocked(crlURL, serial)
-}
-
-// RevokedAsOf reports whether the certificate was revoked with a
-// revocation time at or before t, as known to the database.
-func (db *DB) RevokedAsOf(crlURL string, serial *big.Int, t time.Time) bool {
-	e, ok := db.Lookup(crlURL, serial)
-	return ok && !e.RevokedAt.After(t)
-}
-
-// ObservedBy reports whether the revocation had been observed by a crawl
-// at or before t — what a CRL-checking client could actually have known.
-func (db *DB) ObservedBy(crlURL string, serial *big.Int, t time.Time) bool {
-	e, ok := db.Lookup(crlURL, serial)
-	return ok && !e.FirstSeen.After(t)
-}
-
 // Size returns the total number of known revocations.
 func (db *DB) Size() int {
 	db.mu.Lock()
@@ -202,27 +179,13 @@ func (db *DB) Size() int {
 // place (and only that field — everything else is immutable after
 // creation). Reading the immutable fields is therefore safe concurrently
 // with ingests; reading LastSeen is not. Use LookupMeta for a detached
-// copy, and see the Store interface for the portable contract.
+// copy.
 func (db *DB) Entries() []*Entry {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.flushLocked()
 	out := make([]*Entry, len(db.order))
 	copy(out, db.order)
-	return out
-}
-
-// EntriesByURL returns this database's revocations grouped by CRL URL,
-// each group in first-seen order. The map and slices are the caller's;
-// the *Entry values are live and share Entries' concurrency contract.
-func (db *DB) EntriesByURL() map[string][]*Entry {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.flushLocked()
-	out := make(map[string][]*Entry)
-	for _, e := range db.order {
-		out[e.CRLURL] = append(out[e.CRLURL], e)
-	}
 	return out
 }
 

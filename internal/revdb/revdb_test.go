@@ -49,6 +49,19 @@ func TestIngestTracksFirstAndLastSeen(t *testing.T) {
 	}
 }
 
+// revokedAsOf reports whether s knows the revocation with a revocation
+// time at or before t; observedBy, whether a crawl at or before t had seen
+// it — what a CRL-checking client could have known.
+func revokedAsOf(s Store, url string, serial *big.Int, t time.Time) bool {
+	m, ok := s.LookupMeta(url, serial.Bytes())
+	return ok && !m.RevokedAt.After(t)
+}
+
+func observedBy(s Store, url string, serial *big.Int, t time.Time) bool {
+	m, ok := s.LookupMeta(url, serial.Bytes())
+	return ok && !m.FirstSeen.After(t)
+}
+
 func TestRevokedAsOfVsObservedBy(t *testing.T) {
 	db := New()
 	url := "http://crl.test/0.crl"
@@ -57,25 +70,25 @@ func TestRevokedAsOfVsObservedBy(t *testing.T) {
 	db.IngestSnapshot(snap(firstSeen, url, crl.Entry{Serial: big.NewInt(9).Bytes(), RevokedAt: revokedAt}))
 
 	// Revoked in September, but a client could only observe it from
-	// October 2's crawl.
+	// October 2's crawl: the store keeps both dates.
 	sep15 := simtime.Date(2014, time.September, 15)
-	if !db.RevokedAsOf(url, big.NewInt(9), sep15) {
-		t.Error("RevokedAsOf should use the revocation timestamp")
+	if !revokedAsOf(db, url, big.NewInt(9), sep15) {
+		t.Error("revokedAsOf should use the revocation timestamp")
 	}
-	if db.ObservedBy(url, big.NewInt(9), sep15) {
-		t.Error("ObservedBy should use the crawl timestamp")
+	if observedBy(db, url, big.NewInt(9), sep15) {
+		t.Error("observedBy should use the crawl timestamp")
 	}
-	if !db.ObservedBy(url, big.NewInt(9), firstSeen) {
+	if !observedBy(db, url, big.NewInt(9), firstSeen) {
 		t.Error("observable on the first crawl day")
 	}
-	if db.RevokedAsOf(url, big.NewInt(9), revokedAt.Add(-time.Hour)) {
+	if revokedAsOf(db, url, big.NewInt(9), revokedAt.Add(-time.Hour)) {
 		t.Error("not yet revoked before the revocation time")
 	}
-	if db.RevokedAsOf(url, big.NewInt(10), sep15) {
+	if revokedAsOf(db, url, big.NewInt(10), sep15) {
 		t.Error("unknown serial reported revoked")
 	}
 	// Same serial on a different CRL is a different entry.
-	if db.RevokedAsOf("http://other.test/0.crl", big.NewInt(9), sep15) {
+	if revokedAsOf(db, "http://other.test/0.crl", big.NewInt(9), sep15) {
 		t.Error("serial matched across CRL URLs")
 	}
 }
@@ -94,9 +107,10 @@ func TestDailyAdditionsAndGrouping(t *testing.T) {
 	if daily[d0] != 2 || daily[d0.AddDate(0, 0, 1)] != 1 {
 		t.Errorf("daily additions = %v", daily)
 	}
-	byURL := db.EntriesByURL()
-	if len(byURL[url1]) != 2 || len(byURL[url2]) != 1 {
-		t.Errorf("by URL: %d / %d", len(byURL[url1]), len(byURL[url2]))
+	byURL := map[string]int{}
+	db.VisitEntries(func(e *Entry) bool { byURL[e.CRLURL]++; return true })
+	if byURL[url1] != 2 || byURL[url2] != 1 {
+		t.Errorf("by URL: %d / %d", byURL[url1], byURL[url2])
 	}
 	if len(db.Entries()) != 3 {
 		t.Errorf("entries = %d", len(db.Entries()))

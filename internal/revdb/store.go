@@ -2,7 +2,6 @@ package revdb
 
 import (
 	"hash/fnv"
-	"math/big"
 	"time"
 
 	"repro/internal/crawler"
@@ -25,20 +24,16 @@ type Meta struct {
 // Store is the persistence contract behind the revocation database. Two
 // implementations exist: the in-memory *DB (the seed implementation, and
 // still the default) and the disk-backed segdb.Store, which keeps the
-// corpus in append-only segment files with mmap'd reads so world size is
-// bounded by disk, not RAM.
+// revocations in append-only segment files with mmap'd reads.
 //
 // Reads are flush-consistent: every read method observes all LastSeen
 // updates implied by earlier IngestSnapshot calls, including the lazily
 // deferred updates of the unchanged-CRL fast path.
 //
-// Sharing semantics of the *Entry-returning methods: the returned slices
-// and maps are the caller's, but the *Entry values may be live (the
-// in-memory DB hands out its own entries, whose LastSeen field a later
-// ingest mutates in place) or detached copies (a disk store decodes them
-// from segments). Portable callers must not mutate entries, must not
-// read Entry.LastSeen concurrently with ingests, and must not assume
-// later ingests update previously returned entries — use LookupMeta for
+// The *Entry values VisitEntries hands out may be live (the in-memory DB
+// passes its own entries, whose LastSeen field a later ingest mutates in
+// place) or reused decoded copies (a disk store decodes them from
+// segments). Callers must not mutate or retain them — use LookupMeta for
 // a stable snapshot of one entry.
 type Store interface {
 	// IngestSnapshot merges one crawl day and returns how many
@@ -48,19 +43,8 @@ type Store interface {
 	// by CRL URL and compact serial magnitude (what crl.Entry.Serial
 	// holds). Implementations keep the warm path allocation-free.
 	LookupMeta(crlURL string, serial []byte) (Meta, bool)
-	// RevokedAsOf reports whether the certificate was revoked with a
-	// revocation time at or before t.
-	RevokedAsOf(crlURL string, serial *big.Int, t time.Time) bool
-	// ObservedBy reports whether the revocation had been observed by a
-	// crawl at or before t.
-	ObservedBy(crlURL string, serial *big.Int, t time.Time) bool
 	// Size returns the total number of known revocations.
 	Size() int
-	// Entries returns all revocations in first-seen order.
-	Entries() []*Entry
-	// EntriesByURL returns the revocations grouped by CRL URL, each
-	// group in first-seen order.
-	EntriesByURL() map[string][]*Entry
 	// VisitEntries calls fn for each revocation until fn returns false.
 	// Visit order is unspecified, and implementations may reuse the
 	// *Entry between calls — copy what you keep.

@@ -55,9 +55,10 @@ func TestEntriesSharingSemantics(t *testing.T) {
 		t.Fatalf("detached meta mutated: LastSeen = %v, want %v", meta.LastSeen, d0)
 	}
 
-	byURL := db.EntriesByURL()
-	if byURL[url][0] != got[0] {
-		t.Fatal("EntriesByURL should hand out the same live entries")
+	var visited *Entry
+	db.VisitEntries(func(e *Entry) bool { visited = e; return false })
+	if visited != got[0] {
+		t.Fatal("VisitEntries should hand out the same live entries")
 	}
 }
 
@@ -118,10 +119,14 @@ func TestConcurrentIngestAndReaders(t *testing.T) {
 						_ = e.FirstSeen // immutable fields only
 					}
 				case 1:
-					for url, group := range db.EntriesByURL() {
-						if m, ok := db.LookupMeta(url, group[0].Serial.Bytes()); ok {
-							_ = m.LastSeen // detached copy: always safe
-						}
+					var url string
+					var serial []byte
+					db.VisitEntries(func(e *Entry) bool {
+						url, serial = e.CRLURL, e.Serial.Bytes() // immutable fields only
+						return false
+					})
+					if m, ok := db.LookupMeta(url, serial); ok {
+						_ = m.LastSeen // detached copy: always safe
 					}
 				case 2:
 					_ = db.Size()

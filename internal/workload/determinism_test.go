@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/revdb"
 )
 
 // digestWorld fingerprints everything downstream analyses read: the
@@ -43,13 +44,7 @@ func digestCorpus(h hash.Hash, w *World) {
 }
 
 func digestRevDB(h hash.Hash, w *World) {
-	entries := w.RevDB.Entries()
-	fmt.Fprintf(h, "revdb %d\n", len(entries))
-	for _, e := range entries {
-		fmt.Fprintf(h, "%s %x %d %d %d %d\n",
-			e.CRLURL, e.Serial.Bytes(), e.RevokedAt.UnixNano(), e.Reason,
-			e.FirstSeen.UnixNano(), e.LastSeen.UnixNano())
-	}
+	fmt.Fprintf(h, "revdb %d %016x\n", w.RevDB.Size(), revdb.XORDigest(w.RevDB))
 }
 
 func digestArchive(h hash.Hash, w *World) {
