@@ -18,27 +18,8 @@ import (
 	"repro/internal/revdb"
 )
 
-// SyncPolicy selects when the write-ahead log is fsynced.
-type SyncPolicy int
-
-const (
-	// SyncBatch is the group-commit default: all records of one
-	// IngestSnapshot become durable with a single fsync.
-	SyncBatch SyncPolicy = iota
-	// SyncAlways fsyncs after every record — maximal durability,
-	// measurably slower ingest.
-	SyncAlways
-	// SyncNone never fsyncs explicitly; durability is left to the OS.
-	// A crash can lose the most recent appends, but recovery still
-	// salvages a consistent prefix.
-	SyncNone
-)
-
 // Options tune the disk store. The zero value is ready to use.
 type Options struct {
-	// Sync is the WAL fsync policy (default SyncBatch: one fsync per
-	// ingested snapshot).
-	Sync SyncPolicy
 	// MemtableFlushEntries triggers a fold into a new snapshot segment
 	// once this many entries sit in the memtable (default 524288 —
 	// roughly 50 MB of memtable, chosen so fold write-amplification
@@ -48,11 +29,6 @@ type Options struct {
 	// WALRotateBytes seals the active WAL segment once it exceeds this
 	// size (default 64 MiB).
 	WALRotateBytes int64
-	// SparseIndexEvery is the snapshot sparse-index stride: one indexed
-	// offset per this many sorted entries (default 32, a quarter byte
-	// of index per entry). Smaller is faster lookup, larger is less
-	// memory.
-	SparseIndexEvery int
 	// SynchronousCompact runs automatic folds inline in the triggering
 	// IngestSnapshot instead of on a background goroutine. Readers are
 	// never blocked either way; this only makes timing deterministic
@@ -66,9 +42,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.WALRotateBytes == 0 {
 		o.WALRotateBytes = 64 << 20
-	}
-	if o.SparseIndexEvery <= 0 {
-		o.SparseIndexEvery = 32
 	}
 }
 
@@ -321,7 +294,7 @@ func (s *Store) loadSnapshotState() error {
 
 // IngestSnapshot implements revdb.Store. All records of the snapshot are
 // appended to the WAL and made durable with one group-commit fsync
-// (under the default SyncBatch policy) before it returns.
+// before it returns.
 func (s *Store) IngestSnapshot(snap *crawler.Snapshot) int {
 	s.mu.Lock()
 	urls := make([]string, 0, len(snap.CRLs))
@@ -344,7 +317,7 @@ func (s *Store) IngestSnapshot(snap *crawler.Snapshot) int {
 		}
 		added += s.ingestChanged(st, c, day)
 	}
-	if s.opts.Sync == SyncBatch && s.walErr == nil {
+	if s.walErr == nil {
 		if err := s.wal.sync(); err != nil {
 			s.walErr = err
 		} else {
@@ -545,13 +518,6 @@ func (s *Store) walAppend(typ byte, payload []byte) {
 	}
 	s.stats.WALRecords++
 	s.stats.WALBytes = s.wal.fileBytes
-	if s.opts.Sync == SyncAlways {
-		if err := s.wal.sync(); err != nil {
-			s.walErr = err
-			return
-		}
-		s.stats.WALSyncs++
-	}
 }
 
 // maybeRotateWALLocked seals an oversized active segment and opens the
@@ -741,18 +707,6 @@ func (s *Store) LookupMeta(crlURL string, serial []byte) (revdb.Meta, bool) {
 	return revdb.Meta{}, false
 }
 
-// RevokedAsOf implements revdb.Store.
-func (s *Store) RevokedAsOf(crlURL string, serial *big.Int, t time.Time) bool {
-	m, ok := s.LookupMeta(crlURL, serial.Bytes())
-	return ok && !m.RevokedAt.After(t)
-}
-
-// ObservedBy implements revdb.Store.
-func (s *Store) ObservedBy(crlURL string, serial *big.Int, t time.Time) bool {
-	m, ok := s.LookupMeta(crlURL, serial.Bytes())
-	return ok && !m.FirstSeen.After(t)
-}
-
 // Size implements revdb.Store.
 func (s *Store) Size() int {
 	s.mu.RLock()
@@ -810,42 +764,6 @@ func (s *Store) visitLocked(fn func(e *revdb.Entry, id uint32) bool) {
 	}
 }
 
-// Entries implements revdb.Store. Unlike the in-memory DB's live
-// entries, these are detached copies in first-seen order; materializing
-// them costs O(corpus) memory, so scale-bound callers should prefer
-// VisitEntries or LookupMeta.
-func (s *Store) Entries() []*revdb.Entry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	type withID struct {
-		e  *revdb.Entry
-		id uint32
-	}
-	all := make([]withID, 0, s.count)
-	s.visitLocked(func(e *revdb.Entry, id uint32) bool {
-		cp := *e
-		cp.Serial = new(big.Int).Set(e.Serial)
-		all = append(all, withID{&cp, id})
-		return true
-	})
-	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
-	out := make([]*revdb.Entry, len(all))
-	for i, w := range all {
-		out[i] = w.e
-	}
-	return out
-}
-
-// EntriesByURL implements revdb.Store; detached copies, each URL's group
-// in first-seen order.
-func (s *Store) EntriesByURL() map[string][]*revdb.Entry {
-	out := make(map[string][]*revdb.Entry)
-	for _, e := range s.Entries() {
-		out[e.CRLURL] = append(out[e.CRLURL], e)
-	}
-	return out
-}
-
 // DailyAdditions implements revdb.Store.
 func (s *Store) DailyAdditions() map[time.Time]int {
 	s.mu.RLock()
@@ -874,18 +792,6 @@ func (s *Store) Stats() Stats {
 	}
 	s.mu.RUnlock()
 	return st
-}
-
-// Err surfaces a sticky WAL or fold failure. The in-memory state stays
-// correct past such a failure; durability of subsequent ingests is what
-// is lost.
-func (s *Store) Err() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.walErr != nil && !errors.Is(s.walErr, errInjectedCrash) {
-		return s.walErr
-	}
-	return nil
 }
 
 // --- compaction -------------------------------------------------------
@@ -976,7 +882,6 @@ func (s *Store) freezeLocked() *snapshotInput {
 		old:         s.snap,
 		nextID:      s.nextID,
 		count:       s.count,
-		sparseEvery: s.opts.SparseIndexEvery,
 	}
 	for i, st := range s.urls {
 		in.urlNames[i] = st.name

@@ -11,6 +11,11 @@ import (
 	"sort"
 )
 
+// sparseIndexEvery is the stride the writer gives a snapshot's sparse
+// index: one indexed offset per 32 sorted entries, a quarter byte of index
+// per entry. A reader takes the stride from the segment's own meta.
+const sparseIndexEvery = 32
+
 // snapshotView is one mmap'd snapshot segment plus the small side tables
 // (URL names, sparse offsets) loaded at open. The entries block itself is
 // never materialized: lookups binary-search the sparse offsets and decode
@@ -82,7 +87,6 @@ type snapshotInput struct {
 	old         *snapshotView // previous generation, nil for the first fold
 	nextID      uint32
 	count       int
-	sparseEvery int
 }
 
 func (in *snapshotInput) bit(id uint32) bool {
@@ -150,7 +154,7 @@ func writeSnapshot(dir string, gen uint64, in *snapshotInput) (*snapshotView, er
 	scratch = binary.AppendUvarint(scratch, uint64(total))
 	scratch = binary.AppendUvarint(scratch, uint64(in.nextID))
 	scratch = binary.AppendUvarint(scratch, uint64(in.count))
-	scratch = binary.AppendUvarint(scratch, uint64(in.sparseEvery))
+	scratch = binary.AppendUvarint(scratch, sparseIndexEvery)
 	if err := emit(scratch); err != nil {
 		return nil, err
 	}
@@ -175,7 +179,7 @@ func writeSnapshot(dir string, gen uint64, in *snapshotInput) (*snapshotView, er
 	filter := newAbsenceFilter(total)
 	written := 0
 	writeEntry := func(urlID uint32, serial []byte, id uint32, revokedAt, reason, firstSeen int64) error {
-		if written%in.sparseEvery == 0 {
+		if written%sparseIndexEvery == 0 {
 			sparse = append(sparse, int(cw.n))
 		}
 		written++
