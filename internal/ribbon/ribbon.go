@@ -334,15 +334,6 @@ func (f *Filter) Contains(salt byte, key []byte) bool {
 	return m
 }
 
-// RBits returns the fingerprint width.
-func (f *Filter) RBits() int { return int(f.rBits) }
-
-// NumBuckets returns the bucket count.
-func (f *Filter) NumBuckets() int { return int(f.nBuckets) }
-
-// Slots returns the per-bucket slot count.
-func (f *Filter) Slots() int { return int(f.slots) }
-
 // EncodedLen returns the exact AppendEncode output length.
 func (f *Filter) EncodedLen() int { return headerLen + len(f.sol) }
 

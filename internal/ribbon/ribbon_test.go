@@ -116,12 +116,12 @@ func TestRibbonChurnLocality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f1.Slots() != f2.Slots() || f1.NumBuckets() != f2.NumBuckets() {
+	if f1.slots != f2.slots || f1.nBuckets != f2.nBuckets {
 		t.Skip("geometry boundary crossed; locality only holds at fixed geometry")
 	}
-	pb := f1.planeBytes * f1.RBits()
+	pb := f1.planeBytes * int(f1.rBits)
 	changed := 0
-	for b := 0; b < f1.NumBuckets(); b++ {
+	for b := 0; b < int(f1.nBuckets); b++ {
 		if !bytes.Equal(f1.sol[b*pb:(b+1)*pb], f2.sol[b*pb:(b+1)*pb]) {
 			changed++
 		}
