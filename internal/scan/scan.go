@@ -126,6 +126,3 @@ func Grab(addr string, timeout time.Duration) (*GrabResult, error) {
 	}
 	return res, nil
 }
-
-// Leaf returns the leaf certificate of the grabbed chain.
-func (g *GrabResult) Leaf() *x509x.Certificate { return g.Chain[0] }

@@ -129,11 +129,11 @@ func TestLiveGrab(t *testing.T) {
 	if len(grab.Chain) != 2 {
 		t.Fatalf("chain length = %d", len(grab.Chain))
 	}
-	if grab.Leaf().SerialNumber.Cmp(recMeta.Serial) != 0 {
+	if grab.Chain[0].SerialNumber.Cmp(recMeta.Serial) != 0 {
 		t.Error("leaf serial mismatch")
 	}
-	if grab.Leaf().Subject.CommonName != "grab.example.test" {
-		t.Errorf("leaf CN = %q", grab.Leaf().Subject.CommonName)
+	if grab.Chain[0].Subject.CommonName != "grab.example.test" {
+		t.Errorf("leaf CN = %q", grab.Chain[0].Subject.CommonName)
 	}
 	if !grab.Chain[1].IsCA {
 		t.Error("second chain element should be the CA")
