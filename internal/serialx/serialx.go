@@ -25,8 +25,3 @@ func Canon(serial []byte) []byte {
 	}
 	return serial[i:]
 }
-
-// IsCanonical reports whether serial is already in canonical form.
-func IsCanonical(serial []byte) bool {
-	return len(serial) == 0 || serial[0] != 0
-}
