@@ -57,14 +57,6 @@ type CDNStats struct {
 	NotModified int64
 }
 
-// HitRatio returns Hits / (Hits + Misses), or 0 with no GET traffic.
-func (s CDNStats) HitRatio() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
 // cdnKey is every field of a URL that URL.String reads, so two URLs with
 // equal keys serialise equally and may share an entry. The converse does
 // not hold (a literal space and %20 in a path parse to different fields
@@ -249,14 +241,6 @@ func headerValue(h http.Header, key string) string {
 		return v[0]
 	}
 	return ""
-}
-
-// Flush drops every cached entry (an operator purge).
-func (c *CDN) Flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[string]*cdnEntry)
-	c.byFields = make(map[cdnKey]*cdnEntry)
 }
 
 // freshnessLifetime derives how long a response may be served from cache:

@@ -194,7 +194,7 @@ func replayScript(t *testing.T, workers int) (before, after string) {
 	w.clock.Advance(2 * time.Minute) // /b has expired, /a has not
 	w.each(t, 1, 1, b)               // refetched
 	w.each(t, workers, 16, a, b)
-	w.cdn.Flush()
+	w.cdn.flush()
 	w.each(t, 1, 1, a) // a miss again
 	w.each(t, workers, 16, a)
 	before = w.fingerprint()
