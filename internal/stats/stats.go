@@ -71,9 +71,6 @@ func NewWeightedCDF(samples, weights []float64) *CDF {
 // N returns the number of distinct (positive-weight) samples.
 func (c *CDF) N() int { return len(c.xs) }
 
-// Total returns the total mass.
-func (c *CDF) Total() float64 { return c.total }
-
 // At returns P(X <= x), the fraction of mass at or below x.
 func (c *CDF) At(x float64) float64 {
 	if c.total == 0 {
@@ -110,14 +107,6 @@ func (c *CDF) Quantile(q float64) float64 {
 // Median returns Quantile(0.5).
 func (c *CDF) Median() float64 { return c.Quantile(0.5) }
 
-// Min returns the smallest sample. It panics on an empty distribution.
-func (c *CDF) Min() float64 {
-	if len(c.xs) == 0 {
-		panic("stats: Min of empty CDF")
-	}
-	return c.xs[0]
-}
-
 // Max returns the largest sample. It panics on an empty distribution.
 func (c *CDF) Max() float64 {
 	if len(c.xs) == 0 {
@@ -143,21 +132,6 @@ func (c *CDF) Mean() float64 {
 type Point struct {
 	X float64
 	Y float64
-}
-
-// Points returns n evenly-spaced (by cumulative probability) points of the
-// CDF curve, suitable for printing a figure's series. For n <= 1 or an
-// empty distribution it returns nil.
-func (c *CDF) Points(n int) []Point {
-	if n <= 1 || c.total == 0 {
-		return nil
-	}
-	out := make([]Point, n)
-	for i := 0; i < n; i++ {
-		q := float64(i) / float64(n-1)
-		out[i] = Point{X: c.Quantile(q), Y: q}
-	}
-	return out
 }
 
 // Fit is a least-squares linear fit y = Slope*x + Intercept with its

@@ -11,11 +11,11 @@ func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestCDFBasic(t *testing.T) {
 	c := NewCDF([]float64{3, 1, 2, 4, 5})
-	if c.N() != 5 || c.Total() != 5 {
-		t.Fatalf("N=%d Total=%v", c.N(), c.Total())
+	if c.N() != 5 || c.total != 5 {
+		t.Fatalf("N=%d Total=%v", c.N(), c.total)
 	}
-	if c.Min() != 1 || c.Max() != 5 {
-		t.Fatalf("Min=%v Max=%v", c.Min(), c.Max())
+	if c.Quantile(0) != 1 || c.Max() != 5 {
+		t.Fatalf("Quantile(0)=%v Max=%v", c.Quantile(0), c.Max())
 	}
 	if got := c.Median(); got != 3 {
 		t.Errorf("Median = %v, want 3", got)
@@ -62,8 +62,8 @@ func TestWeightedCDF(t *testing.T) {
 
 func TestWeightedCDFZeroWeightsDropped(t *testing.T) {
 	c := NewWeightedCDF([]float64{1, 2, 3}, []float64{1, 0, 1})
-	if c.N() != 2 || c.Total() != 2 {
-		t.Fatalf("N=%d Total=%v, want 2/2", c.N(), c.Total())
+	if c.N() != 2 || c.total != 2 {
+		t.Fatalf("N=%d Total=%v, want 2/2", c.N(), c.total)
 	}
 }
 
@@ -73,7 +73,6 @@ func TestCDFPanics(t *testing.T) {
 	mustPanic(t, "NaN weight", func() { NewWeightedCDF([]float64{1}, []float64{math.NaN()}) })
 	empty := NewCDF(nil)
 	mustPanic(t, "empty quantile", func() { empty.Quantile(0.5) })
-	mustPanic(t, "empty min", func() { empty.Min() })
 	mustPanic(t, "empty max", func() { empty.Max() })
 	if empty.At(1) != 0 || empty.Mean() != 0 {
 		t.Error("empty CDF At/Mean should be 0")
@@ -90,9 +89,23 @@ func mustPanic(t *testing.T, name string, f func()) {
 	f()
 }
 
+// points returns n points of the CDF curve evenly spaced in cumulative
+// probability, or nil for n <= 1 or an empty distribution.
+func points(c *CDF, n int) []Point {
+	if n <= 1 || c.total == 0 {
+		return nil
+	}
+	out := make([]Point, n)
+	for i := 0; i < n; i++ {
+		q := float64(i) / float64(n-1)
+		out[i] = Point{X: c.Quantile(q), Y: q}
+	}
+	return out
+}
+
 func TestCDFPoints(t *testing.T) {
 	c := NewCDF([]float64{1, 2, 3, 4})
-	pts := c.Points(5)
+	pts := points(c, 5)
 	if len(pts) != 5 {
 		t.Fatalf("Points(5) len = %d", len(pts))
 	}
@@ -104,10 +117,10 @@ func TestCDFPoints(t *testing.T) {
 			t.Errorf("Points not monotone at %d", i)
 		}
 	}
-	if c.Points(1) != nil || c.Points(0) != nil {
+	if points(c, 1) != nil || points(c, 0) != nil {
 		t.Error("Points(<=1) should be nil")
 	}
-	if NewCDF(nil).Points(10) != nil {
+	if points(NewCDF(nil), 10) != nil {
 		t.Error("empty CDF Points should be nil")
 	}
 }
