@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"repro/internal/corpus"
-	"repro/internal/crawler"
 	"repro/internal/crlset"
-	"repro/internal/ocsp"
 	"repro/internal/simtime"
 )
 
@@ -189,15 +187,6 @@ type CAStat struct {
 	// AvgCRLBytesPerCert is the mean, over this CA's certificates, of
 	// the size of the CRL the certificate points at.
 	AvgCRLBytesPerCert float64
-}
-
-// Table1 aggregates CRLStats into the paper's Table 1 rows.
-func (w *World) Table1() ([]CAStat, error) {
-	stats, err := w.CRLStats()
-	if err != nil {
-		return nil, err
-	}
-	return w.Table1From(stats), nil
 }
 
 // Table1From aggregates precomputed shard statistics into Table 1 rows,
@@ -453,51 +442,6 @@ func (w *World) AlexaCoverage() (top1M, top1MCovered, top1k, top1kCovered int) {
 		}
 	}
 	return
-}
-
-// OCSPOnlyStatus is the §3.2 data-collection step for certificates that
-// carry only an OCSP responder (642 in the paper): querying each one's
-// responder directly, since no CRL can be crawled for them.
-type OCSPOnlyStatus struct {
-	Targets int
-	Good    int
-	Revoked int
-	Unknown int
-	Errors  int
-}
-
-// CheckOCSPOnly queries the responder for every fresh OCSP-only leaf
-// certificate through the world's fabric.
-func (w *World) CheckOCSPOnly() OCSPOnlyStatus {
-	// Batched requests: the cohort shares a handful of responders, so
-	// multi-certificate requests cut the per-query HTTP round trips.
-	cr := &crawler.Crawler{Client: w.Net.Client(), Now: w.Clock.Now, Parallelism: w.parallelism(), OCSPBatchSize: 8}
-	var targets []crawler.OCSPTarget
-	now := w.Clock.Now()
-	for _, cs := range w.Certs {
-		if !cs.Rec.HasOCSP || cs.Rec.HasCRLDP || !cs.Rec.FreshAt(now) || !cs.Authority.Profile.WebCA() {
-			continue
-		}
-		targets = append(targets, crawler.OCSPTarget{
-			ResponderURL: cs.Rec.OCSPURL,
-			Issuer:       cs.Authority.CA.Certificate(),
-			Serial:       cs.Rec.Serial,
-		})
-	}
-	out := OCSPOnlyStatus{Targets: len(targets)}
-	for _, res := range cr.CheckOCSPOnly(targets) {
-		switch {
-		case res.Err != nil:
-			out.Errors++
-		case res.Response.Status == ocsp.StatusGood:
-			out.Good++
-		case res.Response.Status == ocsp.StatusRevoked:
-			out.Revoked++
-		default:
-			out.Unknown++
-		}
-	}
-	return out
 }
 
 // RevocationReasons tallies reason codes over all revocations (§4.2: the

@@ -256,21 +256,6 @@ type CascadeSeries struct {
 	SnapshotSizes []int
 }
 
-// BuildCascadeSeries runs a publisher over the crawl-observation feed:
-// one epoch per crawl day, 48-hour freshness windows (daily cadence with
-// one day of grace).
-func (w *World) BuildCascadeSeries() (*CascadeFeed, *CascadeSeries, error) {
-	feed, err := w.CascadeFeed()
-	if err != nil {
-		return nil, nil, err
-	}
-	series, err := feed.PublishKind(cascade.KindRibbon)
-	if err != nil {
-		return nil, nil, err
-	}
-	return feed, series, nil
-}
-
 // PublishKind runs a fresh publisher over the feed's full schedule and
 // returns the artifact chain. kind is not read: there is one chain kind
 // (see cascade.LevelKind).

@@ -19,12 +19,24 @@ import (
 // removed from the cascade the same way they vanish from CRLs. The
 // test's own derivation of that truth and World.AuditCascade must count
 // the same certificates, revocations and errors.
-func TestCascadeDifferentialOracle(t *testing.T) {
-	w := testWorld(t)
-	feed, series, err := w.BuildCascadeSeries()
+// cascadeSeries publishes the ribbon cascade chain over w's crawl feed:
+// one epoch per crawl day.
+func cascadeSeries(t *testing.T, w *World) (*CascadeFeed, *CascadeSeries) {
+	t.Helper()
+	feed, err := w.CascadeFeed()
 	if err != nil {
 		t.Fatal(err)
 	}
+	series, err := feed.PublishKind(cascade.KindRibbon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return feed, series
+}
+
+func TestCascadeDifferentialOracle(t *testing.T) {
+	w := testWorld(t)
+	feed, series := cascadeSeries(t, w)
 	if feed.Revocations == 0 {
 		t.Fatal("world produced no revocations to enroll")
 	}
@@ -32,6 +44,7 @@ func TestCascadeDifferentialOracle(t *testing.T) {
 
 	// Client state B: day-zero snapshot advanced delta by delta.
 	patched := series.First
+	var err error
 	for i := 1; i < len(series.Deltas); i++ {
 		patched, err = cascade.Apply(patched, series.Deltas[i])
 		if err != nil {
@@ -162,10 +175,7 @@ func TestCascadeDifferentialOracle(t *testing.T) {
 // final bytes — the catch-up path for clients that missed many days.
 func TestCascadeSeriesCompaction(t *testing.T) {
 	w := testWorld(t)
-	_, series, err := w.BuildCascadeSeries()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, series := cascadeSeries(t, w)
 	merged, err := cascade.Compact(series.First, series.Deltas[1:])
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/crawler"
+	"repro/internal/ocsp"
 	"repro/internal/simtime"
 )
 
@@ -106,10 +108,11 @@ func TestFigure2Shape(t *testing.T) {
 
 func TestTable1Shape(t *testing.T) {
 	w := testWorld(t)
-	rows, err := w.Table1()
+	stats, err := w.CRLStats()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := w.Table1From(stats)
 	byName := map[string]CAStat{}
 	for _, r := range rows {
 		byName[r.Name] = r
@@ -410,17 +413,28 @@ func TestIntermediateSet(t *testing.T) {
 
 func TestCheckOCSPOnlyCohort(t *testing.T) {
 	w := testWorld(t)
-	st := w.CheckOCSPOnly()
-	if st.Targets == 0 {
+	// §3.2: certificates that carry only an OCSP responder are checked by
+	// querying it directly, since no CRL can be crawled for them.
+	var targets []crawler.OCSPTarget
+	now := w.Clock.Now()
+	for _, cs := range w.Certs {
+		if cs.Rec.HasOCSP && !cs.Rec.HasCRLDP && cs.Rec.FreshAt(now) && cs.Authority.Profile.WebCA() {
+			targets = append(targets, crawler.OCSPTarget{
+				ResponderURL: cs.Rec.OCSPURL,
+				Issuer:       cs.Authority.CA.Certificate(),
+				Serial:       cs.Rec.Serial,
+			})
+		}
+	}
+	if len(targets) == 0 {
 		t.Skip("no OCSP-only certificates at this scale")
 	}
-	if st.Errors != 0 {
-		t.Errorf("OCSP-only checks errored: %+v", st)
-	}
-	if st.Good+st.Revoked+st.Unknown != st.Targets {
-		t.Errorf("statuses do not add up: %+v", st)
-	}
-	if st.Unknown != 0 {
-		t.Errorf("responders answered unknown for their own certs: %+v", st)
+	cr := &crawler.Crawler{Client: w.Net.Client(), Now: w.Clock.Now, OCSPBatchSize: 8}
+	for i, res := range cr.CheckOCSPOnly(targets) {
+		if res.Err != nil {
+			t.Errorf("target %d: OCSP-only check errored: %v", i, res.Err)
+		} else if st := res.Response.Status; st != ocsp.StatusGood && st != ocsp.StatusRevoked {
+			t.Errorf("target %d: responder answered %v for its own certificate", i, st)
+		}
 	}
 }
