@@ -73,7 +73,7 @@ func newLiveFixture(t *testing.T) *liveFixture {
 	t.Cleanup(func() { tlsSrv.Close() })
 
 	rootsPEM := filepath.Join(t.TempDir(), "roots.pem")
-	if err := os.WriteFile(rootsPEM, x509x.EncodePEM(authority.Certificate()), 0o644); err != nil {
+	if err := os.WriteFile(rootsPEM, certPEM(authority.Certificate()), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return &liveFixture{

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"encoding/pem"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -56,10 +57,15 @@ func writeFixture(t *testing.T, revokedPerShard []int) (dir, issuerPath string, 
 		}
 	}
 	issuerPath = filepath.Join(dir, "issuer.pem")
-	if err := os.WriteFile(issuerPath, x509x.EncodePEM(authority.Certificate()), 0o644); err != nil {
+	if err := os.WriteFile(issuerPath, certPEM(authority.Certificate()), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return dir, issuerPath, authority
+}
+
+// certPEM renders a certificate as a CERTIFICATE PEM block.
+func certPEM(c *x509x.Certificate) []byte {
+	return pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: c.Raw})
 }
 
 func TestCRLSetGeneratesCRLSet(t *testing.T) {
@@ -119,7 +125,7 @@ func TestCRLSetSkipsForeignCRLs(t *testing.T) {
 		t.Fatal(err)
 	}
 	otherPEM := filepath.Join(dir, "other.pem")
-	if err := os.WriteFile(otherPEM, x509x.EncodePEM(other.Certificate()), 0o644); err != nil {
+	if err := os.WriteFile(otherPEM, certPEM(other.Certificate()), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var out, errOut bytes.Buffer

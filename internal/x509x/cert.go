@@ -192,13 +192,6 @@ func hasEVPolicy(policies []der.OID) bool {
 	return false
 }
 
-// HasRevocationInfo reports whether the certificate carries at least one
-// CRL distribution point or OCSP responder URL — certificates with neither
-// "can never be revoked" (§3.2).
-func (c *Certificate) HasRevocationInfo() bool {
-	return len(c.CRLDistributionPoints) > 0 || len(c.OCSPServers) > 0
-}
-
 // FreshAt reports whether t falls inside the certificate's validity
 // window (the paper's "fresh" period, §3.3).
 func (c *Certificate) FreshAt(t time.Time) bool {

@@ -106,7 +106,7 @@ func TestLeafFields(t *testing.T) {
 	if len(leaf.OCSPServers) != 1 || leaf.OCSPServers[0] != "http://ocsp.example.com" {
 		t.Errorf("OCSP = %v", leaf.OCSPServers)
 	}
-	if !leaf.HasRevocationInfo() {
+	if len(leaf.CRLDistributionPoints) == 0 && len(leaf.OCSPServers) == 0 {
 		t.Error("leaf should have revocation info")
 	}
 	if err := leaf.CheckSignatureFrom(root); err != nil {
@@ -140,7 +140,7 @@ func TestNoRevocationInfo(t *testing.T) {
 		tmpl.CRLDistributionPoints = nil
 		tmpl.OCSPServers = nil
 	})
-	if bare.HasRevocationInfo() {
+	if len(bare.CRLDistributionPoints) > 0 || len(bare.OCSPServers) > 0 {
 		t.Error("certificate without CRLDP/AIA claims revocation info")
 	}
 }
@@ -365,7 +365,11 @@ func TestPKIXKeyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := MarshalPKIX(&key.PublicKey)
-	got, err := ParsePKIX(enc)
+	v, rest, err := der.Parse(enc)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("SPKI: %v, %d trailing bytes", err, len(rest))
+	}
+	got, err := parseSPKI(v)
 	if err != nil {
 		t.Fatal(err)
 	}

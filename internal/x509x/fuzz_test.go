@@ -27,7 +27,6 @@ func TestParseNeverPanicsOnMutations(t *testing.T) {
 			}
 			// Parsed mutants must still be safe to interrogate.
 			c.IsEV()
-			c.HasRevocationInfo()
 			c.FreshAt(c.NotBefore)
 			_ = c.Subject.String()
 		}

@@ -25,18 +25,6 @@ func MarshalPKIX(pub *ecdsa.PublicKey) []byte {
 	return der.Sequence(alg, der.BitString(point))
 }
 
-// ParsePKIX decodes a DER SubjectPublicKeyInfo holding an ECDSA P-256 key.
-func ParsePKIX(raw []byte) (*ecdsa.PublicKey, error) {
-	v, rest, err := der.Parse(raw)
-	if err != nil {
-		return nil, fmt.Errorf("x509x: SPKI: %v", err)
-	}
-	if len(rest) != 0 {
-		return nil, errors.New("x509x: SPKI: trailing bytes")
-	}
-	return parseSPKI(v)
-}
-
 func parseSPKI(v der.Value) (*ecdsa.PublicKey, error) {
 	fields, err := v.Sequence()
 	if err != nil || len(fields) != 2 {

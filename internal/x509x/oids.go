@@ -53,7 +53,6 @@ var (
 	OIDAccessOCSP      = der.MustOID("1.3.6.1.5.5.7.48.1")
 	OIDAccessCAIssuers = der.MustOID("1.3.6.1.5.5.7.48.2")
 	OIDEKUServerAuth   = der.MustOID("1.3.6.1.5.5.7.3.1")
-	OIDEKUClientAuth   = der.MustOID("1.3.6.1.5.5.7.3.2")
 	OIDEKUOCSPSigning  = der.MustOID("1.3.6.1.5.5.7.3.9")
 	// OIDOCSPNonce is the OCSP nonce extension (RFC 6960 §4.4.1).
 	OIDOCSPNonce = der.MustOID("1.3.6.1.5.5.7.48.1.2")
@@ -66,8 +65,6 @@ var (
 var (
 	// OIDPolicyVerisignEV is 2.16.840.1.113733.1.7.23.6.
 	OIDPolicyVerisignEV = der.MustOID("2.16.840.1.113733.1.7.23.6")
-	// OIDPolicyAny is anyPolicy.
-	OIDPolicyAny = der.MustOID("2.5.29.32.0")
 )
 
 // EVPolicyOIDs is the set of policy OIDs that this codebase treats as

@@ -6,11 +6,6 @@ import (
 	"fmt"
 )
 
-// EncodePEM renders a certificate as a CERTIFICATE PEM block.
-func EncodePEM(c *Certificate) []byte {
-	return pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: c.Raw})
-}
-
 // ParsePEMCertificates parses every CERTIFICATE block in data. Non-certificate
 // blocks are skipped; at least one certificate must be present.
 func ParsePEMCertificates(data []byte) ([]*Certificate, error) {
