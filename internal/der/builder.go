@@ -1,9 +1,6 @@
 package der
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Builder incrementally encodes DER into a single growing buffer,
 // cryptobyte-style: Begin writes the identifier plus a one-byte length
@@ -17,30 +14,6 @@ type Builder struct {
 	marks []int
 }
 
-// MaxPooledBuilderBytes caps the buffer capacity a Builder may retain when
-// returned to the pool with PutBuilder. Builders that grew past it (e.g.
-// encoding a Heartbleed-scale CRL) are dropped rather than pinning tens of
-// megabytes in the pool.
-var MaxPooledBuilderBytes = 1 << 20
-
-var builderPool = sync.Pool{New: func() interface{} { return new(Builder) }}
-
-// GetBuilder returns an empty Builder from the pool.
-func GetBuilder() *Builder {
-	return builderPool.Get().(*Builder)
-}
-
-// PutBuilder resets b and returns it to the pool. The caller must be done
-// with every slice obtained from Bytes; use Take for output that outlives
-// the builder.
-func PutBuilder(b *Builder) {
-	if cap(b.buf) > MaxPooledBuilderBytes {
-		return
-	}
-	b.Reset()
-	builderPool.Put(b)
-}
-
 // Reset empties the builder, retaining its buffer.
 func (b *Builder) Reset() {
 	b.buf = b.buf[:0]
@@ -48,7 +21,7 @@ func (b *Builder) Reset() {
 }
 
 // Bytes returns the encoded bytes. The slice aliases the builder's buffer
-// and is invalidated by further appends, Reset, or PutBuilder.
+// and is invalidated by further appends or Reset.
 func (b *Builder) Bytes() []byte { return b.buf }
 
 // Begin opens a TLV whose content is everything appended until the

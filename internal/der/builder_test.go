@@ -131,28 +131,6 @@ func TestBuilderRawAndReset(t *testing.T) {
 	}
 }
 
-func TestBuilderPoolRetentionCap(t *testing.T) {
-	old := MaxPooledBuilderBytes
-	defer func() { MaxPooledBuilderBytes = old }()
-	MaxPooledBuilderBytes = 64
-
-	big := GetBuilder()
-	big.Raw(OctetString(make([]byte, 1024)))
-	PutBuilder(big) // over the cap: must be dropped, not pooled
-
-	small := GetBuilder()
-	if small == big {
-		t.Fatal("oversized builder was retained in the pool")
-	}
-	small.Raw(Int(1))
-	PutBuilder(small)
-	reused := GetBuilder()
-	if len(reused.Bytes()) != 0 {
-		t.Fatal("pooled builder not reset")
-	}
-	PutBuilder(reused)
-}
-
 func TestBuilderZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
