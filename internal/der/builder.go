@@ -14,14 +14,8 @@ type Builder struct {
 	marks []int
 }
 
-// Reset empties the builder, retaining its buffer.
-func (b *Builder) Reset() {
-	b.buf = b.buf[:0]
-	b.marks = b.marks[:0]
-}
-
 // Bytes returns the encoded bytes. The slice aliases the builder's buffer
-// and is invalidated by further appends or Reset.
+// and is invalidated by further appends.
 func (b *Builder) Bytes() []byte { return b.buf }
 
 // Begin opens a TLV whose content is everything appended until the
