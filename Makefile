@@ -13,11 +13,15 @@ GO ?= go
 check: vet build test race-hot race flake chaos fuzz-short bench-smoke
 
 # vet also type-checks the !unix files (GOOS=windows), which no Linux
-# build compiles, and fails on any file gofmt would rewrite, naming it.
+# build compiles, fails on any file gofmt would rewrite, naming it, and
+# runs surfacecheck: no exported name under internal/ without a non-test
+# use, no codec package importing the simulation, no backticked name in
+# DESIGN.md or README.md that names nothing (internal/surfacecheck).
 vet:
 	$(GO) vet ./...
 	GOOS=windows $(GO) vet ./...
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
+	$(GO) run ./internal/surfacecheck
 
 build:
 	$(GO) build ./...
@@ -69,13 +73,17 @@ fuzz-short:
 # bench-smoke builds one world end to end under the benchmark harness —
 # enough to catch pipeline regressions without paying for stable timings —
 # makes one warm verdict per local verdict source, with its allocations,
-# one cold CRL verdict (parse, verify, look up) with its allocations, and
-# draws the plans of the heartbleed and offline fleets once.
+# one cold CRL verdict (parse, verify, look up) with its allocations,
+# draws the plans of the heartbleed and offline fleets once, and runs
+# every example.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkWorldBuild -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkWarmVerdict -benchtime=1x ./internal/browser
 	$(GO) test -run='^$$' -bench=BenchmarkColdCRLVerdict -benchtime=1x ./internal/crl
 	$(GO) test -run='^$$' -bench=BenchmarkBuildPlans -benchtime=1x ./internal/fleet
+	$(GO) run ./examples/bloomcrlset
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/staplingaudit
 
 # bench runs the repository's benchmark (bench/, declared by
 # BENCHMARK.json): all six workloads, end-to-end metrics.

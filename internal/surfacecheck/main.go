@@ -45,7 +45,6 @@ var allowUnused = map[string]string{
 	"der.ClassApplication":            "wire enumeration: the tag class a decoder reports for input bytes",
 	"der.ClassPrivate":                "wire enumeration: the tag class a decoder reports for input bytes",
 	"x509x.KeyUsageContentCommitment": "wire enumeration: a bit of a 1<<iota block; deleting it renumbers the rest and changes certificate bytes",
-	"x509x.KeyUsageKeyEncipherment":   "wire enumeration: a bit of a 1<<iota block; deleting it renumbers the rest and changes certificate bytes",
 	"x509x.KeyUsageDataEncipherment":  "wire enumeration: a bit of a 1<<iota block; deleting it renumbers the rest and changes certificate bytes",
 	"x509x.KeyUsageKeyAgreement":      "wire enumeration: a bit of a 1<<iota block; deleting it renumbers the rest and changes certificate bytes",
 	"simnet.Network.SetFailure":       "test seam: tests in other packages take an endpoint down",
@@ -506,13 +505,19 @@ func origin(obj types.Object) types.Object {
 
 // docRef matches pkg.Name and pkg.Name.Name inside a backticked span; the
 // leading group keeps paths and selectors on locals (a/b.c, x.y.z) out.
+// docMember matches a span that is one Type.Member with an optional call
+// suffix; the type needs a lower-case letter, so acronyms stay prose. A
+// bare Name is left alone: prose names HTTP headers and standard-library
+// identifiers the same way.
 var (
-	docSpan = regexp.MustCompile("`[^`\n]+`")
-	docRef  = regexp.MustCompile(`(^|[^A-Za-z0-9_./])([a-z][a-z0-9]*)\.([A-Za-z][A-Za-z0-9]*)(?:\.([A-Za-z][A-Za-z0-9]*))?\b`)
+	docSpan   = regexp.MustCompile("`[^`\n]+`")
+	docRef    = regexp.MustCompile(`(^|[^A-Za-z0-9_./])([a-z][a-z0-9]*)\.([A-Za-z][A-Za-z0-9]*)(?:\.([A-Za-z][A-Za-z0-9]*))?\b`)
+	docMember = regexp.MustCompile(`^\*?([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)\.([A-Z][A-Za-z0-9]*)(?:\(.*\))?$`)
 )
 
-// checkDocs resolves every backticked reference to a repository package
-// under internal/ in docs.
+// checkDocs resolves every backticked reference in docs: pkg.Name and
+// pkg.Type.Member against the named package under internal/, and a bare
+// Type.Member against every declaration in the repository.
 func (p *pass) checkDocs() ([]finding, error) {
 	pkgs := map[string]*checkedPackage{}
 	for _, cp := range p.pkgs {
@@ -520,9 +525,12 @@ func (p *pass) checkDocs() ([]finding, error) {
 			pkgs[cp.Name] = cp
 		}
 	}
-	testDecls, err := p.testDecls(pkgs)
+	testDecls, known, err := p.testDecls(pkgs)
 	if err != nil {
 		return nil, err
+	}
+	for _, cp := range p.pkgs {
+		addKnown(known, cp.types)
 	}
 	var findings []finding
 	for _, doc := range docs {
@@ -532,7 +540,14 @@ func (p *pass) checkDocs() ([]finding, error) {
 		}
 		for i, line := range strings.Split(string(src), "\n") {
 			for _, span := range docSpan.FindAllString(line, -1) {
-				for _, m := range docRef.FindAllStringSubmatch(strings.Trim(span, "`"), -1) {
+				span = strings.Trim(span, "`")
+				if m := docMember.FindStringSubmatch(span); m != nil {
+					if ref := m[1] + "." + m[2]; !known[ref] {
+						findings = append(findings, finding{fmt.Sprintf("%s:%d", doc, i+1), "`" + ref + "` names no declaration"})
+					}
+					continue
+				}
+				for _, m := range docRef.FindAllStringSubmatch(span, -1) {
 					cp, ok := pkgs[m[2]]
 					if !ok || m[3] == "go" {
 						continue
@@ -551,6 +566,37 @@ func (p *pass) checkDocs() ([]finding, error) {
 	return findings, nil
 }
 
+// addKnown adds pkg's package-level names, and each named type's methods
+// and fields both bare and as Type.Member.
+func addKnown(known map[string]bool, pkg *types.Package) {
+	scope := pkg.Scope()
+	for _, n := range scope.Names() {
+		known[n] = true
+		tn, ok := scope.Lookup(n).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		if named, ok := tn.Type().(*types.Named); ok {
+			for i := 0; i < named.NumMethods(); i++ {
+				known[named.Method(i).Name()] = true
+				known[n+"."+named.Method(i).Name()] = true
+			}
+		}
+		switch u := tn.Type().Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				known[u.Field(i).Name()] = true
+				known[n+"."+u.Field(i).Name()] = true
+			}
+		case *types.Interface:
+			for i := 0; i < u.NumMethods(); i++ {
+				known[u.Method(i).Name()] = true
+				known[n+"."+u.Method(i).Name()] = true
+			}
+		}
+	}
+}
+
 func resolves(cp *checkedPackage, name, member string) bool {
 	obj := cp.types.Scope().Lookup(name)
 	if obj == nil {
@@ -567,32 +613,37 @@ func resolves(cp *checkedPackage, name, member string) bool {
 }
 
 // testDecls are the top-level names (pkg.Name, pkg.Recv.Method) that the
-// packages' test files declare, which a document may name too.
-func (p *pass) testDecls(pkgs map[string]*checkedPackage) (map[string]bool, error) {
-	decls := map[string]bool{}
+// packages' test files declare, which a document may name too; known holds
+// the same names without their package.
+func (p *pass) testDecls(pkgs map[string]*checkedPackage) (decls, known map[string]bool, err error) {
+	decls, known = map[string]bool{}, map[string]bool{}
+	add := func(pkg, name string) {
+		decls[pkg+"."+name] = true
+		known[name] = true
+	}
 	fset := token.NewFileSet()
 	for name, cp := range pkgs {
 		for _, file := range append(append([]string{}, cp.TestGoFiles...), cp.XTestGoFiles...) {
 			f, err := parser.ParseFile(fset, filepath.Join(cp.Dir, file), nil, parser.SkipObjectResolution)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			for _, decl := range f.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
 					if d.Recv == nil {
-						decls[name+"."+d.Name.Name] = true
+						add(name, d.Name.Name)
 					} else if id := recvIdent(d.Recv.List[0].Type); id != nil {
-						decls[name+"."+id.Name+"."+d.Name.Name] = true
+						add(name, id.Name+"."+d.Name.Name)
 					}
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
 						switch s := spec.(type) {
 						case *ast.TypeSpec:
-							decls[name+"."+s.Name.Name] = true
+							add(name, s.Name.Name)
 						case *ast.ValueSpec:
 							for _, n := range s.Names {
-								decls[name+"."+n.Name] = true
+								add(name, n.Name)
 							}
 						}
 					}
@@ -600,7 +651,7 @@ func (p *pass) testDecls(pkgs map[string]*checkedPackage) (map[string]bool, erro
 			}
 		}
 	}
-	return decls, nil
+	return decls, known, nil
 }
 
 func recvIdent(expr ast.Expr) *ast.Ident {
