@@ -105,13 +105,6 @@ type checkedPackage struct {
 	info  *types.Info
 }
 
-// object is one exported declaration under internal/, named pkg.Name or
-// pkg.Type.Method.
-type object struct {
-	name string
-	pos  string
-}
-
 type finding struct{ pos, msg string }
 
 func main() {
@@ -120,10 +113,9 @@ func main() {
 		fatal(err)
 	}
 	var (
-		decls    = map[string]object{} // every candidate, by name
+		decls    = map[string]string{} // position of every candidate, by name
 		used     = map[string]bool{}
-		imports  = map[string]bool{} // "codec -> pkg" edges breaking the rule
-		edgePos  = map[string]string{}
+		imports  = map[string]string{} // importing directory of each "codec -> pkg" edge breaking the rule
 		resolved *pass
 	)
 	for _, goos := range []string{"linux", "windows"} {
@@ -140,9 +132,7 @@ func main() {
 				if p.std[imp] || isCodec(imp) {
 					continue
 				}
-				edge := pkg.Name + " -> " + shortName(imp)
-				imports[edge] = true
-				edgePos[edge] = p.rel(pkg.Dir)
+				imports[pkg.Name+" -> "+strings.TrimPrefix(imp, "repro/internal/")] = p.rel(pkg.Dir)
 			}
 		}
 		if resolved == nil {
@@ -160,13 +150,13 @@ func main() {
 	for _, name := range names {
 		if used[name] {
 			if _, ok := allowUnused[name]; ok {
-				findings = append(findings, finding{decls[name].pos, name + " is allowlisted but has a non-test use; drop its allowUnused entry"})
+				findings = append(findings, finding{decls[name], name + " is allowlisted but has a non-test use; drop its allowUnused entry"})
 			}
 			continue
 		}
 		dead++
 		if _, ok := allowUnused[name]; !ok {
-			findings = append(findings, finding{decls[name].pos, name + " is exported and no non-test file uses it"})
+			findings = append(findings, finding{decls[name], name + " is exported and no non-test file uses it"})
 		}
 	}
 	for name := range allowUnused {
@@ -174,13 +164,13 @@ func main() {
 			findings = append(findings, finding{"internal/surfacecheck", "allowUnused names " + name + ", which is not an exported declaration under internal/"})
 		}
 	}
-	for edge := range imports {
+	for edge, dir := range imports {
 		if _, ok := allowImport[edge]; !ok {
-			findings = append(findings, finding{edgePos[edge], "codec import " + edge + ": codec packages import only the standard library and each other"})
+			findings = append(findings, finding{dir, "codec import " + edge + ": codec packages import only the standard library and each other"})
 		}
 	}
 	for edge := range allowImport {
-		if !imports[edge] {
+		if _, ok := imports[edge]; !ok {
 			findings = append(findings, finding{"internal/surfacecheck", "allowImport names " + edge + ", which no codec package imports"})
 		}
 	}
@@ -213,10 +203,6 @@ func isCodec(path string) bool {
 		}
 	}
 	return false
-}
-
-func shortName(path string) string {
-	return strings.TrimPrefix(path, "repro/internal/")
 }
 
 // pass is the module and bench/ type-checked for one GOOS.
@@ -329,7 +315,7 @@ func (r repoImporter) ImportFrom(path, dir string, mode types.ImportMode) (*type
 }
 
 // collect adds this pass's candidates to decls and its uses to used.
-func (p *pass) collect(decls map[string]object, used map[string]bool) {
+func (p *pass) collect(decls map[string]string, used map[string]bool) {
 	names := map[types.Object]string{}
 	var methods []*types.Func
 	var ifaces []*types.Named
@@ -366,7 +352,7 @@ func (p *pass) collect(decls map[string]object, used map[string]bool) {
 	}
 	for obj, name := range names {
 		if _, ok := decls[name]; !ok {
-			decls[name] = object{name, p.position(obj.Pos())}
+			decls[name] = p.position(obj.Pos())
 		}
 	}
 
@@ -376,7 +362,7 @@ func (p *pass) collect(decls map[string]object, used map[string]bool) {
 	for _, cp := range p.pkgs {
 		for _, f := range cp.files {
 			for _, decl := range f.Decls {
-				owners := p.owners(cp, decl)
+				owners := owners(cp, decl)
 				ast.Inspect(decl, func(n ast.Node) bool {
 					id, ok := n.(*ast.Ident)
 					if !ok {
@@ -449,14 +435,14 @@ func (p *pass) collect(decls map[string]object, used map[string]bool) {
 
 // owners are the objects decl declares, whose uses inside decl do not
 // count: a func or method, its receiver's type, a type, or a var or const.
-func (p *pass) owners(cp *checkedPackage, decl ast.Decl) map[types.Object]bool {
+func owners(cp *checkedPackage, decl ast.Decl) map[types.Object]bool {
 	owners := map[types.Object]bool{}
 	switch d := decl.(type) {
 	case *ast.FuncDecl:
 		owners[cp.info.Defs[d.Name]] = true
 		if d.Recv != nil && len(d.Recv.List) == 1 {
-			if obj := recvType(cp, d.Recv.List[0].Type); obj != nil {
-				owners[obj] = true
+			if id := recvIdent(d.Recv.List[0].Type); id != nil {
+				owners[cp.info.Uses[id]] = true
 			}
 		}
 	case *ast.GenDecl:
@@ -472,25 +458,6 @@ func (p *pass) owners(cp *checkedPackage, decl ast.Decl) map[types.Object]bool {
 		}
 	}
 	return owners
-}
-
-func recvType(cp *checkedPackage, expr ast.Expr) types.Object {
-	for {
-		switch e := expr.(type) {
-		case *ast.StarExpr:
-			expr = e.X
-		case *ast.ParenExpr:
-			expr = e.X
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.IndexListExpr:
-			expr = e.X
-		case *ast.Ident:
-			return cp.info.Uses[e]
-		default:
-			return nil
-		}
-	}
 }
 
 func origin(obj types.Object) types.Object {
@@ -566,37 +533,35 @@ func (p *pass) checkDocs() ([]finding, error) {
 	return findings, nil
 }
 
-// addKnown adds pkg's package-level names, and each named type's methods
-// and fields both bare and as Type.Member.
+// addKnown adds Type.Member for every method and field of pkg's named
+// types.
 func addKnown(known map[string]bool, pkg *types.Package) {
 	scope := pkg.Scope()
 	for _, n := range scope.Names() {
-		known[n] = true
 		tn, ok := scope.Lookup(n).(*types.TypeName)
 		if !ok {
 			continue
 		}
 		if named, ok := tn.Type().(*types.Named); ok {
 			for i := 0; i < named.NumMethods(); i++ {
-				known[named.Method(i).Name()] = true
 				known[n+"."+named.Method(i).Name()] = true
 			}
 		}
 		switch u := tn.Type().Underlying().(type) {
 		case *types.Struct:
 			for i := 0; i < u.NumFields(); i++ {
-				known[u.Field(i).Name()] = true
 				known[n+"."+u.Field(i).Name()] = true
 			}
 		case *types.Interface:
 			for i := 0; i < u.NumMethods(); i++ {
-				known[u.Method(i).Name()] = true
 				known[n+"."+u.Method(i).Name()] = true
 			}
 		}
 	}
 }
 
+// resolves reports whether pkg declares name, and name's type has member
+// when one is given.
 func resolves(cp *checkedPackage, name, member string) bool {
 	obj := cp.types.Scope().Lookup(name)
 	if obj == nil {
@@ -614,7 +579,7 @@ func resolves(cp *checkedPackage, name, member string) bool {
 
 // testDecls are the top-level names (pkg.Name, pkg.Recv.Method) that the
 // packages' test files declare, which a document may name too; known holds
-// the same names without their package.
+// the same names without their package, for the bare Type.Member form.
 func (p *pass) testDecls(pkgs map[string]*checkedPackage) (decls, known map[string]bool, err error) {
 	decls, known = map[string]bool{}, map[string]bool{}
 	add := func(pkg, name string) {
@@ -654,10 +619,13 @@ func (p *pass) testDecls(pkgs map[string]*checkedPackage) (decls, known map[stri
 	return decls, known, nil
 }
 
+// recvIdent is the type name in a method's receiver expression.
 func recvIdent(expr ast.Expr) *ast.Ident {
 	for {
 		switch e := expr.(type) {
 		case *ast.StarExpr:
+			expr = e.X
+		case *ast.ParenExpr:
 			expr = e.X
 		case *ast.IndexExpr:
 			expr = e.X
