@@ -1,7 +1,8 @@
 // Package crl implements RFC 5280 certificate revocation lists from
 // scratch: construction and signing by a CA, strict parsing, signature
 // verification, reason codes, and the exact entry-size accounting the
-// paper's CRL-cost analyses (Figures 5 and 6) rely on.
+// paper's CRL-cost analyses (Figures 5 and 6) rely on. Download and Check
+// are the one way a relying party fetches a list and decides it counts.
 //
 // The data path is built for Heartbleed-scale lists (GoDaddy's
 // post-Heartbleed CRL was ~41 MB, §5.2): Parse materializes entries with
@@ -12,10 +13,13 @@ package crl
 
 import (
 	"bytes"
+	"context"
 	"crypto/ecdsa"
 	"errors"
 	"fmt"
+	"io"
 	"math/big"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -185,6 +189,73 @@ func (c *CRL) VerifySignature(issuer *x509x.Certificate) error {
 		return fmt.Errorf("crl: issuer %q does not match certificate subject %q", c.Issuer, issuer.Subject)
 	}
 	return x509x.VerifyDigest(issuer.PublicKey, c.RawTBS, c.Signature)
+}
+
+// Check's failure classes beside an unparseable list (Parse's error).
+var (
+	ErrSignature  = errors.New("crl: signature does not verify against the issuer")
+	ErrNotCurrent = errors.New("crl: outside its validity window")
+)
+
+// signatureError keeps VerifySignature's message and unwraps to
+// ErrSignature.
+type signatureError struct{ error }
+
+func (signatureError) Unwrap() error { return ErrSignature }
+
+// Check is the rule a relying party applies to a CRL: raw parses, its
+// signature verifies against issuer (else an error matching ErrSignature)
+// and it is current at now (else ErrNotCurrent, returned with the parsed
+// list so that a collector can still record it).
+func Check(raw []byte, issuer *x509x.Certificate, now time.Time) (*CRL, error) {
+	c, err := Parse(raw)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.VerifySignature(issuer); err != nil {
+		return nil, signatureError{err}
+	}
+	if !c.CurrentAt(now) {
+		return c, ErrNotCurrent
+	}
+	return c, nil
+}
+
+// maxCRLBytes caps a CRL download (the paper saw CRLs up to 76 MB).
+const maxCRLBytes = 128 << 20
+
+// Download fetches the CRL body at url with a GET under ctx (client nil
+// means http.DefaultClient); a status other than 200 is an error.
+func Download(ctx context.Context, client *http.Client, url string) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	if client == nil {
+		client = http.DefaultClient
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("HTTP %d", resp.StatusCode)
+	}
+	return ReadBody(resp)
+}
+
+// ReadBody reads a CRL response body into one buffer sized from
+// Content-Length when there is one (io.ReadAll would copy a list of tens
+// of megabytes several times), under the 128 MiB cap otherwise. On an
+// error, a short body included, the bytes read so far come with it.
+func ReadBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n > 0 && n <= maxCRLBytes {
+		body := make([]byte, n)
+		m, err := io.ReadFull(resp.Body, body)
+		return body[:m], err
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxCRLBytes))
 }
 
 // --- Encoding ---

@@ -27,7 +27,7 @@ func TestParseNeverPanicsOnMutations(t *testing.T) {
 			data = data[:rng.Intn(len(data))]
 		}
 		if c, err := Parse(data); err == nil {
-			c.ContainsSerial(mustBig(11).Bytes())
+			c.LookupSerial(mustBig(11).Bytes())
 			c.CurrentAt(thisUpdate)
 		}
 	}

@@ -439,8 +439,7 @@ func TestStreamingEncoderParity(t *testing.T) {
 			{"bare", Template{ThisUpdate: thisUpdate}},
 		} {
 			tmpl := variant.tmpl
-			tmpl.Entries = toCompactEntries(entries)
-			raw, err := create(&tmpl, issuer, key)
+			raw, err := create(&tmpl, toCompactEntries(entries), issuer, key)
 			if err != nil {
 				t.Fatalf("corpus %d %s: Create: %v", ci, variant.name, err)
 			}
@@ -489,8 +488,7 @@ func TestStreamingEncoderParity(t *testing.T) {
 func TestStreamingEncoderRejectsBadSerials(t *testing.T) {
 	issuer, key := newCA(t)
 	for _, bad := range [][]byte{nil, {}, {0}, {0, 0, 0}} {
-		_, err := create(&Template{ThisUpdate: thisUpdate,
-			Entries: []Entry{{Serial: bad, RevokedAt: thisUpdate}}}, issuer, key)
+		_, err := create(&Template{ThisUpdate: thisUpdate}, []Entry{{Serial: bad, RevokedAt: thisUpdate}}, issuer, key)
 		if err == nil {
 			t.Errorf("Create accepted serial %x", bad)
 		}
@@ -507,7 +505,7 @@ func TestStreamingParserParityCorpus(t *testing.T) {
 	issuer, key := newCA(t)
 	for ci, entries := range parityCorpus() {
 		raw, err := create(&Template{ThisUpdate: thisUpdate, NextUpdate: nextUpdate,
-			Number: big.NewInt(int64(ci + 1)), Entries: toCompactEntries(entries)}, issuer, key)
+			Number: big.NewInt(int64(ci + 1))}, toCompactEntries(entries), issuer, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -539,7 +537,7 @@ func TestStreamingParserParityMutations(t *testing.T) {
 	var seeds [][]byte
 	for ci, entries := range parityCorpus() {
 		raw, err := create(&Template{ThisUpdate: thisUpdate, NextUpdate: nextUpdate,
-			Number: big.NewInt(int64(ci + 1)), Entries: toCompactEntries(entries)}, issuer, key)
+			Number: big.NewInt(int64(ci + 1))}, toCompactEntries(entries), issuer, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -595,7 +593,7 @@ func TestStreamingParserParityHeartbleedScale(t *testing.T) {
 		}
 	}
 	raw, err := create(&Template{ThisUpdate: thisUpdate, NextUpdate: nextUpdate,
-		Number: big.NewInt(7), Entries: entries}, issuer, key)
+		Number: big.NewInt(7)}, entries, issuer, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -656,7 +654,7 @@ func TestParseAllocsPerEntry(t *testing.T) {
 			RevokedAt: thisUpdate, Reason: ReasonKeyCompromise}
 	}
 	raw, err := create(&Template{ThisUpdate: thisUpdate, NextUpdate: nextUpdate,
-		Number: big.NewInt(1), Entries: entries}, issuer, key)
+		Number: big.NewInt(1)}, entries, issuer, key)
 	if err != nil {
 		t.Fatal(err)
 	}
