@@ -466,7 +466,7 @@ func BenchmarkCRLLookup(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		parsed.ContainsSerial(p.leafRec.Serial.Bytes())
+		parsed.LookupSerial(p.leafRec.Serial.Bytes())
 	}
 }
 
@@ -486,7 +486,7 @@ func BenchmarkOCSPRoundTrip(b *testing.B) {
 	client := &ocsp.Client{HTTP: p.net.Client()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sr, err := client.CheckContext(context.Background(), "http://ocsp.bench.test/ocsp", p.authority.Certificate(), p.leafRec.Serial)
+		sr, err := client.CheckContext(context.Background(), "http://ocsp.bench.test/ocsp", p.authority.Certificate(), p.leafRec.Serial, p.clock.Now())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -476,23 +476,21 @@ func (c *Client) log(v *Verdict, cert *x509x.Certificate, pos Position, proto st
 	})
 }
 
-// evalStaple validates a stapled OCSP response. ok is false when the
-// staple is unusable (wrong cert, bad signature, stale) and online
-// checking should proceed as if no staple were present.
+// evalStaple, fetchOCSP and fetchCRL hold the client's policy only: the
+// rule is ocsp.CheckStaple, the OCSP check and crl.Check, and each maps a
+// failure class to the event it logs. evalStaple's ok is false when the
+// staple is unusable and online checking proceeds as if none were sent.
 func (c *Client) evalStaple(v *Verdict, leaf, issuer *x509x.Certificate, pos Position, staple []byte) (status, bool) {
-	resp, err := ocsp.ParseResponse(staple)
-	if err != nil || resp.RespStatus != ocsp.RespSuccessful {
-		c.log(v, leaf, pos, "staple", "invalid")
-		return stUnavailable, false
-	}
-	if err := resp.VerifySignatureFrom(issuer); err != nil {
-		c.log(v, leaf, pos, "staple", "bad-signature")
-		return stUnavailable, false
-	}
-	id := ocsp.NewCertID(issuer, leaf.SerialNumber)
-	sr, found := resp.Find(id)
-	if !found || !sr.CurrentAt(c.now()) {
-		c.log(v, leaf, pos, "staple", "stale")
+	sr, err := ocsp.CheckStaple(staple, issuer, leaf.SerialNumber, c.now())
+	if err != nil {
+		result := "invalid"
+		switch {
+		case errors.Is(err, ocsp.ErrSignature):
+			result = "bad-signature"
+		case errors.Is(err, ocsp.ErrNotCovered), errors.Is(err, ocsp.ErrNotCurrent):
+			result = "stale"
+		}
+		c.log(v, leaf, pos, "staple", result)
 		return stUnavailable, false
 	}
 	st := fromOCSPStatus(sr.Status)
@@ -512,8 +510,9 @@ func fromOCSPStatus(s ocsp.Status) status {
 }
 
 func (c *Client) fetchOCSP(v *Verdict, cert, issuer *x509x.Certificate, pos Position) status {
+	now := c.now()
 	if c.Cache != nil {
-		if sr, ok := c.Cache.OCSP(issuer, cert, c.now()); ok {
+		if sr, ok := c.Cache.OCSP(issuer, cert, now); ok {
 			st := fromOCSPStatus(sr.Status)
 			c.log(v, cert, pos, "ocsp", cachedResult(st))
 			return st
@@ -523,14 +522,16 @@ func (c *Client) fetchOCSP(v *Verdict, cert, issuer *x509x.Certificate, pos Posi
 	var last status = stUnavailable
 	for _, url := range cert.OCSPServers {
 		ctx, cancel := c.fetchCtx()
-		sr, err := client.CheckContext(ctx, url, issuer, cert.SerialNumber)
+		sr, err := client.CheckContext(ctx, url, issuer, cert.SerialNumber, now)
 		cancel()
 		if err != nil {
-			c.log(v, cert, pos, "ocsp", "unavailable")
-			continue
-		}
-		if !sr.CurrentAt(c.now()) {
-			c.log(v, cert, pos, "ocsp", "stale")
+			// Not current is "stale"; a failed fetch, an error status, a
+			// bad signature or a gap in coverage is "unavailable".
+			result := "unavailable"
+			if errors.Is(err, ocsp.ErrNotCurrent) {
+				result = "stale"
+			}
+			c.log(v, cert, pos, "ocsp", result)
 			continue
 		}
 		if c.Cache != nil {

@@ -25,7 +25,7 @@ func TestCachingResponderEvictsOnRevoke(t *testing.T) {
 	client := &ocsp.Client{}
 	check := func() ocsp.SingleResponse {
 		t.Helper()
-		sr, err := client.CheckContext(context.Background(), srv.URL+"/ocsp", authority.Certificate(), rec.Serial)
+		sr, err := client.CheckContext(context.Background(), srv.URL+"/ocsp", authority.Certificate(), rec.Serial, clock.Now())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -341,7 +341,7 @@ func TestHandlerServesCRLAndOCSP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !parsed.ContainsSerial(rec.Serial.Bytes()) {
+	if _, ok := parsed.LookupSerial(rec.Serial.Bytes()); !ok {
 		t.Error("served CRL missing revocation")
 	}
 
@@ -357,7 +357,7 @@ func TestHandlerServesCRLAndOCSP(t *testing.T) {
 
 	// OCSP via the mounted responder.
 	client := &ocsp.Client{}
-	sr, err := client.CheckContext(context.Background(), srv.URL+"/ocsp", authority.Certificate(), rec.Serial)
+	sr, err := client.CheckContext(context.Background(), srv.URL+"/ocsp", authority.Certificate(), rec.Serial, clock.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestCRLCacheRespectsValidity(t *testing.T) {
 		t.Fatal(err)
 	}
 	second := fetch()
-	if second.ContainsSerial(rec.Serial.Bytes()) {
+	if _, ok := second.LookupSerial(rec.Serial.Bytes()); ok {
 		t.Error("cache regenerated CRL before expiry")
 	}
 	if !second.ThisUpdate.Equal(first.ThisUpdate) {
@@ -401,7 +401,7 @@ func TestCRLCacheRespectsValidity(t *testing.T) {
 	// After the validity window, a fresh CRL carries the revocation.
 	clock.Advance(24 * time.Hour)
 	third := fetch()
-	if !third.ContainsSerial(rec.Serial.Bytes()) {
+	if _, ok := third.LookupSerial(rec.Serial.Bytes()); !ok {
 		t.Error("regenerated CRL missing revocation")
 	}
 }
@@ -447,7 +447,7 @@ func TestDelegatedOCSPResponder(t *testing.T) {
 
 	// The client trusts the CA; the response arrives signed by the
 	// delegate with its certificate embedded.
-	sr, err := (&ocsp.Client{}).CheckContext(context.Background(), srv.URL+"/ocsp", authority.Certificate(), rec.Serial)
+	sr, err := (&ocsp.Client{}).CheckContext(context.Background(), srv.URL+"/ocsp", authority.Certificate(), rec.Serial, clock.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +537,7 @@ func TestPublishRevocationsImmediately(t *testing.T) {
 		return parsed
 	}
 	first := fetch()
-	if first.ContainsSerial(rec.Serial.Bytes()) {
+	if _, ok := first.LookupSerial(rec.Serial.Bytes()); ok {
 		t.Fatal("fresh CRL already contains the serial")
 	}
 	// Revoke well inside the validity window: the very next fetch must
@@ -547,7 +547,7 @@ func TestPublishRevocationsImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	second := fetch()
-	if !second.ContainsSerial(rec.Serial.Bytes()) {
+	if _, ok := second.LookupSerial(rec.Serial.Bytes()); !ok {
 		t.Error("revocation not published on next fetch despite PublishRevocationsImmediately")
 	}
 	// No further revocations: the regenerated copy is cached again.

@@ -11,6 +11,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -166,6 +167,13 @@ type Auditor struct {
 // maxCRLBytes caps CRL downloads.
 const maxCRLBytes = 128 << 20
 
+func (a *Auditor) httpClient() *http.Client {
+	if a.HTTP != nil {
+		return a.HTTP
+	}
+	return http.DefaultClient
+}
+
 func (a *Auditor) now() time.Time {
 	if a.Now != nil {
 		return a.Now()
@@ -178,13 +186,6 @@ func (a *Auditor) timeout() time.Duration {
 		return a.Timeout
 	}
 	return 10 * time.Second
-}
-
-func (a *Auditor) httpClient() *http.Client {
-	if a.HTTP != nil {
-		return a.HTTP
-	}
-	return http.DefaultClient
 }
 
 // Audit connects to addr (host:port), captures the chain and staple, and
@@ -298,13 +299,14 @@ func (a *Auditor) checkCRL(cert, issuer *x509x.Certificate, report *Report) Mech
 
 func (a *Auditor) checkOCSP(cert, issuer *x509x.Certificate, report *Report) MechanismResult {
 	res := MechanismResult{Status: StatusUnavailable}
-	client := &ocsp.Client{HTTP: a.httpClient()}
+	client := &ocsp.Client{HTTP: a.HTTP}
 	for _, url := range cert.OCSPServers {
 		res.Source = url
 		ctx, cancel := context.WithTimeout(context.Background(), a.timeout())
-		sr, err := client.CheckContext(ctx, url, issuer, cert.SerialNumber)
+		sr, err := client.CheckContext(ctx, url, issuer, cert.SerialNumber, a.now())
 		cancel()
-		if err != nil {
+		notCurrent := errors.Is(err, ocsp.ErrNotCurrent)
+		if err != nil && !notCurrent { // fetch, responder, signature or coverage
 			res.Detail = err.Error()
 			continue
 		}
@@ -312,19 +314,11 @@ func (a *Auditor) checkOCSP(cert, issuer *x509x.Certificate, report *Report) Mec
 		// the HTTP layer for simnet clients, so record a nominal size.
 		res.Bytes = 1000
 		report.TotalBytes += res.Bytes
-		if !sr.CurrentAt(a.now()) {
+		if notCurrent {
 			res.Detail = "response outside validity window"
 			continue
 		}
-		switch sr.Status {
-		case ocsp.StatusGood:
-			res.Status = StatusGood
-		case ocsp.StatusRevoked:
-			res.Status = StatusRevoked
-			res.Detail = fmt.Sprintf("revoked %s (%s)", sr.RevokedAt.Format("2006-01-02"), sr.Reason)
-		default:
-			res.Status = StatusUnknown
-		}
+		setOCSPStatus(&res, sr)
 		return res
 	}
 	return res
@@ -332,28 +326,25 @@ func (a *Auditor) checkOCSP(cert, issuer *x509x.Certificate, report *Report) Mec
 
 func (a *Auditor) checkStaple(leaf, issuer *x509x.Certificate, staple []byte) MechanismResult {
 	res := MechanismResult{Status: StatusUnavailable, Source: "staple", Bytes: len(staple)}
-	resp, err := ocsp.ParseResponse(staple)
-	if err != nil {
-		res.Detail = err.Error()
-		return res
-	}
-	if resp.RespStatus != ocsp.RespSuccessful {
-		res.Detail = resp.RespStatus.String()
-		return res
-	}
-	if err := resp.VerifySignatureFrom(issuer); err != nil {
-		res.Detail = err.Error()
-		return res
-	}
-	sr, ok := resp.Find(ocsp.NewCertID(issuer, leaf.SerialNumber))
-	if !ok {
+	sr, err := ocsp.CheckStaple(staple, issuer, leaf.SerialNumber, a.now())
+	var re *ocsp.ResponderError
+	switch {
+	case err == nil:
+		setOCSPStatus(&res, sr)
+	case errors.As(err, &re):
+		res.Detail = re.Status.String()
+	case errors.Is(err, ocsp.ErrNotCovered):
 		res.Detail = "staple does not cover the leaf"
-		return res
-	}
-	if !sr.CurrentAt(a.now()) {
+	case errors.Is(err, ocsp.ErrNotCurrent):
 		res.Detail = "staple outside validity window"
-		return res
+	default: // unparseable or a bad signature
+		res.Detail = err.Error()
 	}
+	return res
+}
+
+// setOCSPStatus records a checked OCSP answer's status in res.
+func setOCSPStatus(res *MechanismResult, sr ocsp.SingleResponse) {
 	switch sr.Status {
 	case ocsp.StatusGood:
 		res.Status = StatusGood
@@ -363,7 +354,6 @@ func (a *Auditor) checkStaple(leaf, issuer *x509x.Certificate, staple []byte) Me
 	default:
 		res.Status = StatusUnknown
 	}
-	return res
 }
 
 func (a *Auditor) download(url string) ([]byte, error) {

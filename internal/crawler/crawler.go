@@ -541,9 +541,10 @@ func (c *Crawler) checkOCSPBatch(client *ocsp.Client, url string, issuer *x509x.
 		}
 		c.bump(func(s *FetchStats) { s.OCSPAttempts++ })
 		ctx, cancel := c.attemptCtx()
-		srs, err := client.CheckBatchContext(ctx, url, issuer, serials)
+		srs, err := client.CheckBatchContext(ctx, url, issuer, serials, c.now())
 		cancel()
-		if err == nil {
+		// Answers outside their window are recorded like current ones.
+		if err == nil || errors.Is(err, ocsp.ErrNotCurrent) {
 			return srs, nil
 		}
 		lastErr = err
@@ -565,7 +566,7 @@ func (c *Crawler) checkOCSPBatch(client *ocsp.Client, url string, issuer *x509x.
 			c.bump(func(s *FetchStats) { s.OCSPResponderErrors++ })
 			retry = re.Status == ocsp.RespTryLater || re.Status == ocsp.RespInternalError
 		default:
-			// Parse or signature failures: possibly in-flight
+			// Parse, signature or coverage failures: possibly in-flight
 			// corruption, worth retrying.
 			c.bump(func(s *FetchStats) { s.OCSPOtherErrors++ })
 		}

@@ -35,7 +35,7 @@ func TestCorruptedResponseNeverVerifiesGood(t *testing.T) {
 	w.revoked.Store(true)
 	sawError := false
 	for serial := int64(1); serial <= 60; serial++ {
-		sr, err := client.CheckContext(context.Background(), "http://ocsp.faulty.test/", w.ca, big.NewInt(serial))
+		sr, err := client.CheckContext(context.Background(), "http://ocsp.faulty.test/", w.ca, big.NewInt(serial), *w.now.Load())
 		if err == nil && sr.Status != StatusRevoked {
 			t.Fatalf("serial %d: corrupted response verified as %v, truth is revoked", serial, sr.Status)
 		}
@@ -58,7 +58,7 @@ func TestCorruptedResponseNeverVerifiesGood(t *testing.T) {
 	cleanNet.Register("ocsp.faulty.test", w.responder)
 	clean := &Client{HTTP: cleanNet.Client()}
 	for serial := int64(1001); serial <= 1030; serial++ {
-		sr, err := clean.CheckContext(context.Background(), "http://ocsp.faulty.test/", w.ca, big.NewInt(serial))
+		sr, err := clean.CheckContext(context.Background(), "http://ocsp.faulty.test/", w.ca, big.NewInt(serial), *w.now.Load())
 		if err != nil {
 			t.Fatalf("serial %d after corruption cleared: %v", serial, err)
 		}
@@ -74,7 +74,7 @@ func TestCorruptedResponseNeverVerifiesGood(t *testing.T) {
 func TestTruncatedResponseNeverVerifiesGood(t *testing.T) {
 	w, client := corruptTransportWorld(t, faultnet.Config{Seed: 7, TruncateProb: 1})
 	for serial := int64(1); serial <= 30; serial++ {
-		sr, err := client.CheckContext(context.Background(), "http://ocsp.faulty.test/", w.ca, big.NewInt(serial))
+		sr, err := client.CheckContext(context.Background(), "http://ocsp.faulty.test/", w.ca, big.NewInt(serial), *w.now.Load())
 		if err == nil {
 			t.Fatalf("serial %d: truncated response verified as %v", serial, sr.Status)
 		}
@@ -112,7 +112,7 @@ func TestEvictionDuringOutageNoDeadlock(t *testing.T) {
 					return
 				default:
 				}
-				client.CheckContext(context.Background(), "http://ocsp.flappy.test/", w.ca, big.NewInt(7))
+				client.CheckContext(context.Background(), "http://ocsp.flappy.test/", w.ca, big.NewInt(7), *w.now.Load())
 			}
 		}()
 	}
@@ -144,7 +144,7 @@ func TestEvictionDuringOutageNoDeadlock(t *testing.T) {
 	cleanNet.Register("ocsp.flappy.test", w.responder)
 	clean := &Client{HTTP: cleanNet.Client()}
 	w.responder.EvictCertID(id)
-	sr, err := clean.CheckContext(context.Background(), "http://ocsp.flappy.test/", w.ca, big.NewInt(7))
+	sr, err := clean.CheckContext(context.Background(), "http://ocsp.flappy.test/", w.ca, big.NewInt(7), *w.now.Load())
 	if err != nil {
 		t.Fatal(err)
 	}

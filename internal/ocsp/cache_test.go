@@ -151,7 +151,7 @@ func TestCachingResponderHitReturnsIdenticalDER(t *testing.T) {
 	if st := w.responder.Stats(); st.Signs != 1 {
 		t.Errorf("signs = %d", st.Signs)
 	}
-	if err := first.VerifySignature(w.ca); err != nil {
+	if err := first.VerifySignatureFrom(w.ca); err != nil {
 		t.Errorf("cached response signature: %v", err)
 	}
 }
@@ -264,7 +264,7 @@ func TestCachingResponderMultiIDBypass(t *testing.T) {
 	defer srv.Close()
 	client := &Client{}
 	for i := 0; i < 2; i++ {
-		srs, err := client.CheckBatchContext(context.Background(), srv.URL, w.ca, []*big.Int{big.NewInt(1), big.NewInt(2)})
+		srs, err := client.CheckBatchContext(context.Background(), srv.URL, w.ca, []*big.Int{big.NewInt(1), big.NewInt(2)}, *w.now.Load())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
-	"errors"
 	"fmt"
 	"io"
 	"math/big"
 	"net/http"
 	"net/url"
 	"strings"
+	"time"
 
 	"repro/internal/x509x"
 )
@@ -71,24 +71,25 @@ func (c *Client) httpClient() *http.Client {
 }
 
 // CheckContext asks the responder at responderURL for the status of the
-// certificate with the given serial, issued by issuer, and verifies the
-// response signature against the issuer before returning it. The
-// context's deadline bounds the HTTP exchange, so a hung responder cannot
-// stall the caller past its budget.
-func (c *Client) CheckContext(ctx context.Context, responderURL string, issuer *x509x.Certificate, serial *big.Int) (SingleResponse, error) {
-	srs, err := c.CheckBatchContext(ctx, responderURL, issuer, []*big.Int{serial})
-	if err != nil {
+// certificate with the given serial, issued by issuer, and applies the
+// check at now before returning the answer (with it on ErrNotCurrent).
+// The context's deadline bounds the HTTP exchange, so a hung responder
+// cannot stall the caller past its budget.
+func (c *Client) CheckContext(ctx context.Context, responderURL string, issuer *x509x.Certificate, serial *big.Int, now time.Time) (SingleResponse, error) {
+	srs, err := c.CheckBatchContext(ctx, responderURL, issuer, []*big.Int{serial}, now)
+	if srs == nil {
 		return SingleResponse{}, err
 	}
-	return srs[0], nil
+	return srs[0], err
 }
 
 // CheckBatchContext asks the responder for the status of several
 // certificates from the same issuer in one HTTP exchange — RFC 6960
-// allows a request to carry multiple Request entries. The response
-// signature is verified once for the whole batch; statuses are returned
-// in serials order. An error is global to the batch.
-func (c *Client) CheckBatchContext(ctx context.Context, responderURL string, issuer *x509x.Certificate, serials []*big.Int) ([]SingleResponse, error) {
+// allows a request to carry multiple Request entries — and applies the
+// check to the whole batch, verifying its signature once. Statuses are
+// returned in serials order, also with ErrNotCurrent; any other error is
+// global to the batch and returns none.
+func (c *Client) CheckBatchContext(ctx context.Context, responderURL string, issuer *x509x.Certificate, serials []*big.Int, now time.Time) ([]SingleResponse, error) {
 	ids := make([]CertID, len(serials))
 	for i, serial := range serials {
 		ids[i] = NewCertID(issuer, serial)
@@ -97,26 +98,15 @@ func (c *Client) CheckBatchContext(ctx context.Context, responderURL string, iss
 	if err != nil {
 		return nil, err
 	}
-	if resp.RespStatus != RespSuccessful {
-		return nil, &ResponderError{Status: resp.RespStatus}
-	}
-	if err := resp.VerifySignatureFrom(issuer); err != nil {
+	out := make([]SingleResponse, len(ids))
+	if err = check(resp, issuer, ids, now, out); err != nil && err != ErrNotCurrent {
 		return nil, err
 	}
-	out := make([]SingleResponse, len(ids))
-	for i, id := range ids {
-		sr, ok := resp.Find(id)
-		if !ok {
-			return nil, errors.New("ocsp: response does not cover requested certificate")
-		}
-		out[i] = sr
-	}
-	return out, nil
+	return out, err
 }
 
-// Fetch submits the request and parses the response without verifying
-// signatures; callers wanting verification use CheckContext or call
-// Response.VerifySignature themselves.
+// Fetch submits the request and parses the response without checking
+// it; callers wanting the check use CheckContext.
 func (c *Client) Fetch(responderURL string, req *Request) (*Response, error) {
 	return c.FetchContext(context.Background(), responderURL, req)
 }

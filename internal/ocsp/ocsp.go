@@ -310,41 +310,73 @@ func (r *Response) Find(id CertID) (SingleResponse, bool) {
 	return SingleResponse{}, false
 }
 
-// VerifySignature checks the response signature against the responder
-// certificate (which is typically the issuing CA itself or a delegated
-// OCSP-signing certificate).
-func (r *Response) VerifySignature(signer *x509x.Certificate) error {
-	if r.RespStatus != RespSuccessful {
-		return fmt.Errorf("ocsp: cannot verify %v response", r.RespStatus)
-	}
+// signedBy reports whether the response carries signer's key hash and a
+// signature that signer's key verifies.
+func (r *Response) signedBy(signer *x509x.Certificate) bool {
 	keyHash := signer.KeyHash()
-	if !bytes.Equal(keyHash[:], r.ResponderKeyHash) {
-		return errors.New("ocsp: responder key hash does not match signer")
-	}
-	return x509x.VerifyDigest(signer.PublicKey, r.RawTBS, r.Signature)
+	return bytes.Equal(keyHash[:], r.ResponderKeyHash) && x509x.VerifyDigest(signer.PublicKey, r.RawTBS, r.Signature) == nil
 }
 
 // VerifySignatureFrom checks the response signature against the issuing
 // CA, accepting either of RFC 6960's authorization models: the response is
 // signed by the CA itself, or by a delegated responder certificate that
 // the CA issued with the id-kp-OCSPSigning extended key usage and which is
-// embedded in the response.
+// embedded in the response. Any other signer gives ErrSignature.
 func (r *Response) VerifySignatureFrom(issuer *x509x.Certificate) error {
-	if err := r.VerifySignature(issuer); err == nil {
+	if r.signedBy(issuer) {
 		return nil
 	}
 	for _, cert := range r.Certificates {
-		if !hasOCSPSigningEKU(cert) {
-			continue
-		}
-		if err := cert.CheckSignatureFrom(issuer); err != nil {
-			continue // not a delegate of this CA
-		}
-		if err := r.VerifySignature(cert); err == nil {
+		if hasOCSPSigningEKU(cert) && cert.CheckSignatureFrom(issuer) == nil && r.signedBy(cert) {
 			return nil
 		}
 	}
-	return errors.New("ocsp: response signed neither by the CA nor by an authorized delegated responder")
+	return ErrSignature
+}
+
+// The check's failure classes beside an unparseable response
+// (ParseResponse's error) and a non-successful one (*ResponderError).
+var (
+	ErrSignature  = errors.New("ocsp: response signed neither by the CA nor by an authorized delegated responder")
+	ErrNotCovered = errors.New("ocsp: response does not cover requested certificate")
+	ErrNotCurrent = errors.New("ocsp: response outside its validity window")
+)
+
+// check is the rule for when an OCSP answer counts, fetched or stapled:
+// resp is successful, signed by issuer or a delegate it authorised (one
+// verify however many ids), answers every one of ids (out[i] for ids[i])
+// and each answer is current at now (else ErrNotCurrent, out filled).
+func check(resp *Response, issuer *x509x.Certificate, ids []CertID, now time.Time, out []SingleResponse) error {
+	if resp.RespStatus != RespSuccessful {
+		return &ResponderError{Status: resp.RespStatus}
+	}
+	if err := resp.VerifySignatureFrom(issuer); err != nil {
+		return err
+	}
+	var err error
+	for i, id := range ids {
+		sr, ok := resp.Find(id)
+		if !ok {
+			return ErrNotCovered
+		}
+		if !sr.CurrentAt(now) {
+			err = ErrNotCurrent
+		}
+		out[i] = sr
+	}
+	return err
+}
+
+// CheckStaple applies the check to stapled bytes for the certificate
+// with the given serial issued by issuer.
+func CheckStaple(raw []byte, issuer *x509x.Certificate, serial *big.Int, now time.Time) (SingleResponse, error) {
+	resp, err := ParseResponse(raw)
+	if err != nil {
+		return SingleResponse{}, err
+	}
+	var out [1]SingleResponse
+	err = check(resp, issuer, []CertID{NewCertID(issuer, serial)}, now, out[:])
+	return out[0], err
 }
 
 func hasOCSPSigningEKU(cert *x509x.Certificate) bool {

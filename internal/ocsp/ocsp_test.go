@@ -134,7 +134,7 @@ func TestResponseRoundTripAllStatuses(t *testing.T) {
 	if resp.RespStatus != RespSuccessful {
 		t.Fatalf("status = %v", resp.RespStatus)
 	}
-	if err := resp.VerifySignature(ca); err != nil {
+	if err := resp.VerifySignatureFrom(ca); err != nil {
 		t.Fatalf("signature: %v", err)
 	}
 	if !resp.ProducedAt.Equal(testNow) {
@@ -185,6 +185,7 @@ func TestRevokedWithoutReason(t *testing.T) {
 }
 
 func TestErrorResponses(t *testing.T) {
+	ca, _ := newCA(t)
 	for _, status := range []ResponseStatus{RespMalformedRequest, RespInternalError, RespTryLater, RespUnauthorized} {
 		raw := createErrorResponse(status)
 		resp, err := ParseResponse(raw)
@@ -194,8 +195,8 @@ func TestErrorResponses(t *testing.T) {
 		if resp.RespStatus != status {
 			t.Errorf("round trip %v = %v", status, resp.RespStatus)
 		}
-		if err := resp.VerifySignature(nil); err == nil {
-			t.Error("VerifySignature on error response should fail")
+		if err := resp.VerifySignatureFrom(ca); err == nil {
+			t.Error("VerifySignatureFrom on error response should fail")
 		}
 	}
 }
@@ -214,7 +215,7 @@ func TestVerifySignatureRejectsWrongSigner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := resp.VerifySignature(other); err == nil {
+	if err := resp.VerifySignatureFrom(other); err == nil {
 		t.Error("accepted response signed by a different CA")
 	}
 }
@@ -273,14 +274,14 @@ func TestResponderEndToEnd(t *testing.T) {
 	// The zero Transport is GET.
 	for _, transport := range []Transport{0, TransportPOST} {
 		client := &Client{Transport: transport}
-		sr, err := client.CheckContext(context.Background(), srv.URL, ca, big.NewInt(1))
+		sr, err := client.CheckContext(context.Background(), srv.URL, ca, big.NewInt(1), testNow)
 		if err != nil {
 			t.Fatalf("transport %v: %v", transport, err)
 		}
 		if sr.Status != StatusGood {
 			t.Errorf("transport %v: status = %v", transport, sr.Status)
 		}
-		sr, err = client.CheckContext(context.Background(), srv.URL, ca, big.NewInt(666))
+		sr, err = client.CheckContext(context.Background(), srv.URL, ca, big.NewInt(666), testNow)
 		if err != nil {
 			t.Fatalf("transport %v: %v", transport, err)
 		}
@@ -306,7 +307,7 @@ func TestResponderForceUnknown(t *testing.T) {
 	srv := httptest.NewServer(responder)
 	defer srv.Close()
 	client := &Client{}
-	sr, err := client.CheckContext(context.Background(), srv.URL, ca, big.NewInt(1))
+	sr, err := client.CheckContext(context.Background(), srv.URL, ca, big.NewInt(1), testNow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +364,7 @@ func TestClientRejectsHTTPErrors(t *testing.T) {
 	}))
 	defer srv.Close()
 	client := &Client{}
-	if _, err := client.CheckContext(context.Background(), srv.URL, ca, big.NewInt(1)); err == nil {
+	if _, err := client.CheckContext(context.Background(), srv.URL, ca, big.NewInt(1), testNow); err == nil {
 		t.Error("client accepted a 404 responder")
 	}
 }
@@ -445,7 +446,7 @@ func TestDelegatedResponder(t *testing.T) {
 		t.Fatalf("embedded certs = %d", len(resp.Certificates))
 	}
 	// Direct check against the CA fails (the CA didn't sign)...
-	if err := resp.VerifySignature(caCert); err == nil {
+	if resp.signedBy(caCert) {
 		t.Error("direct CA verification should fail for delegated response")
 	}
 	// ...but the delegated model succeeds.
@@ -523,7 +524,7 @@ func TestDelegatedResponderOverHTTP(t *testing.T) {
 	defer srv.Close()
 	// The client verifies against the CA; the delegate rides along in
 	// the response.
-	sr, err := (&Client{}).CheckContext(context.Background(), srv.URL, caCert, big.NewInt(123))
+	sr, err := (&Client{}).CheckContext(context.Background(), srv.URL, caCert, big.NewInt(123), testNow)
 	if err != nil {
 		t.Fatal(err)
 	}
