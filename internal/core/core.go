@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -164,16 +163,6 @@ type Auditor struct {
 	Now func() time.Time
 }
 
-// maxCRLBytes caps CRL downloads.
-const maxCRLBytes = 128 << 20
-
-func (a *Auditor) httpClient() *http.Client {
-	if a.HTTP != nil {
-		return a.HTTP
-	}
-	return http.DefaultClient
-}
-
 func (a *Auditor) now() time.Time {
 	if a.Now != nil {
 		return a.Now()
@@ -261,31 +250,30 @@ func (a *Auditor) AuditChain(target string, certs []*x509x.Certificate, staple [
 	return report, nil
 }
 
+// checkCRL, checkOCSP and checkStaple hold the auditor's policy only: the
+// rule is crl.Check and the OCSP check; each class maps to Status, Detail.
 func (a *Auditor) checkCRL(cert, issuer *x509x.Certificate, report *Report) MechanismResult {
 	res := MechanismResult{Status: StatusUnavailable}
 	for _, url := range cert.CRLDistributionPoints {
 		res.Source = url
-		body, err := a.download(url)
+		ctx, cancel := context.WithTimeout(context.Background(), a.timeout())
+		body, err := crl.Download(ctx, a.HTTP, url)
+		cancel()
 		if err != nil {
 			res.Detail = err.Error()
 			continue
 		}
 		res.Bytes = len(body)
 		report.TotalBytes += len(body)
-		parsed, err := crl.Parse(body)
+		parsed, err := crl.Check(body, issuer, a.now())
 		if err != nil {
-			res.Detail = err.Error()
+			res.Detail = err.Error() // unparseable or a bad signature
+			if errors.Is(err, crl.ErrNotCurrent) {
+				res.Detail = "CRL outside validity window"
+			}
 			continue
 		}
-		if err := parsed.VerifySignature(issuer); err != nil {
-			res.Detail = err.Error()
-			continue
-		}
-		if !parsed.CurrentAt(a.now()) {
-			res.Detail = "CRL outside validity window"
-			continue
-		}
-		if entry, ok := parsed.Lookup(cert.SerialNumber); ok {
+		if entry, ok := parsed.LookupSerial(cert.SerialBytes()); ok {
 			res.Status = StatusRevoked
 			res.Detail = fmt.Sprintf("revoked %s (%s)", entry.RevokedAt.Format("2006-01-02"), entry.Reason)
 		} else {
@@ -354,22 +342,4 @@ func setOCSPStatus(res *MechanismResult, sr ocsp.SingleResponse) {
 	default:
 		res.Status = StatusUnknown
 	}
-}
-
-func (a *Auditor) download(url string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), a.timeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := a.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("HTTP %d", resp.StatusCode)
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, maxCRLBytes))
 }
