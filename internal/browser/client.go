@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -183,9 +182,6 @@ type Client struct {
 	// instead of hanging the handshake. 0 means unbounded.
 	Timeout time.Duration
 }
-
-// maxCRLBytes caps CRL downloads.
-const maxCRLBytes = 128 << 20
 
 // fetchCtx returns the per-fetch context implied by Timeout.
 func (c *Client) fetchCtx() (context.Context, context.CancelFunc) {
@@ -544,34 +540,23 @@ func (c *Client) fetchOCSP(v *Verdict, cert, issuer *x509x.Certificate, pos Posi
 	return last
 }
 
-// CRL fetch failure classes, mapped to the event strings the harnesses
-// assert on.
-var (
-	errCRLUnavailable  = errors.New("browser: CRL unavailable")
-	errCRLBadSignature = errors.New("browser: CRL signature invalid")
-	errCRLStale        = errors.New("browser: CRL stale")
-)
-
-func crlErrorResult(err error) string {
-	switch {
-	case errors.Is(err, errCRLBadSignature):
-		return "bad-signature"
-	case errors.Is(err, errCRLStale):
-		return "stale"
-	default:
-		return "unavailable"
-	}
-}
-
 func (c *Client) fetchCRL(v *Verdict, cert, issuer *x509x.Certificate, pos Position) status {
 	now := c.now()
 	for _, url := range cert.CRLDistributionPoints {
 		parsed, src, err := c.obtainCRL(url, issuer, now)
 		if err != nil {
-			c.log(v, cert, pos, "crl", crlErrorResult(err))
+			// A failed download or an unparseable list is "unavailable".
+			result := "unavailable"
+			switch {
+			case errors.Is(err, crl.ErrSignature):
+				result = "bad-signature"
+			case errors.Is(err, crl.ErrNotCurrent):
+				result = "stale"
+			}
+			c.log(v, cert, pos, "crl", result)
 			continue
 		}
-		revoked := parsed.ContainsSerial(cert.SerialBytes())
+		_, revoked := parsed.LookupSerial(cert.SerialBytes())
 		st := stGood
 		if revoked {
 			st = stRevoked
@@ -586,60 +571,23 @@ func (c *Client) fetchCRL(v *Verdict, cert, issuer *x509x.Certificate, pos Posit
 	return stUnavailable
 }
 
-// obtainCRL produces a verified, current CRL for url through the
-// client's cache, which deduplicates concurrent downloads per URL
-// (singleflight); no cache means a plain download. The lookup comes
-// first and the fetch closure (which the compiler puts on the heap) is
-// built only on a miss, so a cached CRL costs no allocation.
+// obtainCRL produces a checked CRL for url through the client's cache,
+// which deduplicates concurrent downloads per URL (singleflight); no
+// cache means a plain download. The lookup comes first and the fetch
+// closure (which the compiler puts on the heap) is built only on a miss,
+// so a cached CRL costs no allocation.
 func (c *Client) obtainCRL(url string, issuer *x509x.Certificate, now time.Time) (*crl.CRL, CRLSource, error) {
 	if parsed, ok := c.Cache.CRL(url, now); ok {
 		return parsed, SourceCached, nil
 	}
 	fetch := func() (*crl.CRL, error) {
-		parsed, err := c.downloadCRL(url)
+		ctx, cancel := c.fetchCtx()
+		body, err := crl.Download(ctx, c.HTTP, url)
+		cancel()
 		if err != nil {
-			return nil, errCRLUnavailable
-		}
-		if err := parsed.VerifySignature(issuer); err != nil {
-			return nil, errCRLBadSignature
-		}
-		if !parsed.CurrentAt(now) {
-			return nil, errCRLStale
-		}
-		return parsed, nil
-	}
-	return c.Cache.fetchCRLOnce(url, now, fetch)
-}
-
-func (c *Client) downloadCRL(url string) (*crl.CRL, error) {
-	httpClient := c.HTTP
-	if httpClient == nil {
-		httpClient = http.DefaultClient
-	}
-	ctx, cancel := c.fetchCtx()
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := httpClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("browser: CRL fetch: HTTP %d", resp.StatusCode)
-	}
-	var body []byte
-	if n := resp.ContentLength; n > 0 && n <= maxCRLBytes {
-		// Presize the read, as the crawler does: io.ReadAll would grow
-		// its buffer through several copies of the body.
-		body = make([]byte, n)
-		if _, err := io.ReadFull(resp.Body, body); err != nil {
 			return nil, err
 		}
-	} else if body, err = io.ReadAll(io.LimitReader(resp.Body, maxCRLBytes)); err != nil {
-		return nil, err
+		return crl.Check(body, issuer, now)
 	}
-	return crl.Parse(body)
+	return c.Cache.fetchCRLOnce(url, now, fetch)
 }
