@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/big"
 	"net/http"
 	"slices"
@@ -137,10 +136,6 @@ type Snapshot struct {
 	// Bytes is the total body size downloaded.
 	Bytes int64
 }
-
-// maxCRLBytes caps a single CRL download (the paper saw CRLs up to
-// 76 MB).
-const maxCRLBytes = 128 << 20
 
 // Crawler downloads revocation data.
 type Crawler struct {
@@ -378,13 +373,9 @@ func (c *Crawler) longestFirst(urls []string) []int {
 // parsed CRL (success updates the stale-serving copy) or the final
 // classified error once the retry budget is spent.
 func (c *Crawler) fetchOne(u string) fetched {
-	attempts := c.Retries + 1
-	if attempts < 1 {
-		attempts = 1
-	}
 	var total int64
 	var last *FetchError
-	for i := 0; i < attempts; i++ {
+	for i := 0; i <= max(c.Retries, 0); i++ {
 		if i > 0 {
 			c.backOff(u, i)
 		}
@@ -469,15 +460,8 @@ func (c *Crawler) fetchAttempt(u string) (*crl.CRL, int64, *FetchError) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, 0, &FetchError{URL: u, Class: ClassHTTPStatus, Code: resp.StatusCode, Err: fmt.Errorf("HTTP %d", resp.StatusCode)}
 	}
-	var body []byte
-	if n := resp.ContentLength; n > 0 && n <= maxCRLBytes {
-		// Presize the read: CRLs run to tens of megabytes, and letting
-		// io.ReadAll grow its buffer doubles the copy traffic.
-		body = make([]byte, n)
-		if m, err := io.ReadFull(resp.Body, body); err != nil {
-			return nil, int64(m), &FetchError{URL: u, Class: ClassRead, Err: err}
-		}
-	} else if body, err = io.ReadAll(io.LimitReader(resp.Body, maxCRLBytes)); err != nil {
+	body, err := crl.ReadBody(resp)
+	if err != nil {
 		return nil, int64(len(body)), &FetchError{URL: u, Class: ClassRead, Err: err}
 	}
 	issuer := c.Verify[u]
@@ -489,14 +473,25 @@ func (c *Crawler) fetchAttempt(u string) (*crl.CRL, int64, *FetchError) {
 		return hit.crl, int64(len(body)), nil
 	}
 	c.cacheMu.Unlock()
-	parsed, err := crl.Parse(body)
-	if err != nil {
-		return nil, int64(len(body)), &FetchError{URL: u, Class: ClassParse, Err: err}
-	}
+	// The crawler acts on two failure classes only: an unparseable list,
+	// and a bad signature where Verify names the URL's issuer; it
+	// verifies nowhere else, and the study's crawl names none. A list
+	// outside its window is recorded all the same: the crawl archives
+	// what each URL served that day.
+	var parsed *crl.CRL
 	if issuer != nil {
-		if err := parsed.VerifySignature(issuer); err != nil {
-			return nil, int64(len(body)), &FetchError{URL: u, Class: ClassVerify, Err: err}
+		if parsed, err = crl.Check(body, issuer, c.now()); errors.Is(err, crl.ErrNotCurrent) {
+			err = nil
 		}
+	} else {
+		parsed, err = crl.Parse(body)
+	}
+	if err != nil {
+		class := ClassParse
+		if errors.Is(err, crl.ErrSignature) {
+			class = ClassVerify
+		}
+		return nil, int64(len(body)), &FetchError{URL: u, Class: class, Err: err}
 	}
 	c.cacheMu.Lock()
 	if c.parseCache == nil {
@@ -525,12 +520,8 @@ type OCSPResult struct {
 // checkOCSPBatch performs one batched OCSP exchange with the retry
 // policy, attributing each failed attempt to the layer that produced it.
 func (c *Crawler) checkOCSPBatch(client *ocsp.Client, url string, issuer *x509x.Certificate, serials []*big.Int) ([]ocsp.SingleResponse, error) {
-	attempts := c.Retries + 1
-	if attempts < 1 {
-		attempts = 1
-	}
 	var lastErr error
-	for i := 0; i < attempts; i++ {
+	for i := 0; i <= max(c.Retries, 0); i++ {
 		if i > 0 {
 			c.bump(func(s *FetchStats) { s.OCSPRetries++ })
 			d := c.backoffDelay(url, i)
