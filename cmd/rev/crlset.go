@@ -1,12 +1,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"time"
 
 	"repro/internal/bloom"
 	"repro/internal/crl"
@@ -58,13 +60,15 @@ func crlsetCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			parsed, err := crl.Parse(data)
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-			if err := parsed.VerifySignature(issuer); err != nil {
+			// An unparseable file is an error, one with a bad signature
+			// is skipped, and the window is ignored: the files are archives.
+			parsed, err := crl.Check(data, issuer, time.Now())
+			switch {
+			case errors.Is(err, crl.ErrSignature):
 				fmt.Fprintf(stderr, "rev crlset: skipping %s: %v\n", path, err)
 				continue
+			case err != nil && !errors.Is(err, crl.ErrNotCurrent):
+				return fmt.Errorf("%s: %w", path, err)
 			}
 			sources = append(sources, crlset.SourceCRL{
 				Parent: parent, URL: path, Public: true, Entries: parsed.Entries,
