@@ -135,13 +135,9 @@ type CRL struct {
 // NumEntries returns the number of revoked entries.
 func (c *CRL) NumEntries() int { return len(c.Entries) }
 
-// Lookup returns the entry for serial, if present.
-func (c *CRL) Lookup(serial *big.Int) (Entry, bool) {
-	return c.LookupSerial(serial.Bytes())
-}
-
-// LookupSerial is Lookup keyed by the compact big-endian serial magnitude
-// (what Entry.Serial holds). The first lookup on a CRL scans Entries: a
+// LookupSerial returns the entry for serial, given as its compact
+// big-endian magnitude (what Entry.Serial holds), if present. The first
+// lookup on a CRL scans Entries: a
 // freshly fetched CRL that answers one check and is dropped never pays
 // for an index. The second builds a serial-keyed map that every later
 // lookup reads without allocating, which is what keeps a warm
@@ -166,12 +162,6 @@ func (c *CRL) LookupSerial(serial []byte) (Entry, bool) {
 		return Entry{}, false
 	}
 	return c.Entries[i], true
-}
-
-// ContainsSerial is Contains keyed by the compact serial magnitude.
-func (c *CRL) ContainsSerial(serial []byte) bool {
-	_, ok := c.LookupSerial(serial)
-	return ok
 }
 
 // CurrentAt reports whether the CRL is within its validity window at t.
@@ -265,14 +255,13 @@ type Template struct {
 	ThisUpdate time.Time
 	NextUpdate time.Time // zero to omit
 	Number     *big.Int  // nil to omit the CRLNumber extension
-	Entries    []Entry
 }
 
 // CreateEncoded builds and signs a CRL issued by the given CA
 // certificate from the concatenated DER encodings of its revoked entries,
 // which the caller maintains (see EncodeCache): tmpl supplies everything
-// except the entries, encoded supplies the entry bytes (empty omits the
-// revokedCertificates field), and tmpl.Entries is ignored.
+// except the entries, and encoded supplies the entry bytes (empty omits
+// the revokedCertificates field).
 func CreateEncoded(tmpl *Template, encoded []byte, issuer *x509x.Certificate, key *ecdsa.PrivateKey) ([]byte, error) {
 	if !tmpl.NextUpdate.IsZero() && tmpl.NextUpdate.Before(tmpl.ThisUpdate) {
 		return nil, fmt.Errorf("crl: nextUpdate %v precedes thisUpdate %v", tmpl.NextUpdate, tmpl.ThisUpdate)
