@@ -17,6 +17,7 @@ import (
 	"repro/internal/host"
 	"repro/internal/ocsp"
 	"repro/internal/scan"
+	"repro/internal/simnet"
 	"repro/internal/x509x"
 )
 
@@ -79,7 +80,9 @@ func main() {
 	fmt.Printf("TLS server with OCSP stapling on %s\n", srv.Addr())
 	fmt.Println("(the CA's responder URL is intentionally unreachable: the staple is the only source)")
 
-	auditor := &core.Auditor{Roots: chain.NewPool(authority.Certificate()), Timeout: 5 * time.Second}
+	// Fetches go to an empty simulated network: nothing resolves or dials.
+	offline := simnet.New().Client()
+	auditor := &core.Auditor{Roots: chain.NewPool(authority.Certificate()), HTTP: offline, Timeout: 5 * time.Second}
 	report, err := auditor.Audit(srv.Addr())
 	if err != nil {
 		log.Fatal(err)
@@ -105,7 +108,7 @@ func main() {
 	chainCerts := append(grab.Chain, authority.Certificate())
 	fmt.Println("\nbrowser verdicts on the revoked staple:")
 	for _, p := range []*browser.Profile{browser.Firefox40(), browser.ChromeOSX(), browser.AndroidStock()} {
-		client := &browser.Client{Profile: p}
+		client := &browser.Client{Profile: p, HTTP: offline}
 		v, err := client.Evaluate(chainCerts, grab.Staple)
 		if err != nil {
 			log.Fatal(err)
